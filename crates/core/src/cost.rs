@@ -37,9 +37,9 @@ use crate::CadLang;
 /// **lexicographically**.
 ///
 /// Scalar models ([`AstSizeCost`], [`WeightedCost`], …) use a single
-/// component, stored **inline** (no heap allocation — the k-best
-/// fixpoint evaluates and clones costs millions of times on the default
-/// path, where the old plain-`usize` costs were `Copy`); combinators
+/// component, stored **inline** (no heap allocation — extraction
+/// evaluates and clones a cost for every candidate derivation it
+/// considers, and the old plain-`usize` costs were `Copy`); combinators
 /// carry the sub-model components they need to fold parents (e.g.
 /// [`WeightedSum`] leads with the combined total so ordering is by
 /// total, followed by each side's components so parents can recompute
@@ -166,19 +166,20 @@ impl fmt::Display for CostVec {
 ///
 /// # Optimality caveat (non-separable models)
 ///
-/// The extractors are **bottom-up**: each e-class keeps its best
-/// derivation(s) under the model's own cost order, and parents combine
-/// children's kept entries. For purely additive models this yields the
-/// global optimum. Models with `max`-combined components — depth in
-/// [`DepthCost`], [`DepthPenalty`], or a depth side of
-/// [`Lexicographic`]/[`WeightedSum`] — lack optimal substructure: a
-/// derivation that is locally worse (bigger) but shallower can win
-/// inside a deeper context, and the per-class table may have already
-/// dropped it. Extraction under such models is therefore a
-/// **deterministic greedy approximation** (the same caveat
-/// `sz_egraph::AstDepth` has always carried); the carried component
-/// vectors and k-best widening (`k*2` candidates per class in the
-/// pipeline) reduce, but do not eliminate, the gap.
+/// The extractors are **bottom-up**: each e-class ranks its
+/// derivations under the model's own cost order, and parents combine
+/// children's derivations in that order. For purely additive models
+/// this yields the global optimum. Models with `max`-combined
+/// components — depth in [`DepthCost`], [`DepthPenalty`], or a depth
+/// side of [`Lexicographic`]/[`WeightedSum`] — lack optimal
+/// substructure: a derivation that is locally worse (bigger) but
+/// shallower can win inside a deeper context, so a class's 1-best may
+/// not be the right start, and the ranked enumeration may reach a
+/// cheaper derivation only after dearer ones. Extraction under such
+/// models is therefore a **deterministic greedy approximation** (the
+/// same caveat `sz_egraph::AstDepth` has always carried): the carried
+/// component vectors and the pipeline's 2k root pulls (re-sorted by
+/// cost) reduce, but do not eliminate, the gap.
 pub trait CostModel: Send + Sync + fmt::Debug {
     /// Computes the cost of `enode` from its children's already-computed
     /// costs (`child_costs[i]` corresponds to `enode.children()[i]`).

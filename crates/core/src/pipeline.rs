@@ -478,21 +478,28 @@ pub fn synthesize(input: &Cad, config: &SynthConfig) -> Synthesis {
     crate::Synthesizer::new(config.clone()).run_unchecked(input, crate::RunOptions::new())
 }
 
-/// extract_prog: top-k under the configured cost function. Distinct
-/// derivations can denote one tree (e.g. via the sorted-list fold
-/// variant), so extract extra candidates and deduplicate.
+/// extract_prog: top-k under the configured cost function. Root
+/// derivations are enumerated lazily; distinct derivations can denote
+/// one tree (e.g. via the sorted-list fold variant), so pull up to 2k of
+/// them and keep the first k distinct programs. Records `extract/table`
+/// (the 1-best cost table) and `extract/materialize` (enumeration, term
+/// build, conversion, dedup) spans on `telemetry`.
 pub(crate) fn extract_top_k(
     egraph: &CadGraph,
     root: Id,
     config: &SynthConfig,
+    telemetry: &Telemetry,
 ) -> Vec<SynthProgram> {
+    let table_span = telemetry.span("extract", "table");
     let kbest = KBestExtractor::new(
         egraph,
         ModelCost(Arc::clone(&config.cost_model)),
         config.k * 2,
     );
+    drop(table_span);
+    let _span = telemetry.span("extract", "materialize");
     let mut top_k: Vec<SynthProgram> = Vec::new();
-    for (cost, e) in kbest.find_best_k(root) {
+    for (cost, e) in kbest.iter_best(root).take(kbest.k()) {
         let Ok(cad) = lang_to_cad(&e) else { continue };
         if top_k.iter().any(|p| p.cad == cad) {
             continue;
@@ -505,6 +512,9 @@ pub(crate) fn extract_top_k(
             break;
         }
     }
+    // Models that combine a child's cost with its depth can enumerate
+    // out of cost order; for every other model this is a no-op.
+    top_k.sort_by_key(|p| p.cost);
     top_k
 }
 
@@ -1190,7 +1200,7 @@ pub fn resume_synthesize(
     };
     let start = Instant::now();
     let egraph = snapshot.snapshot.restore(CadAnalysis);
-    let top_k = extract_top_k(&egraph, root, config);
+    let top_k = extract_top_k(&egraph, root, config, &Telemetry::disabled());
     let pareto = extract_pareto(&egraph, root, config);
     Ok(Synthesis {
         input: input.clone(),

@@ -505,7 +505,7 @@ impl Synthesizer {
             snapshot.egraph_snapshot().restore(CadAnalysis)
         };
         let extract_span = opts.telemetry.span("pipeline", "extraction");
-        let top_k = extract_top_k(&egraph, root, config);
+        let top_k = extract_top_k(&egraph, root, config, &opts.telemetry);
         let pareto = extract_pareto(&egraph, root, config);
         drop(extract_span);
         Synthesis {
@@ -682,7 +682,7 @@ impl Synthesizer {
         };
 
         let extract_span = opts.telemetry.span("pipeline", "extraction");
-        let top_k = extract_top_k(&egraph, root, config);
+        let top_k = extract_top_k(&egraph, root, config, &opts.telemetry);
         let pareto = extract_pareto(&egraph, root, config);
         drop(extract_span);
         Synthesis {
@@ -782,7 +782,7 @@ impl Synthesizer {
         };
 
         let extract_span = opts.telemetry.span("pipeline", "extraction");
-        let top_k = extract_top_k(&egraph, root, config);
+        let top_k = extract_top_k(&egraph, root, config, &opts.telemetry);
         let pareto = extract_pareto(&egraph, root, config);
         drop(extract_span);
         Synthesis {

@@ -3,8 +3,14 @@
 //!
 //! Szalinski's final phase extracts the **top-k** lowest-cost LambdaCAD
 //! programs so the user can pick the parameterization that suits their
-//! edit (paper §5.1); [`KBestExtractor`] implements that.
+//! edit (paper §5.1). Both ranked extractors start from one 1-best cost
+//! table over the whole graph (a dirty-worklist fixpoint, [`best_table`]):
+//! [`Extractor`] walks it from the root, and [`KBestExtractor`] enumerates
+//! further derivations from it lazily, expanding only the classes the
+//! root's next derivation needs.
 
+use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt::Debug;
 
@@ -56,6 +62,84 @@ impl<L: Language> CostFunction<L> for AstDepth {
     }
 }
 
+/// One class's row of the 1-best table: the cost of its cheapest term and
+/// the position, in the class's node list, of that term's root e-node
+/// (`None` while no term is known).
+type BestRow<C> = Option<(C, usize)>;
+
+/// The e-node at `pos` in the node list of `id`'s class.
+fn class_node<L: Language, N: Analysis<L>>(egraph: &EGraph<L, N>, id: Id, pos: usize) -> &L {
+    egraph.node(egraph[id].node_ids()[pos])
+}
+
+/// Builds the 1-best table of the whole graph, slot-indexed by canonical
+/// id.
+///
+/// Dirty-class worklist: a class only needs re-examination when one of its
+/// children's best entries changed, so dirtiness propagates upward through
+/// the parent lists instead of every class being rescanned each pass
+/// (Gauss–Seidel to the least fixpoint). Ties go to the smaller e-node,
+/// which makes that fixpoint unique and so independent of class
+/// iteration order.
+fn best_table<L: Language, N: Analysis<L>, CF: CostFunction<L>>(
+    egraph: &EGraph<L, N>,
+    cost_function: &mut CF,
+) -> Vec<BestRow<CF::Cost>> {
+    let universe = egraph.universe();
+    let mut best: Vec<BestRow<CF::Cost>> = std::iter::repeat_with(|| None).take(universe).collect();
+    let mut dirty = vec![true; universe];
+    let mut next_dirty = vec![false; universe];
+    let mut child_costs = Vec::new();
+    let mut any_dirty = true;
+    while any_dirty {
+        any_dirty = false;
+        for class in egraph.classes() {
+            let slot = usize::from(class.id);
+            if !dirty[slot] {
+                continue;
+            }
+            let mut improved = false;
+            for (pos, node) in egraph.nodes_of(class).enumerate() {
+                child_costs.clear();
+                let extractable =
+                    node.children()
+                        .iter()
+                        .all(|&c| match &best[usize::from(egraph.find(c))] {
+                            Some((cost, _)) => {
+                                child_costs.push(cost.clone());
+                                true
+                            }
+                            None => false,
+                        });
+                if !extractable {
+                    continue;
+                }
+                let cost = cost_function.cost(node, &child_costs);
+                let better = match &best[slot] {
+                    Some((old, old_pos)) => {
+                        cost < *old
+                            || (cost == *old && node < class_node(egraph, class.id, *old_pos))
+                    }
+                    None => true,
+                };
+                if better {
+                    best[slot] = Some((cost, pos));
+                    improved = true;
+                }
+            }
+            if improved {
+                for &(_, pid) in egraph.class_parents(class.id) {
+                    next_dirty[usize::from(egraph.find(pid))] = true;
+                    any_dirty = true;
+                }
+            }
+        }
+        std::mem::swap(&mut dirty, &mut next_dirty);
+        next_dirty.fill(false);
+    }
+    best
+}
+
 /// One-best extraction: computes the minimal-cost term of every class.
 ///
 /// # Examples
@@ -75,77 +159,15 @@ impl<L: Language> CostFunction<L> for AstDepth {
 /// ```
 pub struct Extractor<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> {
     egraph: &'a EGraph<L, N>,
-    cost_function: std::cell::RefCell<CF>,
-    /// Dense best table, slot-indexed by canonical id.
-    best: Vec<Option<(CF::Cost, L)>>,
+    /// The 1-best table (see [`best_table`]).
+    best: Vec<BestRow<CF::Cost>>,
 }
 
 impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, CF> {
     /// Builds the cost table for the whole e-graph.
-    pub fn new(egraph: &'a EGraph<L, N>, cost_function: CF) -> Self {
-        let mut extractor = Extractor {
-            egraph,
-            cost_function: std::cell::RefCell::new(cost_function),
-            best: Vec::new(),
-        };
-        extractor.fixpoint();
-        extractor
-    }
-
-    fn node_cost(&self, node: &L) -> Option<CF::Cost> {
-        let mut child_costs = Vec::with_capacity(node.children().len());
-        for &c in node.children() {
-            let (cost, _) = self.best[usize::from(self.egraph.find(c))].as_ref()?;
-            child_costs.push(cost.clone());
-        }
-        Some(self.cost_function.borrow_mut().cost(node, &child_costs))
-    }
-
-    fn fixpoint(&mut self) {
-        let egraph = self.egraph;
-        let universe = egraph.universe();
-        self.best = std::iter::repeat_with(|| None).take(universe).collect();
-        // Dirty-class worklist: a class only needs re-examination when one
-        // of its children's best entries changed, so propagate dirtiness
-        // upward through the parent lists instead of rescanning everything
-        // each pass. The tie-break makes the least fixpoint unique, so the
-        // result is identical to the full rescan.
-        let mut dirty = vec![true; universe];
-        let mut next_dirty = vec![false; universe];
-        let mut any_dirty = true;
-        while any_dirty {
-            any_dirty = false;
-            for class in egraph.classes() {
-                let slot = usize::from(class.id);
-                if !dirty[slot] {
-                    continue;
-                }
-                let mut improved = false;
-                for node in egraph.nodes_of(class) {
-                    let Some(cost) = self.node_cost(node) else {
-                        continue;
-                    };
-                    // Tie-break on the node itself so extraction is
-                    // deterministic regardless of class iteration order.
-                    let better = match &self.best[slot] {
-                        Some((old, old_node)) => cost < *old || (cost == *old && node < old_node),
-                        None => true,
-                    };
-                    if better {
-                        self.best[slot] = Some((cost, node.clone()));
-                        improved = true;
-                    }
-                }
-                if improved {
-                    for &(_, pid) in egraph.class_parents(class.id) {
-                        next_dirty[usize::from(egraph.find(pid))] = true;
-                        any_dirty = true;
-                    }
-                }
-            }
-            std::mem::swap(&mut dirty, &mut next_dirty);
-            next_dirty.fill(false);
-        }
+    pub fn new(egraph: &'a EGraph<L, N>, mut cost_function: CF) -> Self {
+        let best = best_table(egraph, &mut cost_function);
+        Extractor { egraph, best }
     }
 
     /// The cost of the best term in `id`'s class, if one is extractable.
@@ -176,37 +198,75 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
         if let Some(&done) = memo.get(&id) {
             return done;
         }
-        let (_, node) = self.best[usize::from(id)]
+        let &(_, pos) = self.best[usize::from(id)]
             .as_ref()
             .unwrap_or_else(|| panic!("no extractable term for class {id}"));
-        let node = node.map_children(|c| self.build(c, expr, memo));
+        let node = class_node(self.egraph, id, pos).map_children(|c| self.build(c, expr, memo));
         let new = expr.add(node);
         memo.insert(id, new);
         new
     }
 }
 
-/// An entry in the k-best table: one concrete derivation of a term for a
-/// class.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Entry<L, C> {
+/// One derivation of a term for a class: its root e-node, given by
+/// position in the class's node list, and for each child which of that
+/// child class's derivations fills it.
+///
+/// The derived order (cost, then node position, then choice vector) is
+/// the extraction order, and its tie-break is what keeps top-k output
+/// deterministic.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Derivation<C> {
     cost: C,
-    node: L,
-    /// `choices[i]` indexes into the entry list of `node.children()[i]`'s
+    pos: usize,
+    /// `choices[i]` indexes the derivation list of `node.children()[i]`'s
     /// class.
     choices: Vec<usize>,
 }
 
-/// Per-slot table updates staged during one fixpoint pass and applied at
-/// the pass boundary (the Jacobi read-previous-pass discipline).
-type StagedUpdates<T> = Vec<(usize, T)>;
+/// A class's derivation list, grown on demand.
+struct ClassDerivations<C> {
+    /// Derivations found so far, in the order they were popped;
+    /// `found[0]` is the class's 1-best.
+    found: Vec<Derivation<C>>,
+    /// Candidates for the next derivation; `None` until the class is
+    /// first asked for a second one.
+    frontier: Option<BinaryHeap<Reverse<Derivation<C>>>>,
+    /// How many of `found` have had their successors pushed.
+    expanded: usize,
+}
 
-/// K-best extraction: the `k` lowest-cost *distinct derivations* per class.
+/// The mutable half of a [`KBestExtractor`]: the cost function and every
+/// class's derivation list.
+struct LazyTable<CF, C> {
+    cost_function: CF,
+    classes: Vec<ClassDerivations<C>>,
+    /// Scratch buffer for one node's child costs.
+    child_costs: Vec<C>,
+}
+
+/// K-best extraction: a class's lowest-cost *distinct derivations*,
+/// cheapest first.
 ///
-/// Implements the classic bottom-up k-best DAG algorithm: iterate the
-/// "top-k of candidate combinations" operator to fixpoint. Candidates per
-/// e-node are enumerated best-first with a frontier heap (as in k-shortest
-/// paths), so each iteration costs `O(nodes · k log k)`.
+/// Lazy k-best enumeration (Huang & Chiang, "Better k-best Parsing",
+/// IWPT 2005, Algorithm 3) over the 1-best table: construction builds
+/// only that table, and a class's list of derivations grows only when a
+/// parent, or the caller, asks for its next entry. A class's first
+/// derivation is its 1-best. Further ones pop from a per-class candidate
+/// heap ordered by (cost, node position, choice vector), seeded with
+/// every other e-node's first derivation. A popped derivation's
+/// successors — one child's choice advanced by one — are pushed just
+/// before the next pop, and only along children at or after its last
+/// non-zero choice, so each choice vector has exactly one predecessor
+/// and no duplicate is ever generated.
+///
+/// Cost functions must be strictly monotone (see [`CostFunction`]): a
+/// derivation then only refers to derivations that existed before it
+/// was pushed, so a class is never asked for the entry it is still
+/// computing, and cycles need no special case. When a node's cost is not
+/// monotone in each child's cost (e.g. it combines a size with a
+/// max-depth), the enumeration can come out of cost order:
+/// [`KBestExtractor::find_best_k`] sorts what it returns.
 ///
 /// # Examples
 ///
@@ -224,70 +284,39 @@ type StagedUpdates<T> = Vec<(usize, T)>;
 pub struct KBestExtractor<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> {
     egraph: &'a EGraph<L, N>,
     k: usize,
-    /// Dense k-best table, slot-indexed by canonical id; an empty list
-    /// means "no derivation known".
-    table: Vec<Vec<Entry<L, CF::Cost>>>,
+    /// The 1-best table (see [`best_table`]); it picks every class's
+    /// first derivation.
+    best: Vec<BestRow<CF::Cost>>,
+    lazy: RefCell<LazyTable<CF, CF::Cost>>,
 }
 
 impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> KBestExtractor<'a, L, N, CF> {
-    /// Builds the k-best table for the whole e-graph.
+    /// Builds the 1-best table for the whole e-graph; derivations beyond
+    /// each class's first are enumerated on demand.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     pub fn new(egraph: &'a EGraph<L, N>, mut cost_function: CF, k: usize) -> Self {
         assert!(k > 0, "k must be positive");
-        let universe = egraph.universe();
-        let mut table: Vec<Vec<Entry<L, CF::Cost>>> = vec![Vec::new(); universe];
-        // Iterate to fixpoint; the iteration count is bounded by the depth
-        // of the best derivations, itself bounded by class count. Only
-        // *dirty* classes — those whose children's entries changed last
-        // pass — are recomputed; all reads within a pass see the previous
-        // pass's table (updates are staged and applied at the pass
-        // boundary), so the evolution is exactly the full Jacobi
-        // iteration's, pass for pass.
-        let max_iters = egraph.number_of_classes() + 2;
-        let mut dirty = vec![true; universe];
-        let mut next_dirty = vec![false; universe];
-        let mut updates: StagedUpdates<Vec<Entry<L, CF::Cost>>> = Vec::new();
-        for _ in 0..max_iters {
-            updates.clear();
-            for class in egraph.classes() {
-                let slot = usize::from(class.id);
-                if !dirty[slot] {
-                    continue;
-                }
-                let mut candidates: Vec<Entry<L, CF::Cost>> = Vec::new();
-                for node in egraph.nodes_of(class) {
-                    enumerate_node_entries(
-                        egraph,
-                        &table,
-                        node,
-                        k,
-                        &mut cost_function,
-                        &mut candidates,
-                    );
-                }
-                candidates.sort_by(|a, b| a.cost.cmp(&b.cost));
-                candidates.dedup();
-                candidates.truncate(k);
-                if candidates != table[slot] {
-                    updates.push((slot, candidates));
-                }
-            }
-            if updates.is_empty() {
-                break;
-            }
-            for (slot, candidates) in updates.drain(..) {
-                for &(_, pid) in egraph.class_parents(Id::from(slot)) {
-                    next_dirty[usize::from(egraph.find(pid))] = true;
-                }
-                table[slot] = candidates;
-            }
-            std::mem::swap(&mut dirty, &mut next_dirty);
-            next_dirty.fill(false);
+        let best = best_table(egraph, &mut cost_function);
+        let classes = std::iter::repeat_with(|| ClassDerivations {
+            found: Vec::new(),
+            frontier: None,
+            expanded: 0,
+        })
+        .take(egraph.universe())
+        .collect();
+        KBestExtractor {
+            egraph,
+            k,
+            best,
+            lazy: RefCell::new(LazyTable {
+                cost_function,
+                classes,
+                child_costs: Vec::new(),
+            }),
         }
-        KBestExtractor { egraph, k, table }
     }
 
     /// The configured k.
@@ -297,42 +326,152 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> KBestExtractor<'a, L,
 
     /// Extracts up to `k` lowest-cost terms for `id`, cheapest first.
     pub fn find_best_k(&self, id: Id) -> Vec<(CF::Cost, RecExpr<L>)> {
-        let root = self.egraph.find(id);
-        let entries = &self.table[usize::from(root)];
-        entries
-            .iter()
-            .map(|e| {
-                let mut expr = RecExpr::new();
-                self.build_entry(root, e, &mut expr, 0);
-                (e.cost.clone(), expr)
-            })
-            .collect()
+        let mut terms: Vec<_> = self.iter_best(id).take(self.k).collect();
+        // A no-op for monotone cost functions; see the type-level docs.
+        terms.sort_by(|a, b| a.0.cmp(&b.0));
+        terms
     }
 
-    fn build_entry(
-        &self,
-        _class: Id,
-        entry: &Entry<L, CF::Cost>,
-        expr: &mut RecExpr<L>,
-        depth: usize,
-    ) -> Id {
-        assert!(
-            depth < 10_000,
-            "k-best extraction exceeded depth limit; \
-             is the cost function strictly monotone?"
-        );
-        let node = &entry.node;
-        let mut child_ids = Vec::with_capacity(node.children().len());
-        for (i, &c) in node.children().iter().enumerate() {
-            let cclass = self.egraph.find(c);
-            let centry = &self.table[usize::from(cclass)][entry.choices[i]];
-            child_ids.push(self.build_entry(cclass, centry, expr, depth + 1));
+    /// Iterates over the derivations of `id`'s class, one term per call
+    /// to `next`, in enumeration order: cheapest first when the cost
+    /// function is monotone in each child's cost. Not capped at `k`, and
+    /// endless on a cyclic class — `take` what you need.
+    pub fn iter_best(&self, id: Id) -> impl Iterator<Item = (CF::Cost, RecExpr<L>)> + '_ {
+        let root = usize::from(self.egraph.find(id));
+        (0..).map_while(move |j| {
+            let mut lazy = self.lazy.borrow_mut();
+            if !self.derive(&mut lazy, root, j) {
+                return None;
+            }
+            let mut expr = RecExpr::new();
+            self.build(&lazy, root, j, &mut expr);
+            Some((lazy.classes[root].found[j].cost.clone(), expr))
+        })
+    }
+
+    fn slot_of(&self, id: Id) -> usize {
+        usize::from(self.egraph.find(id))
+    }
+
+    /// Ensures class `slot` has a derivation at index `j`; false if the
+    /// class has no more than `j` derivations.
+    fn derive(&self, lazy: &mut LazyTable<CF, CF::Cost>, slot: usize, j: usize) -> bool {
+        if !self.derive_first(lazy, slot) {
+            return false;
         }
-        let mut j = 0;
-        let node = node.map_children(|_| {
-            let id = child_ids[j];
-            j += 1;
-            id
+        while lazy.classes[slot].found.len() <= j {
+            if lazy.classes[slot].frontier.is_none() {
+                self.seed_frontier(lazy, slot);
+            }
+            let last = lazy.classes[slot].found.len() - 1;
+            if lazy.classes[slot].expanded == last {
+                lazy.classes[slot].expanded += 1;
+                self.push_successors(lazy, slot, last);
+            }
+            let class = &mut lazy.classes[slot];
+            match class.frontier.as_mut().and_then(BinaryHeap::pop) {
+                Some(Reverse(next)) => class.found.push(next),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// Ensures class `slot` has its first derivation, the 1-best table's
+    /// choice; false if the class has no extractable term.
+    fn derive_first(&self, lazy: &mut LazyTable<CF, CF::Cost>, slot: usize) -> bool {
+        if !lazy.classes[slot].found.is_empty() {
+            return true;
+        }
+        let Some(&(_, pos)) = self.best[slot].as_ref() else {
+            return false;
+        };
+        let node = class_node(self.egraph, Id::from(slot), pos);
+        for &c in node.children() {
+            // The table only picks nodes whose children all have a row.
+            self.derive_first(lazy, self.slot_of(c));
+        }
+        let choices = vec![0; node.children().len()];
+        let cost = self.cost_of(lazy, node, &choices);
+        lazy.classes[slot]
+            .found
+            .push(Derivation { cost, pos, choices });
+        true
+    }
+
+    /// Seeds class `slot`'s candidate heap with the first derivation of
+    /// each of its e-nodes but the one its 1-best already took.
+    fn seed_frontier(&self, lazy: &mut LazyTable<CF, CF::Cost>, slot: usize) {
+        let taken = lazy.classes[slot].found[0].pos;
+        let mut frontier = BinaryHeap::new();
+        for (pos, node) in self
+            .egraph
+            .nodes_of(&self.egraph[Id::from(slot)])
+            .enumerate()
+        {
+            if pos == taken
+                || !node
+                    .children()
+                    .iter()
+                    .all(|&c| self.derive_first(lazy, self.slot_of(c)))
+            {
+                continue;
+            }
+            let choices = vec![0; node.children().len()];
+            let cost = self.cost_of(lazy, node, &choices);
+            frontier.push(Reverse(Derivation { cost, pos, choices }));
+        }
+        lazy.classes[slot].frontier = Some(frontier);
+    }
+
+    /// Pushes the successors of class `slot`'s derivation `j`: its
+    /// choice vector advanced by one along each child at or after its
+    /// last non-zero choice, where that child has such a derivation.
+    fn push_successors(&self, lazy: &mut LazyTable<CF, CF::Cost>, slot: usize, j: usize) {
+        let (pos, arity, start) = {
+            let d = &lazy.classes[slot].found[j];
+            let start = d.choices.iter().rposition(|&c| c > 0).unwrap_or(0);
+            (d.pos, d.choices.len(), start)
+        };
+        let node = class_node(self.egraph, Id::from(slot), pos);
+        for i in start..arity {
+            let next = lazy.classes[slot].found[j].choices[i] + 1;
+            if !self.derive(lazy, self.slot_of(node.children()[i]), next) {
+                continue;
+            }
+            let mut choices = lazy.classes[slot].found[j].choices.clone();
+            choices[i] = next;
+            let cost = self.cost_of(lazy, node, &choices);
+            let frontier = lazy.classes[slot].frontier.as_mut();
+            frontier
+                .expect("seeded before the first expansion")
+                .push(Reverse(Derivation { cost, pos, choices }));
+        }
+    }
+
+    /// The cost of `node` over the given derivations of its children.
+    fn cost_of(&self, lazy: &mut LazyTable<CF, CF::Cost>, node: &L, choices: &[usize]) -> CF::Cost {
+        lazy.child_costs.clear();
+        for (&c, &j) in node.children().iter().zip(choices) {
+            let cost = &lazy.classes[self.slot_of(c)].found[j].cost;
+            lazy.child_costs.push(cost.clone());
+        }
+        lazy.cost_function.cost(node, &lazy.child_costs)
+    }
+
+    /// Appends the term of class `slot`'s derivation `j` to `expr`.
+    fn build(
+        &self,
+        lazy: &LazyTable<CF, CF::Cost>,
+        slot: usize,
+        j: usize,
+        expr: &mut RecExpr<L>,
+    ) -> Id {
+        let d = &lazy.classes[slot].found[j];
+        let mut choices = d.choices.iter();
+        let node = class_node(self.egraph, Id::from(slot), d.pos).map_children(|c| {
+            let j = *choices.next().expect("one choice per child");
+            self.build(lazy, self.slot_of(c), j, expr)
         });
         expr.add(node)
     }
@@ -360,14 +499,17 @@ type ParetoFront<L, A, B> = Vec<ParetoEntry<L, A, B>>;
 /// Per-class Pareto fronts for a whole e-graph, slot-indexed by canonical
 /// id (empty front = no derivation known).
 type ParetoTable<L, A, B> = Vec<ParetoFront<L, A, B>>;
+/// Per-slot front updates staged during one fixpoint pass and applied at
+/// the pass boundary.
+type StagedFronts<L, A, B> = Vec<(usize, ParetoFront<L, A, B>)>;
 
 /// Two-objective Pareto-front extraction: for a class, the set of
 /// derivable terms whose `(cost_a, cost_b)` pairs are **mutually
 /// non-dominating** (no term is at least as cheap on both objectives and
 /// strictly cheaper on one as another).
 ///
-/// Same bottom-up fixpoint shape as [`KBestExtractor`], but each class
-/// keeps a dominance-pruned front instead of a top-k list. Fronts are
+/// A bottom-up fixpoint over the whole graph in which each class keeps
+/// a dominance-pruned front of derivations. Fronts are
 /// **capped** per class (default [`DEFAULT_PARETO_CAP`], lowest
 /// `(cost_a, cost_b)` first) so work stays bounded on large graphs; the
 /// cap, the `(a, b, node, choices)` candidate ordering, and the pruning
@@ -428,13 +570,13 @@ impl<'a, L: Language, N: Analysis<L>, CA: CostFunction<L>, CB: CostFunction<L>>
         assert!(cap > 0, "pareto cap must be positive");
         let universe = egraph.universe();
         let mut table: ParetoTable<L, CA::Cost, CB::Cost> = vec![Vec::new(); universe];
-        // Same dirty-class Jacobi scheme as [`KBestExtractor::new`]:
-        // recompute only classes whose children's fronts changed, staging
-        // updates so every read within a pass sees the previous pass.
+        // Dirty-class Jacobi iteration: recompute only classes whose
+        // children's fronts changed, staging updates at the pass boundary
+        // so every read within a pass sees the previous pass.
         let max_iters = egraph.number_of_classes() + 2;
         let mut dirty = vec![true; universe];
         let mut next_dirty = vec![false; universe];
-        let mut updates: StagedUpdates<ParetoFront<L, CA::Cost, CB::Cost>> = Vec::new();
+        let mut updates: StagedFronts<L, CA::Cost, CB::Cost> = Vec::new();
         for _ in 0..max_iters {
             updates.clear();
             for class in egraph.classes() {
@@ -608,87 +750,6 @@ fn enumerate_pareto_entries<
     }
 }
 
-/// Pushes up to `k` best-cost entries derivable from `node` given the
-/// current `table`, using a best-first frontier over choice vectors.
-fn enumerate_node_entries<L: Language, N: Analysis<L>, CF: CostFunction<L>>(
-    egraph: &EGraph<L, N>,
-    table: &[Vec<Entry<L, CF::Cost>>],
-    node: &L,
-    k: usize,
-    cost_function: &mut CF,
-    out: &mut Vec<Entry<L, CF::Cost>>,
-) {
-    let children = node.children();
-    // Collect each child's entry costs; bail if any child has none yet.
-    let mut child_entries: Vec<&Vec<Entry<L, CF::Cost>>> = Vec::with_capacity(children.len());
-    for &c in children {
-        let entries = &table[usize::from(egraph.find(c))];
-        if entries.is_empty() {
-            return;
-        }
-        child_entries.push(entries);
-    }
-    if children.is_empty() {
-        let cost = cost_function.cost(node, &[]);
-        out.push(Entry {
-            cost,
-            node: node.clone(),
-            choices: Vec::new(),
-        });
-        return;
-    }
-
-    // Best-first enumeration of choice vectors.
-    #[derive(PartialEq, Eq)]
-    struct Frontier<C: Ord>(C, Vec<usize>);
-    impl<C: Ord> Ord for Frontier<C> {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Reverse for a min-heap.
-            other.0.cmp(&self.0).then_with(|| other.1.cmp(&self.1))
-        }
-    }
-    impl<C: Ord> PartialOrd for Frontier<C> {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let cost_of = |choices: &[usize], cf: &mut CF| -> CF::Cost {
-        let child_costs: Vec<CF::Cost> = choices
-            .iter()
-            .enumerate()
-            .map(|(i, &j)| child_entries[i][j].cost.clone())
-            .collect();
-        cf.cost(node, &child_costs)
-    };
-
-    let first = vec![0usize; children.len()];
-    let mut heap = BinaryHeap::new();
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(first.clone());
-    heap.push(Frontier(cost_of(&first, cost_function), first));
-
-    let mut produced = 0;
-    while let Some(Frontier(cost, choices)) = heap.pop() {
-        out.push(Entry {
-            cost,
-            node: node.clone(),
-            choices: choices.clone(),
-        });
-        produced += 1;
-        if produced >= k {
-            break;
-        }
-        for i in 0..choices.len() {
-            let mut next = choices.clone();
-            next[i] += 1;
-            if next[i] < child_entries[i].len() && seen.insert(next.clone()) {
-                heap.push(Frontier(cost_of(&next, cost_function), next));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -750,6 +811,8 @@ mod tests {
         let costs: Vec<usize> = results.iter().map(|(c, _)| *c).collect();
         assert_eq!(costs, vec![1, 3, 5]);
         assert_eq!(results[0].1.to_string(), "6");
+        // The class has exactly these three; enumeration then stops.
+        assert_eq!(kb.iter_best(a).count(), 3);
     }
 
     #[test]

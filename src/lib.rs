@@ -140,7 +140,8 @@
 //!       │                     WeightedCost (per-OpClass table) · DepthCost ·
 //!       │                     GeomCount (pareto-secondary)
 //!       ├────── combinators:  DepthPenalty · Lexicographic · WeightedSum
-//!       └────── extractors:   KBestExtractor      → Synthesis::top_k (ranked)
+//!       └────── extractors:   KBestExtractor      → Synthesis::top_k (ranked; lazy
+//!                                                   enumeration over the 1-best table)
 //!                             ParetoExtractor     → Synthesis::pareto (two-objective
 //!                                                   deterministic front)
 //!   fingerprint() lives in the EXTRACTION-ONLY half of the config

@@ -153,9 +153,9 @@ proptest! {
         cad in arb_flat_cad(),
         iters in 0usize..3,
     ) {
-        // The 1-best dirty-worklist table and the k-best staged table
-        // are independent implementations over the same arena; their
-        // optima must coincide on every root-reachable class.
+        // The k-best enumeration starts from the 1-best dirty-worklist
+        // table over the same arena; its head must be that table's
+        // optimum, and its list must come out sorted.
         let runner = saturated(&cad, iters);
         let eg = &runner.egraph;
         let ex = Extractor::new(eg, AstSize);

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use sz_cad::{AffineKind, Cad};
 use sz_egraph::{KBestExtractor, ParetoExtractor, Runner};
+use sz_gen::{generate_model, GenSpec};
 use szalinski::{
     cad_to_lang, rules, AstSizeCost, CadAnalysis, CostModel, DepthCost, DepthPenalty, GeomCount,
     Lexicographic, ModelCost, OpClass, RewardLoopsCost, RunMode, RunOptions, SynthConfig,
@@ -258,4 +259,45 @@ fn reward_loops_still_surfaces_the_wardrobe_variant() {
         .run(&flat, RunOptions::new())
         .unwrap();
     assert_eq!(reward.structured().map(|(r, _)| r), Some(1));
+}
+
+#[test]
+fn depth_penalty_top_k_is_sorted_on_generated_models() {
+    // Regression: a depth-penalty cost is not monotone in a child's own
+    // cost order (a cheaper child can be deeper), so lazy k-best
+    // enumeration can pop a dearer derivation before a cheaper one. On
+    // model 12 of the benchmark corpus the raw root order began 107,
+    // 107, 107, 107, 107, 105, and on model 121 the first five distinct
+    // programs cost 63, 63, 61, 65, 65; both the extractor and the
+    // pipeline must hand back sorted costs.
+    let spec: GenSpec = "count=1280,seed=42,noise=0.0005".parse().unwrap();
+    let model: Arc<dyn CostModel> = Arc::new(DepthPenalty::new(Arc::new(AstSizeCost), 2));
+    let session = Synthesizer::new(SynthConfig::new().with_cost_model(Arc::clone(&model)));
+    for index in [12, 121] {
+        let result = session
+            .run(
+                &generate_model(&spec, index),
+                RunOptions::new().capture_snapshot(true),
+            )
+            .unwrap();
+        let snapshot = result.snapshot.as_ref().unwrap().egraph_snapshot();
+        let egraph = snapshot.restore(CadAnalysis);
+        let kbest = KBestExtractor::new(&egraph, ModelCost(Arc::clone(&model)), 10);
+        let costs: Vec<u64> = kbest
+            .find_best_k(snapshot.roots()[0])
+            .iter()
+            .map(|(c, _)| c.primary())
+            .collect();
+        assert_eq!(costs.len(), 10, "model {index}");
+        assert!(
+            costs.windows(2).all(|w| w[0] <= w[1]),
+            "model {index}: {costs:?}"
+        );
+        let top: Vec<usize> = result.top_k.iter().map(|p| p.cost).collect();
+        assert_eq!(top.len(), 5, "model {index}");
+        assert!(
+            top.windows(2).all(|w| w[0] <= w[1]),
+            "model {index}: {top:?}"
+        );
+    }
 }

@@ -48,6 +48,8 @@ fn identical_runs_emit_identical_telemetry() {
         "pipeline/saturation",
         "pipeline/inference",
         "pipeline/extraction",
+        "extract/table",
+        "extract/materialize",
         "runner/iteration",
         "runner/search",
         "runner/apply",

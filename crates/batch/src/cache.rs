@@ -89,8 +89,14 @@ pub struct JobKey(pub u64);
 impl JobKey {
     /// Hashes the canonical input s-expression and config fingerprint.
     pub fn of(input: &Cad, config: &SynthConfig) -> JobKey {
+        JobKey::of_sexp(&input.to_string(), config)
+    }
+
+    /// [`JobKey::of`] for an input already printed to its canonical
+    /// s-expression (a job printing its input once for several keys).
+    pub(crate) fn of_sexp(input_sexp: &str, config: &SynthConfig) -> JobKey {
         JobKey(fnv1a(&[
-            input.to_string().as_bytes(),
+            input_sexp.as_bytes(),
             config.fingerprint().as_bytes(),
         ]))
     }
@@ -112,8 +118,14 @@ impl SnapshotKey {
     /// Hashes the canonical input s-expression and the config's
     /// [`SynthConfig::saturation_fingerprint`].
     pub fn of(input: &Cad, config: &SynthConfig) -> SnapshotKey {
+        SnapshotKey::of_sexp(&input.to_string(), config)
+    }
+
+    /// [`SnapshotKey::of`] for an already printed input (see
+    /// [`JobKey::of_sexp`]).
+    pub(crate) fn of_sexp(input_sexp: &str, config: &SynthConfig) -> SnapshotKey {
         SnapshotKey(fnv1a(&[
-            input.to_string().as_bytes(),
+            input_sexp.as_bytes(),
             config.saturation_fingerprint().as_bytes(),
         ]))
     }
@@ -138,10 +150,13 @@ impl CoreKey {
     /// Hashes the canonical input s-expression and the config's
     /// [`SynthConfig::saturation_core_fingerprint`].
     pub fn of(input: &Cad, config: &SynthConfig) -> CoreKey {
-        CoreKey(fnv1a(&[
-            input.to_string().as_bytes(),
-            config.saturation_core_fingerprint().as_bytes(),
-        ]))
+        CoreKey::of_sexp(&input.to_string(), config)
+    }
+
+    /// [`CoreKey::of`] for an already printed input (see
+    /// [`JobKey::of_sexp`]).
+    pub(crate) fn of_sexp(input_sexp: &str, config: &SynthConfig) -> CoreKey {
+        CoreKey::of_header(input_sexp, &config.saturation_core_fingerprint())
     }
 
     /// The key of a stored snapshot, from its probed header fields (the
@@ -184,6 +199,10 @@ pub struct ResultCache {
     map: HashMap<u64, CachedRun>,
     /// Snapshot tier: key → serialized `SynthSnapshot` text.
     snaps: HashMap<u64, String>,
+    /// Total length of the texts in `snaps`, kept in step by
+    /// `insert_snapshot_raw` and `remove_snapshot`, the only places
+    /// entries come and go.
+    snap_bytes: usize,
     /// Byte budget for the snapshot tier; 0 disables *capturing* new
     /// snapshots (already-loaded ones still serve lookups).
     snap_budget: usize,
@@ -296,7 +315,7 @@ impl ResultCache {
 
     /// Total bytes held by the snapshot tier.
     pub fn snapshot_bytes(&self) -> usize {
-        self.snaps.values().map(String::len).sum()
+        self.snap_bytes
     }
 
     /// Looks up a serialized snapshot by key.
@@ -322,7 +341,7 @@ impl ResultCache {
     /// stores the text and keeps the core-key index and the evicted set
     /// in sync.
     fn insert_snapshot_raw(&mut self, key: u64, text: String) {
-        self.unindex_snapshot(key);
+        self.remove_snapshot(key);
         if let Some(header) = SynthSnapshot::probe_header(&text) {
             if let Some(phase) = header.sat_phase {
                 let core = CoreKey::of_header(&header.input, &phase.core_fp);
@@ -332,8 +351,18 @@ impl ResultCache {
                     .push(CoreEntry { key, header: phase });
             }
         }
+        self.snap_bytes += text.len();
         self.snaps.insert(key, text);
         self.evicted.remove(&key);
+    }
+
+    /// Drops `key`'s snapshot, if any, with its core-index entry and its
+    /// share of the byte total.
+    fn remove_snapshot(&mut self, key: u64) {
+        self.unindex_snapshot(key);
+        if let Some(text) = self.snaps.remove(&key) {
+            self.snap_bytes -= text.len();
+        }
     }
 
     /// Drops `key`'s core-index entry, if any (probes the stored text
@@ -417,15 +446,14 @@ impl ResultCache {
     }
 
     fn evict_snapshots(&mut self) {
-        while self.snapshot_bytes() > self.snap_budget && !self.snaps.is_empty() {
+        while self.snap_bytes > self.snap_budget && !self.snaps.is_empty() {
             let victim = self
                 .snaps
                 .iter()
                 .max_by_key(|(k, t)| (t.len(), **k))
                 .map(|(k, _)| *k)
                 .expect("non-empty");
-            self.unindex_snapshot(victim);
-            self.snaps.remove(&victim);
+            self.remove_snapshot(victim);
             self.evicted.insert(victim);
             self.evictions += 1;
         }
@@ -609,9 +637,8 @@ impl ResultCache {
     fn merged_with_disk(&self, path: &Path) -> ResultCache {
         let mut merged = Self::load(path).unwrap_or_default();
         merged.absorb(self.clone());
-        for key in &self.evicted {
-            merged.unindex_snapshot(*key);
-            merged.snaps.remove(key);
+        for &key in &self.evicted {
+            merged.remove_snapshot(key);
         }
         merged
     }
@@ -1179,5 +1206,87 @@ mod tests {
             stable_name_hash("3362402:gear")
         );
         assert_ne!(stable_name_hash("a"), stable_name_hash("b"));
+    }
+
+    /// A small deterministic generator (splitmix64) for the randomized
+    /// accounting test.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// A snapshot key from a small range, so keys repeat.
+        fn key(&mut self) -> SnapshotKey {
+            SnapshotKey(self.below(12))
+        }
+
+        /// Snapshot text: plain text of a random length, or (one time in
+        /// four) a continuable header the core index picks up.
+        fn text(&mut self) -> String {
+            if self.below(4) == 0 {
+                let config = SynthConfig::new().with_iter_limit(1 + self.below(30) as usize);
+                fake_continuable(&sample_cad(1 + self.below(3) as usize), &config)
+            } else {
+                "s".repeat(1 + self.below(300) as usize)
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_byte_total_tracks_every_insert_and_removal() {
+        let summed =
+            |cache: &ResultCache| -> usize { cache.snapshots().map(|(_, text)| text.len()).sum() };
+        let dir = std::env::temp_dir().join(format!("sz_batch_snap_bytes_{}", std::process::id()));
+        let path = dir.join("cache.sexp");
+        for seed in 0..25 {
+            let mut mix = Mix(seed);
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut cache = ResultCache::new().with_snapshot_budget(1 + mix.below(2000) as usize);
+            for _ in 0..60 {
+                match mix.below(7) {
+                    0..=2 => {
+                        let (key, text) = (mix.key(), mix.text());
+                        cache.insert_snapshot(key, text);
+                    }
+                    3 => cache.set_snapshot_budget(mix.below(2000) as usize),
+                    4 => {
+                        let mut newer = ResultCache::new().with_snapshot_budget(1 << 20);
+                        for _ in 0..mix.below(4) {
+                            let (key, text) = (mix.key(), mix.text());
+                            newer.insert_snapshot(key, text);
+                        }
+                        cache.absorb(newer);
+                    }
+                    5 => {
+                        let mut other = ResultCache::new().with_snapshot_budget(1 << 20);
+                        let (key, text) = (mix.key(), mix.text());
+                        other.insert_snapshot(key, text);
+                        save_snapshot_dir(&other, &dir).unwrap();
+                        load_snapshot_dir(&mut cache, &dir).unwrap();
+                    }
+                    _ => {
+                        // A cache file on disk merged under this cache,
+                        // minus the keys this cache evicted.
+                        let mut disk = ResultCache::new().with_snapshot_budget(1 << 20);
+                        let (key, text) = (mix.key(), mix.text());
+                        disk.insert_snapshot(key, text);
+                        std::fs::write(&path, disk.to_lines()).unwrap();
+                        let merged = cache.merged_with_disk(&path);
+                        assert_eq!(merged.snapshot_bytes(), summed(&merged));
+                        let reloaded = ResultCache::from_lines(&merged.to_lines()).unwrap();
+                        assert_eq!(reloaded.snapshot_bytes(), summed(&reloaded));
+                    }
+                }
+                assert_eq!(cache.snapshot_bytes(), summed(&cache), "seed {seed}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -607,14 +607,19 @@ fn execute_job_inner(
     // the program tier entirely — its entries store only the ranked
     // top-k, so a hit could not reproduce the front; the snapshot tier
     // (keyed on the saturation fingerprint, which Pareto objectives
-    // never touch) still serves them via extraction resume.
-    let key = (config.pareto.is_none())
-        .then(|| cache.map(|_| JobKey::of(&job.input, &config)))
-        .flatten();
+    // never touch) still serves them via extraction resume. The input is
+    // printed once and every key hashes that text.
+    let input_sexp = cache.map(|_| job.input.to_string());
+    let key = input_sexp
+        .as_deref()
+        .filter(|_| config.pareto.is_none())
+        .map(|sexp| JobKey::of_sexp(sexp, &config));
     // The snapshot-tier key, computed once per job and shared by the
     // lookup and the insert below (both hash the same input + effective
     // config).
-    let skey = cache.map(|_| SnapshotKey::of(&job.input, &config));
+    let skey = input_sexp
+        .as_deref()
+        .map(|sexp| SnapshotKey::of_sexp(sexp, &config));
 
     // Program tier: a hit reconstructs the outcome without any pipeline
     // work.
@@ -647,7 +652,7 @@ fn execute_job_inner(
     if let Some(token) = cancel {
         opts = opts.with_cancel_token(token.clone());
     }
-    if let (Some(cache), Some(skey)) = (cache, skey) {
+    if let (Some(cache), Some(skey), Some(input_sexp)) = (cache, skey, &input_sexp) {
         // Snapshot tier: offer a stored snapshot to the session, which
         // resumes from it if compatible. The exact key serves
         // extraction-only resumes; on a miss, the core-key index offers
@@ -659,7 +664,7 @@ fn execute_job_inner(
             let cache = cache.lock().unwrap();
             cache.get_snapshot(skey).map(str::to_owned).or_else(|| {
                 cache
-                    .best_core_snapshot(CoreKey::of(&job.input, &config), &config)
+                    .best_core_snapshot(CoreKey::of_sexp(input_sexp, &config), &config)
                     .map(|(_, text)| text.to_owned())
             })
         };

@@ -16,7 +16,9 @@
 //! The crate also provides:
 //!
 //! * [`Sexp`] — the s-expression interchange format, with a parser and
-//!   printer ([`Cad`] implements `FromStr`/`Display` through it);
+//!   printer ([`Cad`] implements `FromStr` through it; its `Display`
+//!   writes the same text straight to the formatter, without building
+//!   the tree);
 //! * the evaluator [`Cad::eval_to_flat`] — the language's semantics:
 //!   every LambdaCAD program unrolls to a flat CSG trace;
 //! * program metrics ([`Cad::num_nodes`], [`Cad::depth`],

@@ -312,9 +312,42 @@ impl std::str::FromStr for Cad {
     }
 }
 
+/// Prints the same text as `cad_to_sexp(self).to_string()`, written
+/// straight to the formatter: a cache key or an input check prints its
+/// program without building an intermediate [`Sexp`] tree.
 impl fmt::Display for Cad {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", cad_to_sexp(self))
+        match self {
+            Cad::Empty => f.write_str("Empty"),
+            Cad::Unit => f.write_str("Unit"),
+            Cad::Cylinder => f.write_str("Cylinder"),
+            Cad::Sphere => f.write_str("Sphere"),
+            Cad::Hexagon => f.write_str("Hexagon"),
+            Cad::Nil => f.write_str("Nil"),
+            Cad::Param => f.write_str("c"),
+            Cad::External(name) => write!(f, "(External {name})"),
+            Cad::Affine(kind, v, c) => {
+                write!(f, "({} {} {} {} {c})", kind.name(), v.0, v.1, v.2)
+            }
+            Cad::Binop(op, a, b) => write!(f, "({} {a} {b})", op.name()),
+            Cad::Cons(h, t) => write!(f, "(Cons {h} {t})"),
+            Cad::Concat(a, b) => write!(f, "(Concat {a} {b})"),
+            Cad::Repeat(c, n) => write!(f, "(Repeat {c} {n})"),
+            Cad::Mapi(fun, l) => write!(f, "(Mapi {fun} {l})"),
+            Cad::Fun(body) => write!(f, "(Fun {body})"),
+            Cad::MapIdx(bounds, body) => {
+                f.write_str(match bounds.len() {
+                    1 => "(MapIdx",
+                    2 => "(MapIdx2",
+                    _ => "(MapIdx3",
+                })?;
+                for b in bounds {
+                    write!(f, " {b}")?;
+                }
+                write!(f, " {body})")
+            }
+            Cad::Fold(op, init, list) => write!(f, "(Fold {} {init} {list})", op.name()),
+        }
     }
 }
 
@@ -326,9 +359,22 @@ impl std::str::FromStr for Expr {
     }
 }
 
+/// Prints the same text as `expr_to_sexp(self).to_string()` (see
+/// `Display for Cad`).
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", expr_to_sexp(self))
+        match self {
+            Expr::Num(x) => write!(f, "{x}"),
+            Expr::Idx(0) => f.write_str("i"),
+            Expr::Idx(1) => f.write_str("j"),
+            Expr::Idx(_) => f.write_str("k"),
+            Expr::Add(a, b) => write!(f, "(+ {a} {b})"),
+            Expr::Sub(a, b) => write!(f, "(- {a} {b})"),
+            Expr::Mul(a, b) => write!(f, "(* {a} {b})"),
+            Expr::Div(a, b) => write!(f, "(/ {a} {b})"),
+            Expr::Sin(a) => write!(f, "(Sin {a})"),
+            Expr::Cos(a) => write!(f, "(Cos {a})"),
+        }
     }
 }
 

@@ -248,22 +248,19 @@ impl Language for CadLang {
         }
     }
 
-    fn from_op(op: &str, children: Vec<Id>) -> Result<Self, FromOpError> {
+    fn from_op(op: &str, children: &[Id]) -> Result<Self, FromOpError> {
         let n = children.len();
-        let c = |i: usize| children[i];
-        let pair = |ctor: fn([Id; 2]) -> CadLang| {
-            if n == 2 {
-                Ok(ctor([c(0), c(1)]))
-            } else {
-                Err(FromOpError::new(op, n, "expects 2 children"))
-            }
+        let pair = |ctor: fn([Id; 2]) -> CadLang| match children {
+            &[a, b] => Ok(ctor([a, b])),
+            _ => Err(FromOpError::new(op, n, "expects 2 children")),
         };
-        let one = |ctor: fn([Id; 1]) -> CadLang| {
-            if n == 1 {
-                Ok(ctor([c(0)]))
-            } else {
-                Err(FromOpError::new(op, n, "expects 1 child"))
-            }
+        let one = |ctor: fn([Id; 1]) -> CadLang| match children {
+            &[a] => Ok(ctor([a])),
+            _ => Err(FromOpError::new(op, n, "expects 1 child")),
+        };
+        let triple = |ctor: fn([Id; 3]) -> CadLang| match children {
+            &[a, b, c] => Ok(ctor([a, b, c])),
+            _ => Err(FromOpError::new(op, n, "expects 3 children")),
         };
         let leaf = |node: CadLang| {
             if n == 0 {
@@ -279,13 +276,7 @@ impl Language for CadLang {
             "/" => pair(CadLang::Div),
             "Sin" => one(CadLang::Sin),
             "Cos" => one(CadLang::Cos),
-            "Vec3" => {
-                if n == 3 {
-                    Ok(CadLang::Vec3([c(0), c(1), c(2)]))
-                } else {
-                    Err(FromOpError::new(op, n, "expects 3 children"))
-                }
-            }
+            "Vec3" => triple(CadLang::Vec3),
             "i" => leaf(CadLang::Idx(0)),
             "j" => leaf(CadLang::Idx(1)),
             "k" => leaf(CadLang::Idx(2)),
@@ -310,28 +301,13 @@ impl Language for CadLang {
             "Repeat" => pair(CadLang::Repeat),
             "Mapi" => pair(CadLang::Mapi),
             "MapIdx" => pair(CadLang::MapIdx1),
-            "MapIdx2" => {
-                if n == 3 {
-                    Ok(CadLang::MapIdx2([c(0), c(1), c(2)]))
-                } else {
-                    Err(FromOpError::new(op, n, "expects 3 children"))
-                }
-            }
-            "MapIdx3" => {
-                if n == 4 {
-                    Ok(CadLang::MapIdx3([c(0), c(1), c(2), c(3)]))
-                } else {
-                    Err(FromOpError::new(op, n, "expects 4 children"))
-                }
-            }
+            "MapIdx2" => triple(CadLang::MapIdx2),
+            "MapIdx3" => match children {
+                &[a, b, c, d] => Ok(CadLang::MapIdx3([a, b, c, d])),
+                _ => Err(FromOpError::new(op, n, "expects 4 children")),
+            },
             "Fun" => one(CadLang::Fun),
-            "Fold" => {
-                if n == 3 {
-                    Ok(CadLang::Fold([c(0), c(1), c(2)]))
-                } else {
-                    Err(FromOpError::new(op, n, "expects 3 children"))
-                }
-            }
+            "Fold" => triple(CadLang::Fold),
             _ => {
                 if let Some(name) = op.strip_prefix("Ext:") {
                     leaf(CadLang::External(Symbol::new(name)))

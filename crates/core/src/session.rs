@@ -31,6 +31,7 @@
 //! cheap and pattern compilation happens once per process — measured by
 //! `sz_egraph::compile_count()` in the `ematch` bench.
 
+use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -430,7 +431,7 @@ impl Synthesizer {
         }
         let plan = match &opts.snapshot {
             _ if already_stopped => Plan::Cold,
-            Some(snapshot) if snapshot.input_sexp() == input.to_string() => {
+            Some(snapshot) if prints_as(input, snapshot.input_sexp()) => {
                 if snapshot.saturation_fingerprint() == config.saturation_fingerprint()
                     && snapshot.egraph_snapshot().roots().len() == 1
                 {
@@ -868,6 +869,21 @@ fn configure_runner(
         runner = runner.with_telemetry(opts.telemetry.clone());
     }
     runner
+}
+
+/// Whether `value` prints exactly `text`. The printed pieces are compared
+/// as they are written, so no string is built and a mismatch stops the
+/// print early.
+fn prints_as(value: &impl fmt::Display, text: &str) -> bool {
+    struct Expect<'a>(&'a str);
+    impl fmt::Write for Expect<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Expect(text);
+    fmt::write(&mut rest, format_args!("{value}")).is_ok() && rest.0.is_empty()
 }
 
 /// Unwraps a snapshot capture. The main loop always rebuilds before
@@ -1339,6 +1355,39 @@ mod tests {
         assert_eq!(result.mode, RunMode::Cold);
         assert!(result.iterations > 0);
         assert!(!result.top_k.is_empty());
+    }
+
+    #[test]
+    fn snapshot_of_another_input_runs_cold() {
+        // The row of three cubes' snapshot offered to the row of four: the
+        // input check must refuse it even though the printed inputs share
+        // a long prefix.
+        let config = quick();
+        let session = Synthesizer::new(config);
+        let three = row_of_cubes(3, 2.0);
+        let four = row_of_cubes(4, 2.0);
+        let snapshot = session
+            .run(&three, RunOptions::new().capture_snapshot(true))
+            .unwrap()
+            .snapshot
+            .unwrap();
+        let offered = session
+            .run(&four, RunOptions::new().with_snapshot(snapshot))
+            .unwrap();
+        let cold = session.run(&four, RunOptions::new()).unwrap();
+        assert_eq!(offered.mode, RunMode::Cold);
+        assert_eq!(offered.best().cad, cold.best().cad);
+    }
+
+    #[test]
+    fn prints_as_compares_the_whole_printed_text() {
+        let cad = row_of_cubes(2, 2.0);
+        let text = cad.to_string();
+        assert!(prints_as(&cad, &text));
+        assert!(!prints_as(&cad, &text[..text.len() - 1]));
+        assert!(!prints_as(&cad, &format!("{text} ")));
+        assert!(!prints_as(&cad, &text.replace('4', "5")));
+        assert!(!prints_as(&cad, ""));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! `NodeId`s instead of cloning whole nodes. See the module docs on
 //! [`crate::egraph`] for the full storage layout.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -142,6 +143,14 @@ impl<L> Default for NodeArena<L> {
 }
 
 impl<L: Language> NodeArena<L> {
+    /// An empty arena with room for `n` distinct nodes.
+    pub fn with_capacity(n: usize) -> Self {
+        NodeArena {
+            nodes: Vec::with_capacity(n),
+            ids: FxHashMap::with_capacity_and_hasher(n, FxBuildHasher::default()),
+        }
+    }
+
     /// The number of distinct nodes ever interned.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -159,15 +168,18 @@ impl<L: Language> NodeArena<L> {
         self.ids.get(node).copied()
     }
 
-    /// Interns `node`, returning its (new or existing) id.
+    /// Interns `node`, returning its (new or existing) id. Hashes the
+    /// node once.
     pub fn intern(&mut self, node: L) -> NodeId {
-        if let Some(&nid) = self.ids.get(&node) {
-            return nid;
+        match self.ids.entry(node) {
+            Entry::Occupied(entry) => *entry.get(),
+            Entry::Vacant(entry) => {
+                let nid = NodeId::new(self.nodes.len());
+                self.nodes.push(entry.key().clone());
+                entry.insert(nid);
+                nid
+            }
         }
-        let nid = NodeId::new(self.nodes.len());
-        self.nodes.push(node.clone());
-        self.ids.insert(node, nid);
-        nid
     }
 }
 

@@ -47,6 +47,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::marker::PhantomData;
+use std::sync::OnceLock;
 
 use crate::arena::{FxHashMap, NodeArena};
 use crate::{Analysis, Id, Language, NodeId, RecExpr, UnionFind};
@@ -140,10 +141,11 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     /// operator. **Derived state**, valid only while [`EGraph::is_clean`]:
     /// `add` appends incrementally, `rebuild` reconstructs it in the same
     /// pass that canonicalizes class node lists, and snapshot restore
-    /// rebuilds it from the restored classes (it is never serialized).
-    /// Compiled pattern search uses it to visit only the classes that can
-    /// possibly match a pattern's root operator.
-    op_index: FxHashMap<L, Vec<Id>>,
+    /// leaves it unset, to be built from the restored (clean) classes on
+    /// first use (it is never serialized, and an extraction-only resume
+    /// never searches). Compiled pattern search uses it to visit only the
+    /// classes that can possibly match a pattern's root operator.
+    op_index: OnceLock<FxHashMap<L, Vec<Id>>>,
 }
 
 impl<L: Language, N: Analysis<L> + Default> Default for EGraph<L, N> {
@@ -177,7 +179,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             pending: Vec::new(),
             analysis_pending: VecDeque::new(),
             clean: true,
-            op_index: FxHashMap::default(),
+            op_index: OnceLock::from(FxHashMap::default()),
         }
     }
 
@@ -190,7 +192,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// Records class `id` under each of `nodes`' operators. Callers must
     /// finish the batch with [`EGraph::finish_op_index`]; the two together
     /// are the single definition of the index invariant, shared by
-    /// `rebuild_classes` and snapshot restore.
+    /// `rebuild_classes` and the first-use build after a snapshot restore.
     fn index_class_ops(
         arena: &NodeArena<L>,
         index: &mut FxHashMap<L, Vec<Id>>,
@@ -221,14 +223,27 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// candidates from. Like search itself it is only meaningful on a
     /// clean e-graph; entries may be stale while mutations are pending.
     pub fn classes_with_op(&self, op: &L) -> &[Id] {
-        self.op_index
+        self.op_index()
             .get(&Self::op_key(op))
             .map_or(&[], |ids| ids.as_slice())
     }
 
     /// Number of distinct operators in the index (diagnostics/tests).
     pub fn number_of_ops(&self) -> usize {
-        self.op_index.len()
+        self.op_index().len()
+    }
+
+    /// The operator index, built from the classes on first use after a
+    /// snapshot restore.
+    fn op_index(&self) -> &FxHashMap<L, Vec<Id>> {
+        self.op_index.get_or_init(|| {
+            let mut index = FxHashMap::default();
+            for class in self.classes() {
+                Self::index_class_ops(&self.arena, &mut index, class.id, &class.nodes);
+            }
+            Self::finish_op_index(&mut index);
+            index
+        })
     }
 
     /// Read access to the union-find, for snapshot capture.
@@ -237,27 +252,30 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     }
 
     /// Reconstructs an e-graph from snapshot parts: the full union-find
-    /// plus each canonical class's nodes. The arena, hash-cons memo,
-    /// parent lists, and op index are derived (re-interned here, never
-    /// serialized); analysis data is recomputed to fixpoint from the
-    /// nodes (seeded at `Default`, joined with [`Analysis::merge`]).
+    /// plus each canonical class's nodes. The arena, hash-cons memo and
+    /// parent lists are derived (re-interned here, never serialized), and
+    /// so is the op index, which is built on first use; analysis data is
+    /// recomputed to fixpoint from the nodes (seeded at `Default`, joined
+    /// with [`Analysis::merge`]).
     /// [`Analysis::modify`] is *not* re-run — its structural effects are
     /// already part of the snapshotted node set.
     ///
     /// Callers (the `snapshot` module) must have validated that class
     /// ids and node children are canonical and that every union-find
     /// root has a class.
-    pub(crate) fn from_snapshot_parts(
+    pub(crate) fn from_snapshot_parts<'a>(
         analysis: N,
         unionfind: UnionFind,
-        class_list: &[(Id, Vec<L>)],
+        class_list: impl ExactSizeIterator<Item = (Id, &'a [L])>,
+        n_nodes: usize,
     ) -> Self
     where
         N::Data: Default,
     {
         let universe = unionfind.size();
-        let mut arena: NodeArena<L> = NodeArena::default();
-        let mut memo: Vec<Option<Id>> = Vec::new();
+        let n_classes = class_list.len();
+        let mut arena: NodeArena<L> = NodeArena::with_capacity(n_nodes);
+        let mut memo: Vec<Option<Id>> = Vec::with_capacity(n_nodes);
         let mut memo_len = 0usize;
         let mut classes: Vec<Option<EClass<L, N::Data>>> = Vec::new();
         classes.resize_with(universe, || None);
@@ -271,30 +289,21 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 if memo.len() < arena.len() {
                     memo.resize(arena.len(), None);
                 }
-                if memo[nid.idx()].replace(*id).is_none() {
+                if memo[nid.idx()].replace(id).is_none() {
                     memo_len += 1;
                 }
                 for &child in node.children() {
-                    parents[usize::from(child)].push((nid, *id));
+                    parents[usize::from(child)].push((nid, id));
                 }
                 nids.push(nid);
             }
-            classes[usize::from(*id)] = Some(EClass {
-                id: *id,
+            classes[usize::from(id)] = Some(EClass {
+                id,
                 nodes: nids,
                 data: N::Data::default(),
                 _lang: PhantomData,
             });
         }
-        // The operator index is derived state excluded from the snapshot
-        // format (no version bump needed): reconstruct it here exactly as
-        // `rebuild` would.
-        let mut op_index: FxHashMap<L, Vec<Id>> = FxHashMap::default();
-        for class in classes.iter().flatten() {
-            Self::index_class_ops(&arena, &mut op_index, class.id, &class.nodes);
-        }
-        Self::finish_op_index(&mut op_index);
-        let n_classes = class_list.len();
         let mut egraph = EGraph {
             analysis,
             unionfind,
@@ -307,20 +316,24 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             pending: Vec::new(),
             analysis_pending: VecDeque::new(),
             clean: true,
-            op_index,
+            // Derived state excluded from the snapshot format (no version
+            // bump needed), built on first use exactly as `rebuild` would.
+            op_index: OnceLock::new(),
         };
         // Analysis fixpoint. Ascending id order roughly follows creation
         // order (children before parents), so this usually converges in
         // two passes; cycles are handled by iterating until quiescent.
+        // Nodes are visited by position, so `make` can borrow the graph
+        // while the class's own list stays in place.
         loop {
             let mut changed = false;
             for slot in 0..egraph.classes.len() {
                 let Some(class) = &egraph.classes[slot] else {
                     continue;
                 };
-                let nids = class.nodes.clone();
-                for nid in nids {
-                    let data = N::make(&egraph, egraph.arena.get(nid));
+                for i in 0..class.nodes.len() {
+                    let class = egraph.classes[slot].as_ref().expect("class exists");
+                    let data = N::make(&egraph, egraph.arena.get(class.nodes[i]));
                     let class = egraph.classes[slot].as_mut().expect("class exists");
                     changed |= egraph.analysis.merge(&mut class.data, data).0;
                 }
@@ -510,8 +523,12 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         // Incremental op-index maintenance: the fresh id is the largest
         // yet, so pushing keeps each candidate list sorted; `rebuild`
         // reconstructs the index wholesale after unions invalidate ids.
-        let key = Self::op_key(self.arena.get(nid));
-        self.op_index.entry(key).or_default().push(id);
+        // An index not built yet (after a restore) reads the new class
+        // when it is built.
+        if let Some(index) = self.op_index.get_mut() {
+            let key = Self::op_key(self.arena.get(nid));
+            index.entry(key).or_default().push(id);
+        }
         self.memo_insert(nid, id);
         N::modify(self, id);
         id
@@ -640,7 +657,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             op_index,
             ..
         } = self;
-        op_index.clear();
+        let mut index = op_index.take().unwrap_or_default();
+        index.clear();
         for class in classes.iter_mut().filter_map(|c| c.as_mut()) {
             for nid in class.nodes.iter_mut() {
                 let node = arena.get(*nid);
@@ -659,9 +677,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 .nodes
                 .sort_unstable_by(|&a, &b| arena.get(a).cmp(arena.get(b)));
             class.nodes.dedup();
-            Self::index_class_ops(arena, op_index, class.id, &class.nodes);
+            Self::index_class_ops(arena, &mut index, class.id, &class.nodes);
         }
-        Self::finish_op_index(op_index);
+        Self::finish_op_index(&mut index);
+        *op_index = OnceLock::from(index);
     }
 
     /// Returns the ids of all classes, canonical and sorted.

@@ -72,11 +72,17 @@ pub trait Language: fmt::Debug + Clone + Eq + Ord + Hash + Send + Sync + 'static
 
     /// Builds a node from an operator name and children.
     ///
+    /// The children are borrowed: a node copies the ids it keeps into its
+    /// own fixed-arity storage, so callers (the expression, pattern and
+    /// snapshot parsers) can reuse one buffer for every node instead of
+    /// allocating a `Vec` per node.
+    ///
     /// # Errors
     ///
     /// Returns a human-readable message if `op` is unknown or the arity is
-    /// wrong for `op`. This powers pattern and expression parsing.
-    fn from_op(op: &str, children: Vec<Id>) -> Result<Self, FromOpError>;
+    /// wrong for `op`. This powers pattern, expression and snapshot
+    /// parsing.
+    fn from_op(op: &str, children: &[Id]) -> Result<Self, FromOpError>;
 
     /// True for nodes with no children.
     fn is_leaf(&self) -> bool {
@@ -214,10 +220,10 @@ mod tests {
                 Simple::Add(_) => "+".into(),
             }
         }
-        fn from_op(op: &str, children: Vec<Id>) -> Result<Self, FromOpError> {
-            match (op, children.len()) {
-                ("+", 2) => Ok(Simple::Add([children[0], children[1]])),
-                (_, 0) => op
+        fn from_op(op: &str, children: &[Id]) -> Result<Self, FromOpError> {
+            match (op, children) {
+                ("+", &[a, b]) => Ok(Simple::Add([a, b])),
+                (_, []) => op
                     .parse()
                     .map(Simple::Num)
                     .map_err(|e| FromOpError::new(op, 0, e.to_string())),
@@ -254,7 +260,7 @@ mod tests {
 
     #[test]
     fn from_op_errors_are_informative() {
-        let err = Simple::from_op("nope", vec![Id::from(0usize)]).unwrap_err();
+        let err = Simple::from_op("nope", &[Id::from(0usize)]).unwrap_err();
         assert!(err.to_string().contains("nope"));
     }
 }

@@ -34,7 +34,7 @@ impl<L: Language> Language for ENodeOrVar<L> {
             ENodeOrVar::Var(v) => v.to_string(),
         }
     }
-    fn from_op(op: &str, children: Vec<Id>) -> Result<Self, FromOpError> {
+    fn from_op(op: &str, children: &[Id]) -> Result<Self, FromOpError> {
         if op.starts_with('?') && op.len() > 1 {
             if children.is_empty() {
                 Ok(ENodeOrVar::Var(op.parse().map_err(|_| {

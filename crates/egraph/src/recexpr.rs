@@ -240,8 +240,7 @@ pub(crate) fn parse_term<L: Language>(
         *pos += 1;
         let op = tokens
             .get(*pos)
-            .ok_or_else(|| RecExprParseError("missing operator after `(`".into()))?
-            .clone();
+            .ok_or_else(|| RecExprParseError("missing operator after `(`".into()))?;
         if op == "(" || op == ")" {
             return Err(RecExprParseError(format!("expected operator, got `{op}`")));
         }
@@ -257,12 +256,12 @@ pub(crate) fn parse_term<L: Language>(
             }
             children.push(parse_term(tokens, pos, expr)?);
         }
-        let node = L::from_op(&op, children)?;
+        let node = L::from_op(op, &children)?;
         Ok(expr.add(node))
     } else if tok == ")" {
         Err(RecExprParseError("unexpected `)`".into()))
     } else {
-        let node = L::from_op(tok, vec![])?;
+        let node = L::from_op(tok, &[])?;
         *pos += 1;
         Ok(expr.add(node))
     }

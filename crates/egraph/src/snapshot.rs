@@ -12,18 +12,41 @@
 //!   and the rule scheduler's backoff state (so a resumed [`Runner`]
 //!   continues throttling where the original left off).
 //!
-//! Derived state is **not** stored: the hash-cons memo, the per-class
-//! parent lists, and the operator index used by compiled e-matching
-//! (see [`EGraph::classes_with_op`]) are rebuilt from the e-nodes, and
-//! analysis data is recomputed to fixpoint by [`Snapshot::restore`].
-//! Because the op index never enters the serialization, introducing it
-//! did **not** change the `szsnap v1` format — no version bump, and
-//! existing snapshots restore (and re-index) unchanged. This is sound for any
+//! Derived state is **not** stored: the hash-cons memo and the per-class
+//! parent lists are rebuilt from the e-nodes, analysis data is
+//! recomputed to fixpoint by [`Snapshot::restore`], and the operator
+//! index used by compiled e-matching (see [`EGraph::classes_with_op`]) is
+//! built from the restored classes on first use, so an extraction-only
+//! resume, which never searches, never builds it. Because the op index
+//! never enters the serialization, introducing it did **not** change the
+//! `szsnap v1` format — no version bump, and existing snapshots restore
+//! (and re-index) unchanged. This is sound for any
 //! analysis whose data is a join-semilattice derived from the e-nodes via
 //! [`Analysis::make`] (true of every analysis in this workspace); it is the
 //! same assumption `rebuild` itself makes. [`Analysis::modify`] is *not*
 //! re-run on restore — its effects (e.g. materialized constant-fold
 //! literals) are already part of the snapshotted node set.
+//!
+//! # Layout and parsing
+//!
+//! A [`Snapshot`] keeps every class's nodes in one flat vector, in
+//! ascending class-id order, plus each class's id and end offset. Parsing
+//! therefore allocates per snapshot, not per class or node: an operator
+//! token is borrowed from the text unless it holds a `%`-escape, and the
+//! children of every node pass through one reused buffer into
+//! [`Language::from_op`]. Class blocks may come in any order; they are
+//! regrouped once. Declared counts (`uf <n>`, `class <id> <count>`) are
+//! checked but never reserved from.
+//!
+//! The parser rejects, naming the line: a wrong header or version; a
+//! union-find line whose parent count differs from its declared size, an
+//! id out of range, a parent cycle; a class whose id is not a union-find
+//! root, whose node count exceeds the id universe, or whose block repeats
+//! an id; a node line with a bad `%`-escape, a child that is out of range
+//! or not a root, or an operator [`Language::from_op`] refuses; a
+//! union-find root with no class (which also covers every child, since
+//! children are roots); malformed `roots`, `iterations` and scheduler
+//! lines; and anything but blank lines after `end`.
 //!
 //! # Format stability
 //!
@@ -65,6 +88,7 @@
 //! );
 //! ```
 
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -100,8 +124,11 @@ pub(crate) enum SchedState {
 pub struct Snapshot<L: Language> {
     /// Union-find parent per id (index = id).
     uf: Vec<Id>,
-    /// `(canonical id, canonical sorted nodes)`, sorted by id.
-    classes: Vec<(Id, Vec<L>)>,
+    /// `(canonical id, end offset into nodes)` per class, sorted by id:
+    /// a class's nodes run from the previous class's end to its own.
+    classes: Vec<(Id, usize)>,
+    /// Every class's canonical sorted nodes, concatenated in class order.
+    nodes: Vec<L>,
     /// Runner roots (canonical).
     roots: Vec<Id>,
     /// Saturation iterations spent producing this graph.
@@ -180,14 +207,18 @@ impl std::error::Error for SnapshotParseError {}
 pub fn escape_token(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for b in s.bytes() {
-        let plain = (0x21..=0x7e).contains(&b) && !matches!(b, b'%' | b'(' | b')' | b';' | b'"');
-        if plain {
+        if is_plain(b) {
             out.push(b as char);
         } else {
             out.push_str(&format!("%{b:02x}"));
         }
     }
     out
+}
+
+/// Whether [`escape_token`] keeps byte `b` as it is.
+fn is_plain(b: u8) -> bool {
+    (0x21..=0x7e).contains(&b) && !matches!(b, b'%' | b'(' | b')' | b';' | b'"')
 }
 
 /// Inverts [`escape_token`].
@@ -242,15 +273,19 @@ impl<L: Language> Snapshot<L> {
             }
         }
         // Materialize each class's nodes from the arena: NodeIds are
-        // derived, per-instance state and never enter the format.
-        let mut classes: Vec<(Id, Vec<L>)> = egraph
-            .classes()
-            .map(|class| (class.id, egraph.nodes_of(class).cloned().collect()))
-            .collect();
-        classes.sort_by_key(|(id, _)| *id);
+        // derived, per-instance state and never enter the format. A clean
+        // graph's classes come in ascending canonical-id order.
+        let mut classes = Vec::with_capacity(egraph.number_of_classes());
+        let mut nodes = Vec::with_capacity(egraph.total_number_of_nodes());
+        for class in egraph.classes() {
+            debug_assert!(classes.last().is_none_or(|&(last, _)| last < class.id));
+            nodes.extend(egraph.nodes_of(class).cloned());
+            classes.push((class.id, nodes.len()));
+        }
         Ok(Snapshot {
             uf,
             classes,
+            nodes,
             roots: roots.iter().map(|&r| egraph.find(r)).collect(),
             iterations: 0,
             scheduler: SchedState::Simple,
@@ -280,7 +315,17 @@ impl<L: Language> Snapshot<L> {
 
     /// Total number of e-nodes.
     pub fn num_nodes(&self) -> usize {
-        self.classes.iter().map(|(_, nodes)| nodes.len()).sum()
+        self.nodes.len()
+    }
+
+    /// Each class's canonical id and nodes, in ascending id order.
+    fn class_nodes(&self) -> impl ExactSizeIterator<Item = (Id, &[L])> + '_ {
+        let mut start = 0;
+        self.classes.iter().map(move |&(id, end)| {
+            let nodes = &self.nodes[start..end];
+            start = end;
+            (id, nodes)
+        })
     }
 
     /// Reconstructs a live e-graph behaviorally identical to the one the
@@ -298,7 +343,8 @@ impl<L: Language> Snapshot<L> {
         EGraph::from_snapshot_parts(
             analysis,
             UnionFind::from_parents(self.uf.clone()),
-            &self.classes,
+            self.class_nodes(),
+            self.nodes.len(),
         )
     }
 }
@@ -308,21 +354,22 @@ impl<L: Language> fmt::Display for Snapshot<L> {
         writeln!(f, "szsnap v{SNAPSHOT_FORMAT_VERSION}")?;
         writeln!(f, "uf {}", self.uf.len())?;
         if !self.uf.is_empty() {
-            let parents: Vec<String> = self.uf.iter().map(ToString::to_string).collect();
-            writeln!(f, "{}", parents.join(" "))?;
+            write_joined(f, &self.uf)?;
+            writeln!(f)?;
         }
-        for (id, nodes) in &self.classes {
+        for (id, nodes) in self.class_nodes() {
             writeln!(f, "class {id} {}", nodes.len())?;
             for node in nodes {
-                write!(f, "{}", escape_token(&node.op_name()))?;
+                write_escaped(f, &node.op_name())?;
                 for &child in node.children() {
                     write!(f, " {child}")?;
                 }
                 writeln!(f)?;
             }
         }
-        let roots: Vec<String> = self.roots.iter().map(ToString::to_string).collect();
-        writeln!(f, "roots {}", roots.join(" "))?;
+        f.write_str("roots ")?;
+        write_joined(f, &self.roots)?;
+        writeln!(f)?;
         writeln!(f, "iterations {}", self.iterations)?;
         match &self.scheduler {
             SchedState::Simple => writeln!(f, "scheduler simple")?,
@@ -338,6 +385,25 @@ impl<L: Language> fmt::Display for Snapshot<L> {
         }
         writeln!(f, "end")
     }
+}
+
+/// Writes `ids` separated by single spaces.
+fn write_joined(f: &mut fmt::Formatter<'_>, ids: &[Id]) -> fmt::Result {
+    for (i, id) in ids.iter().enumerate() {
+        if i > 0 {
+            f.write_str(" ")?;
+        }
+        write!(f, "{id}")?;
+    }
+    Ok(())
+}
+
+/// Writes [`escape_token`]`(s)` without building the escaped string.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    if s.bytes().all(is_plain) {
+        return f.write_str(s);
+    }
+    f.write_str(&escape_token(s))
 }
 
 /// Line-cursor over snapshot text, tracking 1-based line numbers for
@@ -404,11 +470,12 @@ impl<L: Language> FromStr for Snapshot<L> {
             None => return Err(lines.err(format!("expected `uf <n>`, got `{uf_header}`"))),
         };
         let parents_line = if n == 0 { "" } else { lines.next()? };
-        // Never pre-allocate from the *declared* count — a corrupted
+        // Never reserve from the *declared* count alone — a corrupted
         // header like `uf 999999999999` must yield an error, not an
-        // allocation abort. The parents all sit on one line, so actual
-        // size is bounded by the input.
-        let mut uf = Vec::new();
+        // allocation abort. The parents all sit on one line and each takes
+        // at least two of its bytes (digit plus separator), so the line's
+        // length bounds the capacity by the input.
+        let mut uf = Vec::with_capacity(n.min(parents_line.len() / 2 + 1));
         for tok in parents_line.split_whitespace() {
             if uf.len() >= n {
                 return Err(lines.err(format!(
@@ -424,7 +491,8 @@ impl<L: Language> FromStr for Snapshot<L> {
             )));
         }
         // Reject cyclic parent chains (corrupted input would otherwise
-        // hang `find`). Iterative three-color walk, O(n).
+        // hang `find`). Iterative three-color walk, O(n). From here on an
+        // id is canonical exactly when it is its own parent.
         let mut color = vec![0u8; n]; // 0 unvisited, 1 in progress, 2 done
         let mut stack = Vec::new();
         for start in 0..n {
@@ -452,6 +520,7 @@ impl<L: Language> FromStr for Snapshot<L> {
             }
             stack.clear();
         }
+        let canonical = |id: Id| uf[usize::from(id)] == id;
         let find = |mut id: usize| {
             while usize::from(uf[id]) != id {
                 id = usize::from(uf[id]);
@@ -459,8 +528,18 @@ impl<L: Language> FromStr for Snapshot<L> {
             id
         };
 
-        // Classes.
-        let mut classes: Vec<(Id, Vec<L>)> = Vec::new();
+        // Classes, pushed straight into one flat node vector. Each root
+        // needs a class of at least one node, so the root count of the
+        // parsed union-find is a lower bound on the node count.
+        let n_roots = (0..n).filter(|&i| usize::from(uf[i]) == i).count();
+        let mut classes: Vec<(Id, usize)> = Vec::with_capacity(n_roots);
+        let mut nodes: Vec<L> = Vec::with_capacity(n_roots);
+        let mut has_class = vec![false; n];
+        // The smallest id with more than one class block, reported once
+        // every block has parsed.
+        let mut duplicate: Option<Id> = None;
+        let mut in_order = true;
+        let mut children: Vec<Id> = Vec::new();
         let mut line = lines.next()?;
         while let Some(rest) = line.strip_prefix("class ") {
             let mut toks = rest.split_whitespace();
@@ -469,57 +548,59 @@ impl<L: Language> FromStr for Snapshot<L> {
                 _ => return Err(lines.err(format!("expected `class <id> <count>`, got `{line}`"))),
             };
             let id = parse_id(id_tok, n, &lines)?;
-            if find(usize::from(id)) != usize::from(id) {
+            if !canonical(id) {
                 return Err(lines.err(format!("class id {id} is not canonical")));
             }
             let count = parse_usize(count_tok, "a node count", &lines)?;
             // Every e-node was created by a `make_set`, so a class can
             // never hold more nodes than the id universe; reject lying
-            // counts before reserving anything (a corrupted count must
-            // error, not allocation-abort).
+            // counts before reading on (a count is never reserved from).
             if count > n {
                 return Err(lines.err(format!("implausible node count {count} for class {id}")));
             }
-            let mut nodes = Vec::with_capacity(count);
             for _ in 0..count {
                 let node_line = lines.next()?;
                 let mut toks = node_line.split_whitespace();
                 let op_tok = toks.next().ok_or_else(|| lines.err("empty node line"))?;
-                let op = unescape_token(op_tok).map_err(|e| lines.err(e))?;
-                let mut children = Vec::new();
+                let op = if op_tok.contains('%') {
+                    Cow::Owned(unescape_token(op_tok).map_err(|e| lines.err(e))?)
+                } else {
+                    Cow::Borrowed(op_tok)
+                };
+                children.clear();
                 for tok in toks {
                     let child = parse_id(tok, n, &lines)?;
-                    if find(usize::from(child)) != usize::from(child) {
+                    if !canonical(child) {
                         return Err(lines.err(format!("node child {child} is not canonical")));
                     }
                     children.push(child);
                 }
-                let node = L::from_op(&op, children).map_err(|e| lines.err(e.to_string()))?;
+                let node = L::from_op(&op, &children).map_err(|e| lines.err(e.to_string()))?;
                 nodes.push(node);
             }
-            classes.push((id, nodes));
+            let slot = usize::from(id);
+            if has_class[slot] {
+                duplicate = Some(duplicate.map_or(id, |d| d.min(id)));
+            }
+            has_class[slot] = true;
+            in_order &= classes.last().is_none_or(|&(last, _)| last < id);
+            classes.push((id, nodes.len()));
             line = lines.next()?;
         }
-        classes.sort_by_key(|(id, _)| *id);
-        if let Some(w) = classes.windows(2).find(|w| w[0].0 == w[1].0) {
-            return Err(lines.err(format!("duplicate class {}", w[0].0)));
+        if let Some(id) = duplicate {
+            return Err(lines.err(format!("duplicate class {id}")));
         }
-        // Every union-find root must have a class, and node children must
-        // refer to live classes.
-        for i in 0..n {
-            let root = Id::from(find(i));
-            if classes.binary_search_by_key(&root, |(id, _)| *id).is_err() {
-                return Err(lines.err(format!("canonical id {root} has no class")));
-            }
+        // Every union-find root must have a class. Node children are
+        // canonical, hence roots, so they refer to live classes too.
+        if (0..n).any(|i| usize::from(uf[i]) == i && !has_class[i]) {
+            let root = (0..n)
+                .map(find)
+                .find(|&root| !has_class[root])
+                .expect("a root without a class");
+            return Err(lines.err(format!("canonical id {root} has no class")));
         }
-        for (_, nodes) in &classes {
-            for node in nodes {
-                for &child in node.children() {
-                    if classes.binary_search_by_key(&child, |(id, _)| *id).is_err() {
-                        return Err(lines.err(format!("node child {child} has no class")));
-                    }
-                }
-            }
+        if !in_order {
+            (classes, nodes) = regroup(&classes, &nodes);
         }
 
         // Roots.
@@ -593,11 +674,31 @@ impl<L: Language> FromStr for Snapshot<L> {
         Ok(Snapshot {
             uf,
             classes,
+            nodes,
             roots,
             iterations,
             scheduler,
         })
     }
+}
+
+/// Sorts class blocks that arrived out of id order (ids are distinct),
+/// moving each block's nodes along with it.
+fn regroup<L: Clone>(classes: &[(Id, usize)], nodes: &[L]) -> (Vec<(Id, usize)>, Vec<L>) {
+    let mut blocks: Vec<(Id, usize, usize)> = Vec::with_capacity(classes.len());
+    let mut start = 0;
+    for &(id, end) in classes {
+        blocks.push((id, start, end));
+        start = end;
+    }
+    blocks.sort_unstable_by_key(|&(id, ..)| id);
+    let mut sorted_classes = Vec::with_capacity(classes.len());
+    let mut sorted_nodes = Vec::with_capacity(nodes.len());
+    for (id, start, end) in blocks {
+        sorted_nodes.extend_from_slice(&nodes[start..end]);
+        sorted_classes.push((id, sorted_nodes.len()));
+    }
+    (sorted_classes, sorted_nodes)
 }
 
 #[cfg(test)]
@@ -766,6 +867,7 @@ mod tests {
         let snap = Snapshot::<Arith> {
             uf: vec![],
             classes: vec![],
+            nodes: vec![],
             roots: vec![],
             iterations: 7,
             scheduler: SchedState::Backoff {

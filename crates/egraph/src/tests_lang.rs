@@ -41,11 +41,11 @@ impl Language for Arith {
         }
     }
 
-    fn from_op(op: &str, children: Vec<Id>) -> Result<Self, FromOpError> {
-        match (op, children.len()) {
-            ("+", 2) => Ok(Arith::Add([children[0], children[1]])),
-            ("*", 2) => Ok(Arith::Mul([children[0], children[1]])),
-            (_, 0) => {
+    fn from_op(op: &str, children: &[Id]) -> Result<Self, FromOpError> {
+        match (op, children) {
+            ("+", &[a, b]) => Ok(Arith::Add([a, b])),
+            ("*", &[a, b]) => Ok(Arith::Mul([a, b])),
+            (_, []) => {
                 if let Ok(n) = op.parse::<i64>() {
                     Ok(Arith::Num(n))
                 } else if op.chars().all(|c| c.is_ascii_alphabetic()) {

@@ -150,19 +150,18 @@ proptest! {
 #[test]
 fn from_op_rejects_malformed_variables() {
     // A `?`-prefixed token that is not a well-formed variable name.
-    let err = ENodeOrVar::<Arith>::from_op("?a?b", vec![]).unwrap_err();
+    let err = ENodeOrVar::<Arith>::from_op("?a?b", &[]).unwrap_err();
     assert!(
         err.to_string().contains("malformed pattern variable"),
         "unexpected error: {err}"
     );
-    let err = ENodeOrVar::<Arith>::from_op("?a(", vec![]).unwrap_err();
+    let err = ENodeOrVar::<Arith>::from_op("?a(", &[]).unwrap_err();
     assert!(err.to_string().contains("malformed pattern variable"));
 }
 
 #[test]
 fn from_op_rejects_variables_with_children() {
-    let kids = vec![Id::from(0usize)];
-    let err = ENodeOrVar::<Arith>::from_op("?f", kids).unwrap_err();
+    let err = ENodeOrVar::<Arith>::from_op("?f", &[Id::from(0usize)]).unwrap_err();
     assert!(
         err.to_string()
             .contains("pattern variables cannot have children"),
@@ -174,7 +173,7 @@ fn from_op_rejects_variables_with_children() {
 fn from_op_bare_question_mark_falls_through_to_the_language() {
     // A lone `?` is not a pattern variable; it reaches `Arith::from_op`,
     // which rejects it as neither number nor symbol.
-    let err = ENodeOrVar::<Arith>::from_op("?", vec![]).unwrap_err();
+    let err = ENodeOrVar::<Arith>::from_op("?", &[]).unwrap_err();
     assert!(err.to_string().contains("not a number or variable"));
 }
 

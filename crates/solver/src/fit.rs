@@ -157,7 +157,23 @@ fn mul_coeff(coeff: f64, e: Expr) -> Expr {
 /// assert_eq!(f.to_expr(0).to_string(), "(* 2 (+ i 1))");
 /// ```
 pub fn fit_sequence(values: &[f64], eps: f64) -> Option<FittedFn> {
-    fit_sequence_all(values, eps).into_iter().next()
+    // `fit_sequence_all`'s classes in its order, stopping at the first
+    // that fits: the sinusoid fit is the expensive one.
+    if values.is_empty() {
+        return None;
+    }
+    if let Some(v) = fit_const(values, eps) {
+        return Some(FittedFn::Const(v));
+    }
+    if let Some(p) = fit_poly1(values, eps) {
+        return Some(FittedFn::Poly(p));
+    }
+    if let Some(p) = fit_poly2(values, eps) {
+        return Some(FittedFn::Poly(p));
+    }
+    fit_trig(values, eps)
+        .filter(|t| t.r2 >= 0.999)
+        .map(FittedFn::Trig)
 }
 
 /// Like [`fit_sequence`], but returns **every** admissible closed form,

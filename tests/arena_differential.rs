@@ -146,6 +146,19 @@ proptest! {
         let roots: Vec<_> = runner.roots.iter().map(|&r| restored.find(r)).collect();
         let again = Snapshot::of_egraph(&restored, &roots).unwrap().to_string();
         prop_assert_eq!(again, text, "snapshot roundtrip drifted");
+        // The operator index, built on first use after a restore, lists
+        // the same classes under every operator as the saturated graph's.
+        prop_assert_eq!(restored.number_of_ops(), runner.egraph.number_of_ops());
+        for class in runner.egraph.classes() {
+            for node in runner.egraph.nodes_of(class) {
+                prop_assert_eq!(
+                    restored.classes_with_op(node),
+                    runner.egraph.classes_with_op(node),
+                    "op index of {}",
+                    node.op_name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use sz_cad::{AffineKind, Cad};
 use sz_mesh::validate_flat;
-use sz_solver::{fit_sequence, FittedFn};
+use sz_solver::{fit_sequence, fit_sequence_all, FittedFn};
 
 /// A strategy for random *flat* CSG terms of bounded size.
 fn arb_flat_cad() -> impl Strategy<Value = Cad> {
@@ -48,6 +48,54 @@ fn arb_flat_cad() -> impl Strategy<Value = Cad> {
             (inner.clone(), inner).prop_map(|(a, b)| Cad::diff(a, b)),
         ]
     })
+}
+
+/// Sequences of length 1–30 from six families: constant, linear,
+/// quadratic, sinusoidal (ring-like angle steps), one of those four with
+/// noise around the fitting tolerance, and uniform random.
+fn arb_sequence() -> impl Strategy<Value = Vec<f64>> {
+    (
+        0u8..6,
+        1usize..31,
+        -20.0f64..20.0,
+        -5.0f64..5.0,
+        -2.0f64..2.0,
+        0u64..100_000,
+    )
+        .prop_map(|(family, n, a, b, c, seed)| {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let step = 360.0 / (3 + seed % 10) as f64;
+            let clean = |family: u64, i: f64| match family {
+                0 => a,
+                1 => a * i + b,
+                2 => c * i * i + b * i + a,
+                _ => (a.abs() + 1.0) * (step * i + 90.0 * c).to_radians().sin() + b,
+            };
+            (0..n)
+                .map(|i| {
+                    let i = i as f64;
+                    match family {
+                        4 => clean(seed % 4, i) + rng.gen_range(-1e-3..1e-3),
+                        5 => rng.gen_range(-50.0..50.0),
+                        f => clean(u64::from(f), i),
+                    }
+                })
+                .collect()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn fit_sequence_is_the_first_admissible_form(values in arb_sequence()) {
+        // Compared through `Debug`, so fits that carry a NaN still compare
+        // equal to themselves.
+        let first = format!("{:?}", fit_sequence(&values, 1e-3));
+        let all = format!("{:?}", fit_sequence_all(&values, 1e-3).into_iter().next());
+        prop_assert_eq!(first, all, "{:?}", values);
+    }
 }
 
 proptest! {

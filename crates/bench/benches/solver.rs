@@ -1,9 +1,11 @@
-//! The arithmetic solvers (§4.1): fit throughput per model class, plus
-//! the ε-tolerance sweep called out in DESIGN.md's ablations.
+//! The arithmetic solvers (§4.1): fit throughput per model class, the
+//! sinusoid fit on the data function inference mostly hands it (linear
+//! runs, where it fails only after the full frequency scan and every
+//! Gauss–Newton iteration), and an ε-tolerance sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use sz_solver::{fit_poly1, fit_poly2, fit_sequence, fit_trig};
+use sz_solver::{fit_poly1, fit_poly2, fit_sequence, fit_sequence_all, fit_trig};
 
 fn linear(n: usize) -> Vec<f64> {
     (0..n).map(|i| 2.0 * i as f64 + 5.0).collect()
@@ -15,6 +17,15 @@ fn quadratic(n: usize) -> Vec<f64> {
             let i = i as f64;
             1.5 * i * i - 2.0 * i + 3.0
         })
+        .collect()
+}
+
+/// `linear(n)` with alternating ±4e-4 noise, inside the default ε.
+fn noisy_linear(n: usize) -> Vec<f64> {
+    linear(n)
+        .into_iter()
+        .enumerate()
+        .map(|(i, x)| x + if i % 2 == 0 { 4e-4 } else { -4e-4 })
         .collect()
 }
 
@@ -43,6 +54,24 @@ fn bench_fitters(c: &mut Criterion) {
             let v = sine(n);
             b.iter(|| black_box(fit_sequence(&v, 1e-3)));
         });
+    }
+    group.finish();
+}
+
+fn bench_failing_trig(c: &mut Criterion) {
+    // Most sinusoid fits in function inference see (noisy) linear data and
+    // return nothing; `fit_sequence_all` tries the sinusoid after the
+    // polynomials succeed.
+    let mut group = c.benchmark_group("solver_linear");
+    for n in [4usize, 8, 16, 32] {
+        for (name, v) in [("linear", linear(n)), ("noisy_linear", noisy_linear(n))] {
+            group.bench_function(format!("trig_{name}_n{n}"), |b| {
+                b.iter(|| black_box(fit_trig(&v, 1e-3)));
+            });
+            group.bench_function(format!("all_{name}_n{n}"), |b| {
+                b.iter(|| black_box(fit_sequence_all(&v, 1e-3)));
+            });
+        }
     }
     group.finish();
 }
@@ -79,6 +108,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_fitters, bench_eps_sweep
+    targets = bench_fitters, bench_failing_trig, bench_eps_sweep
 }
 criterion_main!(benches);

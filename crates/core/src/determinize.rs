@@ -3,8 +3,11 @@
 //! many) variants the rewrites created, so the function solvers get a
 //! well-defined concrete query.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
 use sz_cad::AffineKind;
-use sz_egraph::{Id, Language};
+use sz_egraph::{FxBuildHasher, Id, Language};
 
 use crate::analysis::{vec_of, CadGraph};
 use crate::CadLang;
@@ -130,6 +133,82 @@ pub struct DetList {
 /// Maximum number of alternative determinizations handed to the solvers.
 const MAX_DETERMINIZATIONS: usize = 8;
 
+/// One class's [`chains_of`] with each chain's signature and canonical
+/// leaf, as the matching loops compare them.
+#[derive(Debug)]
+struct ClassChains {
+    chains: Vec<AffineChain>,
+    sigs: Vec<Vec<AffineKind>>,
+    leaves: Vec<Id>,
+}
+
+impl ClassChains {
+    fn of(egraph: &CadGraph, id: Id) -> ClassChains {
+        let chains = chains_of(egraph, id);
+        let sigs = chains.iter().map(AffineChain::signature).collect();
+        let leaves = chains.iter().map(|c| egraph.find(c.leaf)).collect();
+        ClassChains {
+            chains,
+            sigs,
+            leaves,
+        }
+    }
+
+    /// Equal chains, vectors compared by bits.
+    fn same_as(&self, other: &ClassChains) -> bool {
+        let layers_eq = |a: &ChainLayer, b: &ChainLayer| {
+            a.kind == b.kind
+                && a.vec.map(f64::to_bits) == b.vec.map(f64::to_bits)
+                && (a.vec_id, a.child) == (b.vec_id, b.child)
+        };
+        self.sigs == other.sigs
+            && self.leaves == other.leaves
+            && self.chains.len() == other.chains.len()
+            && self.chains.iter().zip(&other.chains).all(|(a, b)| {
+                a.leaf == b.leaf
+                    && a.layers.len() == b.layers.len()
+                    && a.layers.iter().zip(&b.layers).all(|(x, y)| layers_eq(x, y))
+            })
+    }
+}
+
+/// Element chains shared by the determinizations of one inference pass,
+/// keyed by canonical class.
+///
+/// [`chains_of`] reads only CAD classes: their affine nodes, the vectors'
+/// analysis data and the children's canonical ids. Adding nodes never
+/// changes an existing class of those, so an entry stays exact until a
+/// union merges a CAD class. Function and loop inference union only list
+/// classes and keep one memo for the whole pass; list manipulation merges
+/// a fold with its sorted variant and calls [`ChainMemo::clear`] after
+/// each such merge. Debug builds recompute every hit and compare.
+#[derive(Debug, Default)]
+pub(crate) struct ChainMemo {
+    classes: HashMap<Id, ClassChains, FxBuildHasher>,
+}
+
+impl ChainMemo {
+    /// Forgets every class; call after a union that merged two classes.
+    pub(crate) fn clear(&mut self) {
+        self.classes.clear();
+    }
+
+    /// Makes sure the canonical class of `id` is cached; returns it.
+    fn fill(&mut self, egraph: &CadGraph, id: Id) -> Id {
+        let id = egraph.find(id);
+        match self.classes.entry(id) {
+            Entry::Occupied(hit) => debug_assert!(
+                hit.get().same_as(&ClassChains::of(egraph, id)),
+                "stale chains for class {id}"
+            ),
+            Entry::Vacant(slot) => {
+                slot.insert(ClassChains::of(egraph, id));
+            }
+        }
+        id
+    }
+}
+
 /// Determinizes a list of element classes under **every** consistent
 /// signature (longest first, up to a cap): for each signature admitted by
 /// all elements, selects one matching chain per element (paper §4.2:
@@ -139,32 +218,41 @@ const MAX_DETERMINIZATIONS: usize = 8;
 /// populate the e-graph with *diverse* parameterizations — e.g. both the
 /// nested-loop and the trigonometric hex-cell programs of Figs. 18/19.
 pub fn determinize_all(egraph: &CadGraph, elements: &[Id]) -> Vec<DetList> {
-    determinize_up_to(egraph, elements, MAX_DETERMINIZATIONS)
+    determinize_all_with(egraph, elements, &mut ChainMemo::default())
 }
 
-fn determinize_up_to(egraph: &CadGraph, elements: &[Id], max: usize) -> Vec<DetList> {
+/// [`determinize_all`] reading element chains through a pass's memo.
+pub(crate) fn determinize_all_with(
+    egraph: &CadGraph,
+    elements: &[Id],
+    memo: &mut ChainMemo,
+) -> Vec<DetList> {
+    determinize_up_to(egraph, elements, MAX_DETERMINIZATIONS, memo)
+}
+
+fn determinize_up_to(
+    egraph: &CadGraph,
+    elements: &[Id],
+    max: usize,
+    memo: &mut ChainMemo,
+) -> Vec<DetList> {
     if elements.is_empty() {
         return Vec::new();
     }
-    let all_chains: Vec<Vec<AffineChain>> =
-        elements.iter().map(|&e| chains_of(egraph, e)).collect();
-    // The matching loops below are quadratic in chains; precompute each
-    // chain's signature and canonical leaf once instead of reallocating
-    // them per comparison.
-    let all_sigs: Vec<Vec<Vec<AffineKind>>> = all_chains
-        .iter()
-        .map(|chains| chains.iter().map(AffineChain::signature).collect())
-        .collect();
-    let all_leaves: Vec<Vec<Id>> = all_chains
-        .iter()
-        .map(|chains| chains.iter().map(|c| egraph.find(c.leaf)).collect())
-        .collect();
+    // Each distinct class is enumerated once (a `Repeat` list holds one
+    // class n times); the matching loops below are quadratic in chains,
+    // so they compare the cached signatures and canonical leaves.
+    let keys: Vec<Id> = elements.iter().map(|&e| memo.fill(egraph, e)).collect();
+    let all: Vec<&ClassChains> = keys.iter().map(|k| &memo.classes[k]).collect();
 
     // Candidate signatures from element 0, longest first.
-    let mut candidates: Vec<Vec<AffineKind>> = all_sigs[0].clone();
+    let mut candidates: Vec<&[AffineKind]> = all[0].sigs.iter().map(Vec::as_slice).collect();
     candidates.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
     candidates.dedup();
 
+    // The chosen chain of each element, by index; chains are cloned only
+    // for a signature that every element admits.
+    let mut picks: Vec<usize> = Vec::with_capacity(elements.len());
     let mut out: Vec<DetList> = Vec::new();
     for sig in candidates {
         // Prefer a *coordinated* choice: all elements decomposed over the
@@ -172,52 +260,41 @@ fn determinize_up_to(egraph: &CadGraph, elements: &[Id], max: usize) -> Vec<DetL
         // arise — e.g. every gear tooth bottoming out at the same
         // `Translate(125,0,0, tooth)` subterm rather than at per-element
         // reordered variants).
-        let mut chosen: Option<Vec<AffineChain>> = None;
-        'leaf: for (i0, c0) in all_chains[0]
-            .iter()
-            .enumerate()
-            .filter(|&(i0, _)| all_sigs[0][i0] == sig)
-        {
-            let leaf0 = all_leaves[0][i0];
-            let mut chains = vec![c0.clone()];
-            for (e, elem_chains) in all_chains.iter().enumerate().skip(1) {
-                match elem_chains
-                    .iter()
-                    .enumerate()
-                    .find(|&(j, _)| all_sigs[e][j] == sig && all_leaves[e][j] == leaf0)
+        let mut found = false;
+        'leaf: for i0 in (0..all[0].chains.len()).filter(|&i0| all[0].sigs[i0] == sig) {
+            let leaf0 = all[0].leaves[i0];
+            picks.clear();
+            picks.push(i0);
+            for elem in &all[1..] {
+                match (0..elem.chains.len())
+                    .find(|&j| elem.sigs[j] == sig && elem.leaves[j] == leaf0)
                 {
-                    Some((_, c)) => chains.push(c.clone()),
+                    Some(j) => picks.push(j),
                     None => continue 'leaf,
                 }
             }
-            chosen = Some(chains);
+            found = true;
             break;
         }
         // Fall back to first-found per element (leaves may then differ).
-        if chosen.is_none() {
-            let mut chains = Vec::with_capacity(elements.len());
-            let mut ok = true;
-            for (e, elem_chains) in all_chains.iter().enumerate() {
-                match elem_chains
-                    .iter()
-                    .enumerate()
-                    .find(|&(j, _)| all_sigs[e][j] == sig)
-                {
-                    Some((_, c)) => chains.push(c.clone()),
-                    None => {
-                        ok = false;
-                        break;
-                    }
+        if !found {
+            picks.clear();
+            for elem in &all {
+                match (0..elem.chains.len()).find(|&j| elem.sigs[j] == sig) {
+                    Some(j) => picks.push(j),
+                    None => break,
                 }
             }
-            if ok {
-                chosen = Some(chains);
-            }
+            found = picks.len() == all.len();
         }
-        if let Some(chains) = chosen {
+        if found {
             out.push(DetList {
-                signature: sig,
-                chains,
+                signature: sig.to_vec(),
+                chains: all
+                    .iter()
+                    .zip(&picks)
+                    .map(|(elem, &j)| elem.chains[j].clone())
+                    .collect(),
             });
             if out.len() >= max {
                 break;
@@ -231,7 +308,18 @@ fn determinize_up_to(egraph: &CadGraph, elements: &[Id], max: usize) -> Vec<DetL
 /// signature); see [`determinize_all`]. Stops at the first hit rather
 /// than materializing all candidates.
 pub fn determinize(egraph: &CadGraph, elements: &[Id]) -> Option<DetList> {
-    determinize_up_to(egraph, elements, 1).into_iter().next()
+    determinize_with(egraph, elements, &mut ChainMemo::default())
+}
+
+/// [`determinize`] reading element chains through a pass's memo.
+pub(crate) fn determinize_with(
+    egraph: &CadGraph,
+    elements: &[Id],
+    memo: &mut ChainMemo,
+) -> Option<DetList> {
+    determinize_up_to(egraph, elements, 1, memo)
+        .into_iter()
+        .next()
 }
 
 #[cfg(test)]

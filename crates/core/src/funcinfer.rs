@@ -2,14 +2,14 @@
 //! transformed CADs into `Mapi`/`Repeat` structure with solver-inferred
 //! closed forms — the "inverse transformation" at the heart of Szalinski.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use sz_cad::{AffineKind, Expr};
 use sz_egraph::{CancelToken, Id};
 
 use crate::analysis::CadGraph;
-use crate::determinize::{determinize_all, DetList};
+use crate::determinize::{determinize_all_with, ChainMemo, DetList};
 use crate::lists::{add_cons_list, add_expr_tree, add_num, fold_sites, read_list};
 use crate::CadLang;
 
@@ -72,19 +72,50 @@ fn to_expr(f: &sz_solver::FittedFn, kind: AffineKind, depth: u8) -> Expr {
     }
 }
 
+/// [`sz_solver::fit_sequence_all`] results of one function-inference
+/// pass, keyed by the bit pattern of the component sequence (ε is fixed
+/// for the pass). Determinizations of different lists often hand the
+/// solvers the same sequence, and a fit depends on nothing else. The keys
+/// are input coordinates, so the map keeps the default (keyed) hasher.
+#[derive(Default)]
+pub(crate) struct FitMemo {
+    fits: HashMap<Vec<u64>, Vec<sz_solver::FittedFn>>,
+    /// The probe key, reused across lookups.
+    key: Vec<u64>,
+}
+
+impl FitMemo {
+    /// The admissible closed forms of component `comp` of `vecs`.
+    fn fit(&mut self, vecs: &[[f64; 3]], comp: usize, eps: f64) -> &[sz_solver::FittedFn] {
+        self.key.clear();
+        self.key.extend(vecs.iter().map(|v| v[comp].to_bits()));
+        if !self.fits.contains_key(self.key.as_slice()) {
+            let values: Vec<f64> = vecs.iter().map(|v| v[comp]).collect();
+            let fits = sz_solver::fit_sequence_all(&values, eps);
+            self.fits.insert(self.key.clone(), fits);
+        }
+        &self.fits[self.key.as_slice()]
+    }
+}
+
 /// Fits one affine layer's vectors. Returns up to two variants: the
 /// primary (simplest class per component) and, when some component also
 /// admits a sinusoid, a trigonometry-preferring variant — the source of
 /// the paper's §6.3 solution diversity.
-pub(crate) fn fit_layer(kind: AffineKind, vecs: &[[f64; 3]], eps: f64, depth: u8) -> Vec<LayerFit> {
+pub(crate) fn fit_layer(
+    kind: AffineKind,
+    vecs: &[[f64; 3]],
+    eps: f64,
+    depth: u8,
+    memo: &mut FitMemo,
+) -> Vec<LayerFit> {
     let mut primary: Vec<Expr> = Vec::with_capacity(3);
     let mut trigged: Vec<Expr> = Vec::with_capacity(3);
     let mut tags = Vec::new();
     let mut trig_tags = Vec::new();
     let mut any_trig_alt = false;
     for comp in 0..3 {
-        let vals: Vec<f64> = vecs.iter().map(|v| v[comp]).collect();
-        let fits = sz_solver::fit_sequence_all(&vals, eps);
+        let fits = memo.fit(vecs, comp, eps);
         let Some(first) = fits.first() else {
             return Vec::new();
         };
@@ -143,6 +174,7 @@ fn infer_for_list(
     elements: &[Id],
     det: &DetList,
     eps: f64,
+    memo: &mut FitMemo,
 ) -> Option<InferenceRecord> {
     let n = elements.len();
     let leaves: Vec<Id> = det.chains.iter().map(|c| egraph.find(c.leaf)).collect();
@@ -170,7 +202,7 @@ fn infer_for_list(
     let mut layer_fits: Vec<(AffineKind, Vec<LayerFit>)> = Vec::new();
     for (l, &kind) in det.signature.iter().enumerate() {
         let vecs: Vec<[f64; 3]> = det.chains.iter().map(|c| c.layers[l].vec).collect();
-        let fits = fit_layer(kind, &vecs, eps, depth);
+        let fits = fit_layer(kind, &vecs, eps, depth, memo);
         if fits.is_empty() {
             return None;
         }
@@ -279,6 +311,10 @@ pub fn infer_functions_with(
     let sites = fold_sites(egraph);
     let mut seen: HashSet<Id> = HashSet::new();
     let mut records = Vec::new();
+    // The pass only adds nodes and unions list classes, so neither memo
+    // ever goes stale within it (see `ChainMemo`).
+    let mut chains = ChainMemo::default();
+    let mut fits = FitMemo::default();
     for site in sites {
         if ctl.should_stop() {
             return (records, true);
@@ -293,8 +329,8 @@ pub fn infer_functions_with(
         if elements.len() < 2 {
             continue;
         }
-        for det in determinize_all(egraph, &elements) {
-            if let Some(rec) = infer_for_list(egraph, list, &elements, &det, eps) {
+        for det in determinize_all_with(egraph, &elements, &mut chains) {
+            if let Some(rec) = infer_for_list(egraph, list, &elements, &det, eps, &mut fits) {
                 records.push(rec);
             }
         }

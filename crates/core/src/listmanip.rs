@@ -6,7 +6,7 @@ use sz_cad::BoolOp;
 use sz_egraph::Id;
 
 use crate::analysis::CadGraph;
-use crate::determinize::determinize;
+use crate::determinize::{determinize_with, ChainMemo};
 use crate::lists::{add_cons_list, fold_sites, read_list};
 use crate::CadLang;
 
@@ -20,6 +20,7 @@ use crate::CadLang;
 /// [`CadGraph::rebuild`] afterwards.
 pub fn list_manipulation(egraph: &mut CadGraph) -> usize {
     let sites = fold_sites(egraph);
+    let mut chains = ChainMemo::default();
     let mut added = 0;
     for site in sites {
         if site.op == BoolOp::Diff {
@@ -31,14 +32,15 @@ pub fn list_manipulation(egraph: &mut CadGraph) -> usize {
         if elements.len() < 2 {
             continue;
         }
-        let Some(det) = determinize(egraph, &elements) else {
+        let Some(det) = determinize_with(egraph, &elements, &mut chains) else {
             continue;
         };
         if det.signature.is_empty() {
             continue;
         }
+        // Each key is built once; the sort is stable, as `sort_by_key`'s.
         let mut order: Vec<usize> = (0..elements.len()).collect();
-        order.sort_by_key(|&i| det.chains[i].sort_key());
+        order.sort_by_cached_key(|&i| det.chains[i].sort_key());
         if order.windows(2).all(|w| w[0] < w[1]) {
             continue; // already sorted
         }
@@ -48,6 +50,9 @@ pub fn list_manipulation(egraph: &mut CadGraph) -> usize {
         let new_fold = egraph.add(CadLang::Fold([op, site.init, new_list]));
         let (_, did) = egraph.union(site.class, new_fold);
         if did {
+            // The merge changed a CAD class that later sites may hold
+            // as an element.
+            chains.clear();
             added += 1;
         }
     }
@@ -109,6 +114,95 @@ mod tests {
               (Cons (Translate (Vec3 2 0 0) Unit) Nil)))",
         );
         assert_eq!(list_manipulation(&mut eg), 0);
+    }
+
+    /// `list_manipulation` as it was before the chain memo: every site
+    /// determinizes its elements from scratch.
+    fn list_manipulation_fresh(egraph: &mut CadGraph) -> usize {
+        let mut added = 0;
+        for site in fold_sites(egraph) {
+            if site.op == BoolOp::Diff {
+                continue;
+            }
+            let Some(elements) = read_list(egraph, site.list) else {
+                continue;
+            };
+            if elements.len() < 2 {
+                continue;
+            }
+            let Some(det) = crate::determinize::determinize(egraph, &elements) else {
+                continue;
+            };
+            if det.signature.is_empty() {
+                continue;
+            }
+            let mut order: Vec<usize> = (0..elements.len()).collect();
+            order.sort_by_key(|&i| det.chains[i].sort_key());
+            if order.windows(2).all(|w| w[0] < w[1]) {
+                continue;
+            }
+            let sorted: Vec<Id> = order.iter().map(|&i| elements[i]).collect();
+            let new_list = add_cons_list(egraph, &sorted);
+            let op = egraph.add(CadLang::fold_op(site.op));
+            let new_fold = egraph.add(CadLang::Fold([op, site.init, new_list]));
+            if egraph.union(site.class, new_fold).1 {
+                added += 1;
+            }
+        }
+        added
+    }
+
+    #[test]
+    fn chains_are_reread_after_a_union_merges_an_element() {
+        // F1 folds an unsorted list; its sorted variant S already exists
+        // and shares a class with T = (Translate 9 0 0 Sphere). Two folds
+        // over the list [F1, X]: one (A) runs before F1's site and caches
+        // F1's chains — only the trivial one, so A is skipped — and one
+        // (C) runs after F1's site has merged F1 with S and T. C must see
+        // F1's new Translate chain, sort [F1, X] by it and add a variant.
+        let f1_list =
+            "(Cons (Translate (Vec3 4 0 0) Unit) (Cons (Translate (Vec3 2 0 0) Unit) Nil))";
+        let f1 = format!("(Fold UnionOp Empty {f1_list})");
+        let pair = format!("(Cons {f1} (Cons (Translate (Vec3 1 0 0) Sphere) Nil))");
+        let mut eg = CadGraph::default();
+        let add = |eg: &mut CadGraph, s: &str| eg.add_expr(&s.parse().unwrap());
+        // Sites run in class-id order; A takes this class's low id below.
+        let placeholder = add(&mut eg, "(Scale (Vec3 5 5 5) Cylinder)");
+        let t = add(&mut eg, "(Translate (Vec3 9 0 0) Sphere)");
+        let s = add(
+            &mut eg,
+            "(Fold UnionOp Empty (Cons (Translate (Vec3 2 0 0) Unit) (Cons (Translate (Vec3 4 0 0) Unit) Nil)))",
+        );
+        eg.union(s, t);
+        let f1 = add(&mut eg, &f1);
+        let a = add(&mut eg, &format!("(Fold UnionOp Empty {pair})"));
+        let c = add(&mut eg, &format!("(Fold InterOp Empty {pair})"));
+        eg.union(placeholder, a);
+        eg.rebuild();
+        let order: Vec<Id> = fold_sites(&eg).iter().map(|site| site.class).collect();
+        let (a, f1, c) = (eg.find(a), eg.find(f1), eg.find(c));
+        let pos = |id: Id| order.iter().position(|&x| x == id).unwrap();
+        assert!(pos(a) < pos(f1) && pos(f1) < pos(c), "site order {order:?}");
+
+        let mut fresh = eg.clone();
+        assert_eq!(list_manipulation_fresh(&mut fresh), 2);
+        assert_eq!(
+            list_manipulation(&mut eg),
+            2,
+            "C must see F1's merged chains"
+        );
+        for g in [&mut eg, &mut fresh] {
+            g.rebuild();
+        }
+        assert_eq!(eg.total_number_of_nodes(), fresh.total_number_of_nodes());
+        assert_eq!(eg.number_of_classes(), fresh.number_of_classes());
+        let folds = |g: &CadGraph, id: Id| {
+            g.class_nodes(id)
+                .filter(|n| matches!(n, CadLang::Fold(_)))
+                .count()
+        };
+        assert_eq!(folds(&eg, c), 2, "C gained its sorted variant");
+        assert_eq!(folds(&eg, a), folds(&fresh, a));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use sz_egraph::Id;
 use sz_solver::{fit_sequence, FittedFn};
 
 use crate::analysis::CadGraph;
-use crate::determinize::determinize_all;
+use crate::determinize::{determinize_all_with, ChainMemo};
 use crate::funcinfer::{add_affine_exprs, InferenceRecord, LoopShape, PassControl};
 use crate::lists::{add_num, fold_sites, read_list};
 use crate::CadLang;
@@ -295,6 +295,9 @@ pub fn infer_loops_with(
     let sites = fold_sites(egraph);
     let mut seen: HashSet<Id> = HashSet::new();
     let mut records = Vec::new();
+    // The pass only adds nodes and unions list classes, so the chains
+    // never go stale within it (see `ChainMemo`).
+    let mut chains = ChainMemo::default();
     for site in sites {
         if ctl.should_stop() {
             return (records, true);
@@ -312,7 +315,7 @@ pub fn infer_loops_with(
         if elements.len() < 4 {
             continue; // smallest nontrivial grid is 2×2
         }
-        for det in determinize_all(egraph, &elements) {
+        for det in determinize_all_with(egraph, &elements, &mut chains) {
             if det.signature.is_empty() {
                 continue;
             }

@@ -653,7 +653,8 @@ impl Synthesizer {
             }
 
             let infer_span = opts.telemetry.span("pipeline", "inference");
-            let (round_records, truncated) = run_inference_passes(&mut egraph, config.eps, &ctl);
+            let (round_records, truncated) =
+                run_inference_passes(&mut egraph, config.eps, &ctl, &opts.telemetry);
             drop(infer_span);
             records.extend(round_records);
 
@@ -744,7 +745,8 @@ impl Synthesizer {
         } else {
             let ctl = pass_control(opts, deadline);
             let infer_span = opts.telemetry.span("pipeline", "inference");
-            let (records, truncated) = run_inference_passes(&mut egraph, config.eps, &ctl);
+            let (records, truncated) =
+                run_inference_passes(&mut egraph, config.eps, &ctl, &opts.telemetry);
             drop(infer_span);
             // A *truncated* inference stage left a partially-inferred
             // (wall-clock-dependent) graph: report it as a cancellation
@@ -827,24 +829,34 @@ fn pass_control(opts: &RunOptions, deadline: Option<Instant>) -> PassControl {
 /// interrupts inference mid-pass instead of waiting for the next
 /// saturation boundary; a stage whose passes all ran to completion
 /// reports `false` even if the stop condition became true afterwards.
+/// Records one `infer/list_manip`, `infer/functions` and `infer/loops`
+/// span per pass on `telemetry` (the rebuilds between them are not
+/// included).
 fn run_inference_passes(
     egraph: &mut CadGraph,
     eps: f64,
     ctl: &PassControl,
+    telemetry: &Telemetry,
 ) -> (Vec<crate::InferenceRecord>, bool) {
     let mut records = Vec::new();
+    let span = telemetry.span("infer", "list_manip");
     list_manipulation(egraph);
+    drop(span);
     egraph.rebuild();
     // The passes themselves report truncation (they know whether any
     // site was actually skipped — a stop with no sites left is still a
     // deterministic product, not a truncation).
+    let span = telemetry.span("infer", "functions");
     let (recs, truncated) = infer_functions_with(egraph, eps, ctl);
+    drop(span);
     records.extend(recs);
     egraph.rebuild();
     if truncated {
         return (records, true);
     }
+    let span = telemetry.span("infer", "loops");
     let (recs, truncated) = infer_loops_with(egraph, eps, ctl);
+    drop(span);
     records.extend(recs);
     egraph.rebuild();
     (records, truncated)
@@ -1568,12 +1580,18 @@ mod tests {
         token.cancel();
         let ctl = PassControl::new().with_cancel_token(token);
         let mut egraph = saturate();
-        let (records, truncated) = run_inference_passes(&mut egraph, 1e-3, &ctl);
+        let (records, truncated) =
+            run_inference_passes(&mut egraph, 1e-3, &ctl, &Telemetry::disabled());
         assert!(records.is_empty(), "stopped before any solver site ran");
         assert!(truncated, "solver sites were skipped");
 
         let mut egraph = saturate();
-        let (records, truncated) = run_inference_passes(&mut egraph, 1e-3, &PassControl::new());
+        let (records, truncated) = run_inference_passes(
+            &mut egraph,
+            1e-3,
+            &PassControl::new(),
+            &Telemetry::disabled(),
+        );
         assert!(!records.is_empty(), "idle control leaves inference intact");
         assert!(!truncated, "a completed stage is not a truncation");
     }

@@ -24,6 +24,28 @@
 //! (including the `360·(i+1)/b` rotation heuristic via
 //! [`FittedFn::to_rotation_expr`]).
 //!
+//! ## The least-squares kernel
+//!
+//! Every solve — the polynomial fits, each of the sinusoid fit's `n`
+//! frequency-scan solves and its Gauss–Newton steps, and the public
+//! [`svd`] and [`lstsq`] — runs on one one-sided Jacobi kernel. It works
+//! in place on a column-major slice (column `j` of an `m × n` matrix is
+//! `[j·m, (j+1)·m)`), so a rotation streams down two contiguous columns.
+//! The fitters fill their design matrices into one scratch buffer per
+//! call and keep `V` and the singular values on the stack (at most four
+//! columns); the sinusoid fit also keeps the sampled `sin`/`cos` columns
+//! for the residual instead of recomputing them. [`svd`] and [`lstsq`]
+//! copy their row-major [`Mat`] into the same layout.
+//!
+//! **Bit-identity contract.** The kernel performs the textbook row-major
+//! Jacobi SVD and truncated pseudo-inverse operation for operation: the
+//! column sums `α`, `β`, `γ` accumulate in row order, the rotation, the
+//! column norms (the same `Iterator::sum`) and the `rcond` truncation are
+//! the same expressions. Rust does not contract or reassociate floating
+//! point, so every fit equals the allocating row-major solver's in every
+//! bit. The workspace's `tests/solver_differential.rs` checks this
+//! against that solver, kept as a test oracle.
+//!
 //! ## Example
 //!
 //! ```

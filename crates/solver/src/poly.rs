@@ -13,7 +13,8 @@
 //! every sample — any solution we return satisfies exactly the paper's
 //! constraints (default ε = 0.001).
 
-use crate::{lstsq, snap, Mat};
+use crate::snap;
+use crate::svd::lstsq_cols;
 
 /// The default noise tolerance (the paper's ε).
 pub const DEFAULT_EPS: f64 = 1e-3;
@@ -96,11 +97,13 @@ pub fn fit_poly1(values: &[f64], eps: f64) -> Option<Poly> {
         let b = snap(values[0], eps);
         return Some(Poly::Deg1 { a: 0.0, b });
     }
-    let rows: Vec<Vec<f64>> = (0..values.len()).map(|i| vec![i as f64, 1.0]).collect();
-    let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-    let a_mat = Mat::from_rows(&row_refs);
-    let sol = lstsq(&a_mat, values, 1e-12);
-    let (a, b) = (sol[0], sol[1]);
+    // Column-major design matrix [i | 1].
+    let n = values.len();
+    let mut design = vec![1.0; 2 * n];
+    for (i, x) in design[..n].iter_mut().enumerate() {
+        *x = i as f64;
+    }
+    let [a, b] = lstsq_cols::<2>(&mut design, values, 1e-12);
 
     // Prefer fully snapped, then partially snapped, then raw coefficients.
     let candidates = [
@@ -132,16 +135,15 @@ pub fn fit_poly2(values: &[f64], eps: f64) -> Option<Poly> {
     if values.len() < 3 {
         return None;
     }
-    let rows: Vec<Vec<f64>> = (0..values.len())
-        .map(|i| {
-            let i = i as f64;
-            vec![i * i, i, 1.0]
-        })
-        .collect();
-    let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-    let a_mat = Mat::from_rows(&row_refs);
-    let sol = lstsq(&a_mat, values, 1e-12);
-    let (a, b, c) = (sol[0], sol[1], sol[2]);
+    // Column-major design matrix [i² | i | 1].
+    let n = values.len();
+    let mut design = vec![1.0; 3 * n];
+    let (squares, rest) = design.split_at_mut(n);
+    for (i, (sq, lin)) in squares.iter_mut().zip(rest[..n].iter_mut()).enumerate() {
+        let i = i as f64;
+        (*sq, *lin) = (i * i, i);
+    }
+    let [a, b, c] = lstsq_cols::<3>(&mut design, values, 1e-12);
 
     let candidates = [
         (snap(a, 2.0 * eps), snap(b, 2.0 * eps), snap(c, 2.0 * eps)),

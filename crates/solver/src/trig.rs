@@ -4,7 +4,8 @@
 //! refinement" solver (§4.1), with the same model class (sine waves, since
 //! Z3 cannot handle transcendentals).
 
-use crate::{lstsq, snap, snap_angle, Mat};
+use crate::svd::lstsq_cols;
+use crate::{snap, snap_angle};
 
 /// A fitted sinusoid `a·sin(b·i + c) + d` with its goodness of fit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,23 +58,31 @@ pub fn r_squared(values: &[f64], model: impl Fn(f64) -> f64) -> f64 {
 /// Linear sub-solve: for a fixed frequency `b`, the model is linear in
 /// `(A, B, d)` where `x = A·sin(b i) + B·cos(b i) + d`. Returns
 /// `(A, B, d, ss_res)`.
-fn solve_fixed_freq(values: &[f64], b: f64) -> (f64, f64, f64, f64) {
-    let rows: Vec<Vec<f64>> = (0..values.len())
-        .map(|i| {
-            let t = (b * i as f64).to_radians();
-            vec![t.sin(), t.cos(), 1.0]
-        })
-        .collect();
-    let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-    let m = Mat::from_rows(&row_refs);
-    let sol = lstsq(&m, values, 1e-10);
-    let (aa, bb, d) = (sol[0], sol[1], sol[2]);
+///
+/// `design` (`3n`) receives the column-major design matrix, which the
+/// solve consumes; `waves` (`2n`) keeps `sin(b i)` and `cos(b i)` for the
+/// residual. The frequency scan reuses both across its solves.
+fn solve_fixed_freq(
+    values: &[f64],
+    b: f64,
+    design: &mut [f64],
+    waves: &mut [f64],
+) -> (f64, f64, f64, f64) {
+    let n = values.len();
+    let (sin, cos) = waves.split_at_mut(n);
+    for (i, (s, c)) in sin.iter_mut().zip(cos.iter_mut()).enumerate() {
+        let t = (b * i as f64).to_radians();
+        (*s, *c) = (t.sin(), t.cos());
+    }
+    design[..n].copy_from_slice(sin);
+    design[n..2 * n].copy_from_slice(cos);
+    design[2 * n..].fill(1.0);
+    let [aa, bb, d] = lstsq_cols::<3>(design, values, 1e-10);
     let ss: f64 = values
         .iter()
-        .enumerate()
-        .map(|(i, &x)| {
-            let t = (b * i as f64).to_radians();
-            let r = aa * t.sin() + bb * t.cos() + d - x;
+        .zip(sin.iter().zip(cos.iter()))
+        .map(|(&x, (&s, &c))| {
+            let r = aa * s + bb * c + d - x;
             r * r
         })
         .sum();
@@ -81,17 +90,19 @@ fn solve_fixed_freq(values: &[f64], b: f64) -> (f64, f64, f64, f64) {
 }
 
 /// Gauss–Newton refinement of `(A, B, d, b)` from a frequency-scan seed.
+/// `jac` (`4n`) and `neg_r` (`n`) are scratch for the column-major
+/// Jacobian and the negated residual, refilled every iteration.
 fn refine(
     values: &[f64],
     mut aa: f64,
     mut bb: f64,
     mut d: f64,
     mut b: f64,
+    jac: &mut [f64],
+    neg_r: &mut [f64],
 ) -> (f64, f64, f64, f64) {
+    let n = values.len();
     for _ in 0..20 {
-        let n = values.len();
-        let mut jac_rows: Vec<Vec<f64>> = Vec::with_capacity(n);
-        let mut neg_r: Vec<f64> = Vec::with_capacity(n);
         for (i, &x) in values.iter().enumerate() {
             let fi = i as f64;
             let t = (b * fi).to_radians();
@@ -99,12 +110,13 @@ fn refine(
             let r = aa * s + bb * cth + d - x;
             // d/db in degrees: chain rule brings a π/180 factor.
             let ddb = (aa * cth - bb * s) * fi * std::f64::consts::PI / 180.0;
-            jac_rows.push(vec![s, cth, 1.0, ddb]);
-            neg_r.push(-r);
+            jac[i] = s;
+            jac[n + i] = cth;
+            jac[2 * n + i] = 1.0;
+            jac[3 * n + i] = ddb;
+            neg_r[i] = -r;
         }
-        let row_refs: Vec<&[f64]> = jac_rows.iter().map(Vec::as_slice).collect();
-        let jac = Mat::from_rows(&row_refs);
-        let delta = lstsq(&jac, &neg_r, 1e-10);
+        let delta = lstsq_cols::<4>(jac, neg_r, 1e-10);
         aa += delta[0];
         bb += delta[1];
         d += delta[2];
@@ -127,10 +139,11 @@ fn to_amp_phase(aa: f64, bb: f64) -> (f64, f64) {
 
 /// Fits `a·sin(b·i + c) + d` to `values[i]`, `i = 0..n`.
 ///
-/// Scans frequencies `b = 180·k/n` for `k = 1 .. 2n-1` (excluding aliases
-/// of the constant), solves the linear subproblem per frequency, refines
-/// the best seed with Gauss–Newton, then snaps parameters to nice angles
-/// and amplitudes when that preserves the fit. Returns `None` for inputs
+/// Scans frequencies `b = 180·k/n` for `k = 1..=n`, i.e. `b` in
+/// `(0°, 180°]` (higher frequencies alias into that range on an integer
+/// grid, and `b = 0` is the constant), solves the linear subproblem per
+/// frequency, refines the best seed with Gauss–Newton, then snaps
+/// parameters to nice angles and amplitudes when that preserves the fit. Returns `None` for inputs
 /// that are too short (`n < 4`) or essentially constant.
 ///
 /// # Examples
@@ -159,10 +172,15 @@ pub fn fit_trig(values: &[f64], eps: f64) -> Option<TrigFit> {
     // Frequency scan over (0, 180]: on an integer index grid every
     // sinusoid aliases into the Nyquist range, so higher frequencies span
     // identical model spaces and lower ones are more interpretable.
+    // Two scratch buffers serve every solve of the call: the design
+    // matrix (`3n` for the scan, `4n` for the Jacobian) and the sampled
+    // waves (`2n`; the first `n` hold the residual while refining).
+    let mut design = vec![0.0; 4 * n];
+    let mut waves = vec![0.0; 2 * n];
     let scanned: Vec<(f64, f64, f64, f64, f64)> = (1..=n)
         .map(|k| {
             let b = 180.0 * k as f64 / n as f64;
-            let (aa, bb, d, ss) = solve_fixed_freq(values, b);
+            let (aa, bb, d, ss) = solve_fixed_freq(values, b, &mut design[..3 * n], &mut waves);
             (ss, aa, bb, d, b)
         })
         .collect();
@@ -185,20 +203,21 @@ pub fn fit_trig(values: &[f64], eps: f64) -> Option<TrigFit> {
                 .expect("frequencies are finite")
         })
         .copied()?;
-    let (aa, bb, d, b) = refine(values, aa, bb, d, b);
+    let (aa, bb, d, b) = refine(values, aa, bb, d, b, &mut design, &mut waves[..n]);
     let (a, c) = to_amp_phase(aa, bb);
 
     // Snap (b, c, a, d) to nice values where the fit survives.
     let tol = (2.0 * eps).max(1e-6 * a.abs());
-    let mut cands: Vec<(f64, f64, f64, f64)> = Vec::new();
     let sb = snap_angle(b, 10.0 * tol);
     let sc = snap_angle(c, 10.0 * tol);
     let sa = snap(a, tol);
     let sd = snap(d, tol);
-    cands.push((sa, sb, sc, sd));
-    cands.push((a, sb, sc, d));
-    cands.push((sa, b, c, sd));
-    cands.push((a, b, c, d));
+    let cands = [
+        (sa, sb, sc, sd),
+        (a, sb, sc, d),
+        (sa, b, c, sd),
+        (a, b, c, d),
+    ];
 
     let scale = a.abs().max(1.0);
     for (a, b, c, d) in cands {

@@ -41,12 +41,15 @@ fn identical_runs_emit_identical_telemetry() {
         "counter/gauge values and histogram counts must match"
     );
 
-    // Sanity on the surfaces themselves: the batch, pipeline, and
-    // runner layers all contributed.
+    // Sanity on the surfaces themselves: the batch, pipeline, inference,
+    // extraction and runner layers all contributed.
     for label in [
         "batch/job",
         "pipeline/saturation",
         "pipeline/inference",
+        "infer/list_manip",
+        "infer/functions",
+        "infer/loops",
         "pipeline/extraction",
         "extract/table",
         "extract/materialize",

@@ -24,8 +24,7 @@ use sz_batch::{
 };
 use sz_gen::GenSpec;
 use szalinski::{
-    parse_cost_spec, CostKind, CostSpec, RuleStat, SynthConfig, TableRow, Telemetry,
-    COST_SPEC_GRAMMAR,
+    parse_cost_spec, CostSpec, RuleStat, SynthConfig, TableRow, Telemetry, COST_SPEC_GRAMMAR,
 };
 
 const USAGE: &str = "\
@@ -113,7 +112,6 @@ EXTRACTION COST:
     --cost <SPEC>          extraction cost model (default: ast-size).
                            With pareto(A,B), ranked output uses A and each
                            job's JSONL record gains a `pareto` front array.
-    --reward-loops         DEPRECATED alias for --cost reward-loops
 
   <SPEC> grammar:
 {grammar}
@@ -260,13 +258,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--sequential" => opts.sequential = true,
             "--structural-rules" => opts.config = opts.config.clone().with_structural_rules(true),
             "--backoff" => opts.config = opts.config.clone().with_backoff(true),
-            // Deprecated alias for `--cost reward-loops`. Like any cost
-            // flag, the last one wins outright — including clearing a
-            // pareto(...) requested by an earlier --cost.
-            "--reward-loops" => {
-                opts.config.pareto = None;
-                opts.config = opts.config.clone().with_cost(CostKind::RewardLoops);
-            }
+            // The last --cost wins outright, including clearing a
+            // pareto(...) requested by an earlier one.
             "--cost" => {
                 opts.config.pareto = None;
                 opts.config = match parse_cost_spec(value()?).map_err(|e| format!("--cost: {e}"))? {
@@ -417,7 +410,7 @@ fn main() -> ExitCode {
         return run_merge(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("lint") {
-        return sz_batch::run_lint_cli(&args[1..], "szb lint");
+        return sz_batch::run_lint_cli(&args[1..]);
     }
     let opts = match parse_args(&args) {
         Ok(opts) => opts,

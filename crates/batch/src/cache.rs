@@ -8,10 +8,11 @@
 //!   [`SynthConfig::saturation_fingerprint`], so a config change that
 //!   touches extraction-only fields (`k`, cost function) still hits — the
 //!   engine restores the saturated e-graph and re-runs extraction alone
-//!   ([`szalinski::resume_synthesize`]), skipping every saturation
-//!   iteration. Snapshots are large, so the tier is **size-bounded**:
-//!   disabled until [`ResultCache::set_snapshot_budget`] grants bytes,
-//!   and evicting largest-first (ties by key) when over budget.
+//!   (an extraction-only resume through [`szalinski::Synthesizer::run`]),
+//!   skipping every saturation iteration. Snapshots are large, so the
+//!   tier is **size-bounded**: disabled until
+//!   [`ResultCache::set_snapshot_budget`] grants bytes, and evicting
+//!   largest-first (ties by key) when over budget.
 //!
 //! The snapshot tier additionally keeps a **core-key secondary index**
 //! ([`CoreKey`] → continuable entries): snapshots whose serialized text
@@ -390,8 +391,7 @@ impl ResultCache {
     /// `config`'s (see [`SatPhaseHeader::fits`]), returns the
     /// most-saturated one — highest producer iteration limit, then node
     /// limit, then time limit, ties broken by smallest key so the
-    /// choice is deterministic. `None` for multi-round configs
-    /// (`main_loop_fuel > 1`), which never partially resume.
+    /// choice is deterministic.
     ///
     /// The returned text still goes through a full
     /// [`SynthSnapshot`] parse and the session's
@@ -402,9 +402,6 @@ impl ResultCache {
         key: CoreKey,
         config: &SynthConfig,
     ) -> Option<(SnapshotKey, &str)> {
-        if config.main_loop_fuel != 1 {
-            return None;
-        }
         let best = self
             .core_index
             .get(&key.0)?
@@ -1151,13 +1148,6 @@ mod tests {
         let other = SynthConfig::new().with_iter_limit(50).with_eps(1e-2);
         assert!(cache
             .best_core_snapshot(CoreKey::of(&input, &other), &other)
-            .is_none());
-        // Multi-round configs never partially resume.
-        let multi = SynthConfig::new()
-            .with_iter_limit(50)
-            .with_main_loop_fuel(2);
-        assert!(cache
-            .best_core_snapshot(CoreKey::of(&input, &multi), &multi)
             .is_none());
 
         // Eviction unindexes: once the mid entry is gone, the low one

@@ -1241,7 +1241,7 @@ mod tests {
         js.push(BatchJob::new(
             "reward",
             row(3),
-            quick().with_cost(szalinski::CostKind::RewardLoops),
+            quick().with_cost_model(Arc::new(szalinski::RewardLoopsCost)),
         ));
         let report = BatchEngine::new().run_sequential(js);
         assert!(report.outcomes[..4]
@@ -1267,7 +1267,7 @@ mod tests {
                 BatchJob::new(
                     format!("row{n}"),
                     row(n),
-                    quick().with_cost(szalinski::CostKind::RewardLoops),
+                    quick().with_cost_model(Arc::new(szalinski::RewardLoopsCost)),
                 )
             })
             .collect();

@@ -51,7 +51,7 @@
 //! szb --suite16 --workers 4 --cache warm.sexp --report BENCH_batch.json
 //! szb path/to/models --out decompiled/
 //! szb --suite16 --snapshots snaps/            # store e-graph snapshots
-//! szb --suite16 --snapshots snaps/ --reward-loops   # resumes, no saturation
+//! szb --suite16 --snapshots snaps/ --cost reward-loops   # resumes, no saturation
 //! szb models/ --shard 2/4 --snapshots snaps/ --report shard2.jsonl
 //! szb --gen "count=10000,seed=42" --shard 1/8 --snapshots snaps/
 //! szb merge merged.jsonl shard*.jsonl         # fold shard reports

@@ -1,8 +1,7 @@
-//! The corpus lint driver behind `szb lint` and the standalone `szlint`
-//! binary: enumerate lint targets (rule sets, the 16-model suite, or a
-//! directory of `.scad`/`.csexp` models), run the `sz-lint` analyzers
-//! over each, and fold every finding into one deterministic
-//! [`Report`].
+//! The corpus lint driver behind `szb lint`: enumerate lint targets
+//! (rule sets, the 16-model suite, or a directory of `.scad`/`.csexp`
+//! models), run the `sz-lint` analyzers over each, and fold every
+//! finding into one deterministic [`Report`].
 //!
 //! Unlike [`dir_jobs`](crate::corpus::dir_jobs) — which feeds the
 //! synthesis engine and therefore requires flat CSG — the lint scan
@@ -98,10 +97,10 @@ pub fn lint_dir(dir: &Path) -> io::Result<Report> {
 }
 
 const LINT_USAGE: &str = "\
-{prog} — static analysis: rewrite rules, e-match programs, CAD inputs
+szb lint — static analysis: rewrite rules, e-match programs, CAD inputs
 
 USAGE:
-    {prog} [--json] [--rules] [--suite16] [<DIR>...]
+    szb lint [--json] [--rules] [--suite16] [<DIR>...]
 
 TARGETS (combinable; no target = --rules --suite16):
     --rules                the built-in rule set (incl. structural boolean
@@ -126,13 +125,11 @@ Findings have three severities; only deny findings gate:
 EXIT CODE: 0 = no deny findings; 1 = deny findings; 2 = usage/IO error
 ";
 
-/// The CLI shared by `szb lint` and the standalone `szlint` binary:
-/// parses `args` (everything after the subcommand/program name), runs
-/// the requested lints, prints one combined report to stdout (text or
-/// `--json`), and returns the gate's exit code — success exactly when
-/// no deny-level finding was reported.
-pub fn run_lint_cli(args: &[String], prog: &str) -> ExitCode {
-    let usage = || LINT_USAGE.replace("{prog}", prog);
+/// The `szb lint` CLI: parses `args` (everything after the
+/// subcommand), runs the requested lints, prints one combined report to
+/// stdout (text or `--json`), and returns the gate's exit code — success
+/// exactly when no deny-level finding was reported.
+pub fn run_lint_cli(args: &[String]) -> ExitCode {
     let mut json = false;
     let mut rules = false;
     let mut suite16 = false;
@@ -143,13 +140,13 @@ pub fn run_lint_cli(args: &[String], prog: &str) -> ExitCode {
             "--rules" => rules = true,
             "--suite16" => suite16 = true,
             "--help" | "-h" => {
-                print!("{}", usage());
+                print!("{LINT_USAGE}");
                 return ExitCode::SUCCESS;
             }
             other if !other.starts_with('-') => dirs.push(PathBuf::from(other)),
             other => {
-                eprintln!("{prog}: unknown argument: {other}");
-                eprint!("{}", usage());
+                eprintln!("szb lint: unknown argument: {other}");
+                eprint!("{LINT_USAGE}");
                 return ExitCode::from(2);
             }
         }
@@ -171,7 +168,7 @@ pub fn run_lint_cli(args: &[String], prog: &str) -> ExitCode {
         match lint_dir(dir) {
             Ok(r) => report.extend(r),
             Err(e) => {
-                eprintln!("{prog}: cannot scan {}: {e}", dir.display());
+                eprintln!("szb lint: cannot scan {}: {e}", dir.display());
                 return ExitCode::from(2);
             }
         }

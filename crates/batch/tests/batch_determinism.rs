@@ -5,15 +5,10 @@
 //! 2. a warm-cache rerun returns identical results with **zero**
 //!    saturation iterations and a 100% hit rate.
 
-// The deprecated free-function pipeline API stays under test on
-// purpose: the wrappers must keep matching the `Synthesizer` session
-// API they delegate to (see `tests/session_api.rs`).
-#![allow(deprecated)]
-
 use std::sync::{Arc, Mutex};
 
 use sz_batch::{suite16_jobs, BatchEngine, JobStatus, ResultCache};
-use szalinski::{synthesize, SynthConfig};
+use szalinski::{RunOptions, SynthConfig, Synthesizer};
 
 /// Tight-but-real fuel so the 16-model suite stays debug-friendly; the
 /// full-fuel run lives in the release harness (`szb --suite16`).
@@ -37,11 +32,13 @@ fn batch_output_is_byte_identical_to_sequential_pipeline() {
     let jobs = suite16_jobs(&quick());
     assert_eq!(jobs.len(), 16);
 
-    // Ground truth: a plain loop over szalinski::synthesize, no engine.
+    // Ground truth: a plain loop over one-shot sessions, no engine.
     let expected: Vec<(String, String)> = jobs
         .iter()
         .map(|job| {
-            let result = synthesize(&job.input, &job.config);
+            let result = Synthesizer::new(job.config.clone())
+                .run(&job.input, RunOptions::new())
+                .unwrap();
             let programs: Vec<(usize, String)> = result
                 .top_k
                 .iter()

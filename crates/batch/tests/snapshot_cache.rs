@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use sz_batch::{BatchEngine, BatchJob, JobOutcome, ResultCache};
 use sz_cad::Cad;
-use szalinski::{CostKind, SynthConfig};
+use szalinski::{RewardLoopsCost, SynthConfig, SynthSnapshot};
 
 fn row(n: usize) -> Cad {
     Cad::union_chain(
@@ -53,7 +53,7 @@ fn cost_only_change_resumes_with_full_hit_rate() {
 
     // Cost-only config change: program tier misses, snapshot tier hits
     // at rate 1.0, and no job spends a single saturation iteration.
-    let reward = quick().with_cost(CostKind::RewardLoops);
+    let reward = quick().with_cost_model(Arc::new(RewardLoopsCost));
     let resumed = engine.run(jobs(&reward));
     assert_eq!(resumed.ok_count(), 4);
     assert_eq!(resumed.cache_hits(), 0, "full fingerprints differ");
@@ -107,29 +107,81 @@ fn rule_set_change_invalidates_snapshots() {
     assert_eq!(cache.lock().unwrap().snapshot_count(), 8);
 }
 
+/// `v3` (a capture with a saturation phase) rewritten in the retired
+/// `szsynth v1` form: the three identity lines, then only the final graph.
+fn as_v1(v3: &str) -> String {
+    let snapshot: SynthSnapshot = v3.parse().unwrap();
+    let mut v1: String = v3.lines().take(3).map(|l| format!("{l}\n")).collect();
+    v1 = v1.replacen("szsynth v3", "szsynth v1", 1);
+    v1.push_str(&snapshot.egraph_snapshot().to_string());
+    v1
+}
+
+/// `v3` rewritten in the retired `szsynth v2` form: a five-token
+/// satphase descriptor and no `rulestat` table.
+fn as_v2(v3: &str) -> String {
+    let snapshot: SynthSnapshot = v3.parse().unwrap();
+    let nstats = snapshot.sat_phase().unwrap().rule_stats().len();
+    let mut v2 = String::new();
+    for (i, line) in v3.lines().enumerate() {
+        if i == 0 {
+            v2.push_str("szsynth v2");
+        } else if i == 3 {
+            v2.push_str(&line[..line.rfind(' ').unwrap()]);
+        } else if (4..4 + nstats).contains(&i) {
+            continue;
+        } else {
+            v2.push_str(line);
+        }
+        v2.push('\n');
+    }
+    v2
+}
+
 #[test]
 fn corrupt_snapshot_falls_back_to_cold_run() {
     use sz_batch::SnapshotKey;
 
-    let cache = shared_cache();
-    let engine = BatchEngine::new().with_workers(2).with_cache(cache.clone());
-    let config = quick();
-    let job = || vec![BatchJob::new("row5", row(5), config.clone())];
-    let cold = engine.run(job());
-
-    // Poison the stored snapshot; a cost-only rerun must still succeed
-    // (cold), not fail or hit.
+    // Fuel-limited, so the stored capture keeps its saturation phase
+    // (the v2 rewrite shortens its descriptor).
+    let config = quick().with_iter_limit(3);
+    let reward = config.clone().with_cost_model(Arc::new(RewardLoopsCost));
+    let job = |config: &SynthConfig| vec![BatchJob::new("row5", row(5), config.clone())];
     let skey = SnapshotKey::of(&row(5), &config);
-    cache
-        .lock()
-        .unwrap()
-        .insert_snapshot(skey, "szsynth v1\ngarbage".to_owned());
-    let reward = config.clone().with_cost(CostKind::RewardLoops);
-    let rerun = engine.run(vec![BatchJob::new("row5", row(5), reward)]);
-    assert_eq!(rerun.ok_count(), 1);
-    assert_eq!(rerun.snapshot_hits(), 0);
-    assert!(rerun.outcomes[0].iterations > 0, "fell back to a cold run");
+    let cold = BatchEngine::new().run(job(&reward));
     assert_eq!(cold.ok_count(), 1);
+
+    // The job's own capture, to rewrite in the retired formats.
+    let cache = shared_cache();
+    BatchEngine::new()
+        .with_cache(cache.clone())
+        .run(job(&config));
+    let v3 = cache.lock().unwrap().get_snapshot(skey).unwrap().to_owned();
+
+    // A poisoned or retired-format entry: a cost-only rerun must still
+    // succeed (cold), not fail or hit, and overwrite the entry.
+    for poison in ["szsynth v1\ngarbage".to_owned(), as_v1(&v3), as_v2(&v3)] {
+        let cache = shared_cache();
+        cache.lock().unwrap().insert_snapshot(skey, poison.clone());
+        let engine = BatchEngine::new().with_workers(2).with_cache(cache.clone());
+        let rerun = engine.run(job(&reward));
+        let head = poison.lines().next().unwrap();
+        assert_eq!(rerun.ok_count(), 1, "{head}");
+        assert_eq!(rerun.snapshot_hits(), 0, "{head}");
+        assert!(
+            rerun.outcomes[0].iterations > 0,
+            "{head}: fell back to a cold run"
+        );
+        assert_eq!(
+            rerun.outcomes[0].programs[0], cold.outcomes[0].programs[0],
+            "{head}"
+        );
+        let stored = cache.lock().unwrap().get_snapshot(skey).unwrap().to_owned();
+        assert!(
+            stored.starts_with("szsynth v3\n"),
+            "{head}: entry rewritten"
+        );
+    }
 }
 
 #[test]
@@ -161,7 +213,7 @@ fn mixed_cache_file_roundtrips_through_disk() {
     assert_eq!(loaded.snapshot_count(), 4);
     let loaded = Arc::new(Mutex::new(loaded.with_snapshot_budget(64 << 20)));
     let engine2 = BatchEngine::new().with_workers(2).with_cache(loaded);
-    let reward = quick().with_cost(CostKind::RewardLoops);
+    let reward = quick().with_cost_model(Arc::new(RewardLoopsCost));
     let resumed = engine2.run(jobs(&reward));
     assert_eq!(resumed.snapshot_hits(), 4);
     assert!(resumed.outcomes.iter().all(|o| o.iterations == 0));

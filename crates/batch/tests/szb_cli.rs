@@ -1,6 +1,7 @@
 //! End-to-end tests of the `szb` binary (cargo builds it and exposes
 //! the path via `CARGO_BIN_EXE_szb`): directory corpus mode, report and
-//! OpenSCAD emission, and the cross-process warm-cache rerun.
+//! OpenSCAD emission, the cross-process warm-cache rerun, and the
+//! `szb lint` gate.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -132,15 +133,12 @@ fn help_documents_the_cost_grammar() {
     assert!(stdout.contains("--cost <SPEC>"), "{stdout}");
     assert!(stdout.contains("weights(CLASS=W,...)"), "{stdout}");
     assert!(stdout.contains("pareto(SPEC,SPEC)"), "{stdout}");
-    assert!(stdout.contains("DEPRECATED alias"), "{stdout}");
 }
 
 #[test]
 fn cost_spec_drives_extraction_and_pareto_reports() {
     let dir = fresh_dir("cost_spec");
     write_corpus(&dir);
-    // `--cost reward-loops` must behave exactly like the deprecated
-    // `--reward-loops` alias.
     let run = |args: &[&str]| {
         let out = szb().current_dir(&dir).args(args).output().unwrap();
         assert!(
@@ -162,31 +160,11 @@ fn cost_spec_drives_extraction_and_pareto_reports() {
         "spec.jsonl",
         "--quiet",
     ]);
-    run(&[
-        ".",
-        "--iter-limit",
-        "30",
-        "--node-limit",
-        "30000",
-        "--reward-loops",
-        "--report",
-        "alias.jsonl",
-        "--quiet",
-    ]);
     let spec = std::fs::read_to_string(dir.join("spec.jsonl")).unwrap();
-    let alias = std::fs::read_to_string(dir.join("alias.jsonl")).unwrap();
     assert!(
         spec.contains(r#""cost_fingerprint":"reward-loops""#),
         "{spec}"
     );
-    // Compare only the emitted programs (full lines carry wall-clock
-    // timing fields).
-    let bests = |s: &str| -> Vec<String> {
-        s.lines()
-            .filter_map(|l| l.split(r#""best":"#).nth(1).map(str::to_owned))
-            .collect()
-    };
-    assert_eq!(bests(&spec), bests(&alias), "alias and spec must agree");
 
     // Pareto mode records a front per job.
     run(&[
@@ -208,8 +186,8 @@ fn cost_spec_drives_extraction_and_pareto_reports() {
     );
     assert!(pareto.contains(r#""pareto":[{"cost_a":"#), "{pareto}");
 
-    // Last cost flag wins outright: a later --cost (or the alias) must
-    // clear an earlier pareto(...) request, not merely swap the ranking
+    // Last cost flag wins outright: a later --cost must clear an
+    // earlier pareto(...) request, not merely swap the ranking
     // model.
     run(&[
         ".",
@@ -232,4 +210,48 @@ fn cost_spec_drives_extraction_and_pareto_reports() {
     );
     assert!(!override_rep.contains(r#""pareto""#), "{override_rep}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn lint_passes_the_builtins_and_fails_a_defective_corpus() {
+    // The built-in rule set and the 16-model suite carry no deny finding.
+    let out = szb()
+        .args(["lint", "--rules", "--suite16"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.lines().any(|l| l.starts_with("0 deny, ")), "{text}");
+
+    // `--json` prints the library's rendering of the same report, whose
+    // shape the sz-lint golden fixtures pin.
+    let out = szb()
+        .args(["lint", "--json", "--rules", "--suite16"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let json = String::from_utf8_lossy(&out.stdout);
+    let mut report = sz_batch::lint_rules();
+    report.extend(sz_batch::lint_suite16());
+    assert_eq!(json.trim_end(), report.to_json());
+    let deny = json
+        .split(r#""counts":{"deny":"#)
+        .nth(1)
+        .and_then(|rest| rest.split(',').next());
+    assert_eq!(deny, Some("0"), "{json}");
+
+    // A zero scale and a truncated file are deny findings: exit 1.
+    let dir = fresh_dir("lint_defects");
+    std::fs::write(dir.join("zero.csexp"), "(Scale 0 1 1 Unit)").unwrap();
+    std::fs::write(dir.join("broken.csexp"), "(Union (Cube 1").unwrap();
+    let out = szb().arg("lint").arg(&dir).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("SZL202 input:zero.csexp"), "{text}");
+    assert!(text.contains("SZL200 input:broken.csexp"), "{text}");
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // An unknown flag is a usage error.
+    let out = szb().args(["lint", "--bogus-flag"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
 }

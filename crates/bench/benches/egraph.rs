@@ -7,7 +7,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use sz_egraph::{AstSize, EGraph, Extractor, KBestExtractor, ParetoExtractor, Runner};
 use szalinski::{
-    cad_to_lang, rules, AstSizeCost, CadAnalysis, CadGraph, CadLang, CostKind, GeomCount, ModelCost,
+    cad_to_lang, rules, AstSizeCost, CadAnalysis, CadGraph, CadLang, GeomCount, ModelCost,
 };
 
 fn bench_insertion(c: &mut Criterion) {
@@ -74,7 +74,7 @@ fn bench_extraction(c: &mut Criterion) {
     for k in [1usize, 5, 10] {
         group.bench_function(format!("k_best_{k}"), |b| {
             b.iter(|| {
-                let kb = KBestExtractor::new(&eg, ModelCost(CostKind::AstSize.model()), k);
+                let kb = KBestExtractor::new(&eg, ModelCost(Arc::new(AstSizeCost)), k);
                 black_box(kb.find_best_k(root).len())
             });
         });

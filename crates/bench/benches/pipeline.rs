@@ -1,13 +1,13 @@
-//! Pipeline ablations (DESIGN.md): structural rules on/off, main-loop
-//! fuel, cost function, and the list-manipulation pass.
+//! Pipeline ablations: structural rules on/off, cost function, and the
+//! list-manipulation pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 use sz_egraph::Runner;
 use szalinski::{
-    cad_to_lang, infer_functions, list_manipulation, parse_cost_model, rules, CadAnalysis,
-    CostKind, RunOptions, SynthConfig, Synthesizer,
+    cad_to_lang, infer_functions, list_manipulation, parse_cost_model, rules, AstSizeCost,
+    CadAnalysis, CostModel, RewardLoopsCost, RunOptions, SynthConfig, Synthesizer,
 };
 
 fn bench_structural_rules_ablation(c: &mut Criterion) {
@@ -27,32 +27,15 @@ fn bench_structural_rules_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fuel(c: &mut Criterion) {
-    let flat = sz_models::box_tray();
-    let mut group = c.benchmark_group("pipeline/main_loop_fuel");
-    group.sample_size(10);
-    for fuel in [1usize, 2] {
-        let cfg = SynthConfig::new()
-            .with_iter_limit(40)
-            .with_node_limit(60_000)
-            .with_main_loop_fuel(fuel);
-        let session = Synthesizer::new(cfg);
-        group.bench_function(format!("fuel_{fuel}"), |b| {
-            b.iter(|| black_box(session.run(&flat, RunOptions::new()).unwrap()));
-        });
-    }
-    group.finish();
-}
-
 fn bench_cost_functions(c: &mut Criterion) {
     let flat = sz_models::wardrobe();
     let mut group = c.benchmark_group("pipeline/cost");
     group.sample_size(10);
-    // The two paper schemes via the legacy selector, plus new-API models
-    // through the spec grammar — same pipeline, different `CostModel`s.
-    let models = [
-        ("ast_size", CostKind::AstSize.model()),
-        ("reward_loops", CostKind::RewardLoops.model()),
+    // The two paper schemes, plus models built through the spec
+    // grammar — same pipeline, different `CostModel`s.
+    let models: [(&str, Arc<dyn CostModel>); 4] = [
+        ("ast_size", Arc::new(AstSizeCost)),
+        ("reward_loops", Arc::new(RewardLoopsCost)),
         (
             "weights_loop1_geom10",
             parse_cost_model("weights(geom=10,affine=10,bool=10,other=10)").unwrap(),
@@ -113,7 +96,6 @@ criterion_group! {
     name = benches;
     config = quick();
     targets = bench_structural_rules_ablation,
-    bench_fuel,
     bench_cost_functions,
     bench_listmanip_and_inference
 }

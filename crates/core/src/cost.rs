@@ -17,10 +17,6 @@
 //! * [`parse_cost_spec`] — the `szb --cost` mini-spec grammar
 //!   (`ast-size`, `reward-loops`, `weights(loop=1,geom=10)`,
 //!   `pareto(size,depth)`, …).
-//!
-//! The legacy two-variant [`CostKind`] survives as a thin compatibility
-//! layer: [`CostKind::model`] maps each variant onto the trait
-//! implementation it is now defined by.
 
 use std::fmt;
 use std::sync::Arc;
@@ -140,9 +136,8 @@ impl fmt::Display for CostVec {
 // The trait
 // ---------------------------------------------------------------------------
 
-/// An extraction cost model over [`CadLang`] — the open replacement for
-/// the old closed `CostKind` plumbing. Object-safe: the pipeline holds
-/// models as `Arc<dyn CostModel>` inside `SynthConfig`.
+/// An extraction cost model over [`CadLang`]. Object-safe: the pipeline
+/// holds models as `Arc<dyn CostModel>` inside `SynthConfig`.
 ///
 /// # Contract
 ///
@@ -675,66 +670,6 @@ impl CostModel for WeightedSum {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy CostKind compatibility
-// ---------------------------------------------------------------------------
-
-/// The original closed two-variant cost selector, kept as a thin
-/// compatibility layer over the open [`CostModel`] trait (see
-/// [`CostKind::model`]). New code should pass models to
-/// `SynthConfig::with_cost_model` directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostKind {
-    /// Every node costs 1: minimize AST size (the paper's default).
-    #[default]
-    AstSize,
-    /// Loop-forming nodes (`Fold`, `Mapi`, `MapIdx*`, `Repeat`, `Fun`)
-    /// cost 1 while all other nodes cost 10, so programs that route
-    /// geometry through loops win even when nominally larger.
-    RewardLoops,
-}
-
-impl CostKind {
-    /// The [`CostModel`] this variant is now defined by.
-    pub fn model(&self) -> Arc<dyn CostModel> {
-        match self {
-            CostKind::AstSize => Arc::new(AstSizeCost),
-            CostKind::RewardLoops => Arc::new(RewardLoopsCost),
-        }
-    }
-}
-
-/// The legacy [`CostKind`]-selected cost function over [`CadLang`],
-/// running directly as an [`sz_egraph::CostFunction`] with scalar
-/// `usize` costs. Kept for existing callers; the pipeline itself now
-/// extracts through [`ModelCost`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CadCost {
-    /// The selected scheme.
-    pub kind: CostKind,
-}
-
-impl CadCost {
-    /// Cost function with the given scheme.
-    pub fn new(kind: CostKind) -> Self {
-        CadCost { kind }
-    }
-
-    fn node_cost(&self, enode: &CadLang) -> usize {
-        match self.kind {
-            CostKind::AstSize => 1,
-            CostKind::RewardLoops => reward_loops_weight(enode) as usize,
-        }
-    }
-}
-
-impl CostFunction<CadLang> for CadCost {
-    type Cost = usize;
-    fn cost(&mut self, enode: &CadLang, child_costs: &[usize]) -> usize {
-        child_costs.iter().sum::<usize>() + self.node_cost(enode)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The `--cost` mini-spec grammar
 // ---------------------------------------------------------------------------
 
@@ -952,10 +887,6 @@ mod tests {
     use crate::CadAnalysis;
     use sz_egraph::{EGraph, Extractor, KBestExtractor, Language, RecExpr};
 
-    fn best(input_variants: &[&str], kind: CostKind) -> String {
-        best_model(input_variants, kind.model())
-    }
-
     fn best_model(input_variants: &[&str], model: Arc<dyn CostModel>) -> String {
         let mut eg: EGraph<CadLang, CadAnalysis> = EGraph::new(CadAnalysis);
         let ids: Vec<_> = input_variants
@@ -993,7 +924,7 @@ mod tests {
     #[test]
     fn ast_size_prefers_smaller() {
         // The loop program is smaller here, so both schemes pick it.
-        assert!(best(&[FLAT, LOOPY], CostKind::AstSize).contains("Mapi"));
+        assert!(best_model(&[FLAT, LOOPY], Arc::new(AstSizeCost)).contains("Mapi"));
     }
 
     #[test]
@@ -1002,10 +933,10 @@ mod tests {
         // loop form (15 nodes), so AstSize keeps it flat…
         let flat2 = "(Union (Translate (Vec3 2 0 0) Unit) (Translate (Vec3 4 0 0) Unit))";
         let loopy2 = "(Fold UnionOp Empty (Mapi (Fun (Translate (Vec3 (* 2 (+ i 1)) 0 0) c)) (Repeat Unit 2)))";
-        assert!(!best(&[flat2, loopy2], CostKind::AstSize).contains("Mapi"));
+        assert!(!best_model(&[flat2, loopy2], Arc::new(AstSizeCost)).contains("Mapi"));
         // …while reward-loops switches to the loop form (the wardrobe@
         // behaviour of Table 1).
-        assert!(best(&[flat2, loopy2], CostKind::RewardLoops).contains("Mapi"));
+        assert!(best_model(&[flat2, loopy2], Arc::new(RewardLoopsCost)).contains("Mapi"));
     }
 
     #[test]
@@ -1028,26 +959,34 @@ mod tests {
 
     #[test]
     fn model_costs_match_legacy_cadcost() {
-        // The reimplemented models must agree with the legacy CadCost
-        // numbers node-for-node (the byte-identical default guarantee).
+        // The models must agree node-for-node with the paper's original
+        // per-node rule, summed over children as `usize` (the
+        // byte-identical default guarantee): every node costs 1 under
+        // AST size, and `reward_loops_weight` under reward-loops.
+        type NodeCost = fn(&CadLang) -> usize;
+        let legacy_rules: [(Arc<dyn CostModel>, NodeCost); 2] = [
+            (Arc::new(AstSizeCost), |_| 1),
+            (Arc::new(RewardLoopsCost), |node| {
+                reward_loops_weight(node) as usize
+            }),
+        ];
         for term in [FLAT, LOOPY] {
-            for kind in [CostKind::AstSize, CostKind::RewardLoops] {
+            for (model, node_cost) in &legacy_rules {
                 let expr: RecExpr<CadLang> = term.parse().unwrap();
-                let mut legacy = CadCost::new(kind);
                 let mut legacy_costs: Vec<usize> = Vec::new();
                 for node in expr.as_slice() {
-                    let children: Vec<usize> = node
+                    let children: usize = node
                         .children()
                         .iter()
                         .map(|&c| legacy_costs[usize::from(c)])
-                        .collect();
-                    legacy_costs.push(legacy.cost(node, &children));
+                        .sum();
+                    legacy_costs.push(children + node_cost(node));
                 }
-                let model = kind.model();
                 assert_eq!(
                     cost_of(term, model.as_ref()).primary(),
                     *legacy_costs.last().unwrap() as u64,
-                    "{kind:?} over {term}"
+                    "{} over {term}",
+                    model.fingerprint()
                 );
             }
         }
@@ -1216,9 +1155,9 @@ mod tests {
         }
         // Every built-in fingerprint obeys the contract.
         for model in [
-            CostKind::AstSize.model(),
-            CostKind::RewardLoops.model(),
-            Arc::new(WeightedCost::new().with_weight(OpClass::Geom, 10)) as Arc<dyn CostModel>,
+            Arc::new(AstSizeCost) as Arc<dyn CostModel>,
+            Arc::new(RewardLoopsCost),
+            Arc::new(WeightedCost::new().with_weight(OpClass::Geom, 10)),
             Arc::new(DepthPenalty::new(Arc::new(AstSizeCost), 2)),
             Arc::new(Lexicographic::new(
                 Arc::new(DepthCost),
@@ -1244,9 +1183,9 @@ mod tests {
         eg.union(a, b);
         eg.rebuild();
         for model in [
-            CostKind::AstSize.model(),
-            CostKind::RewardLoops.model(),
-            Arc::new(DepthPenalty::new(Arc::new(AstSizeCost), 1)) as Arc<dyn CostModel>,
+            Arc::new(AstSizeCost) as Arc<dyn CostModel>,
+            Arc::new(RewardLoopsCost),
+            Arc::new(DepthPenalty::new(Arc::new(AstSizeCost), 1)),
         ] {
             let kb = KBestExtractor::new(&eg, ModelCost(model), 4);
             let results = kb.find_best_k(a);

@@ -52,16 +52,20 @@
 //! ## Example
 //!
 //! ```
-//! use szalinski::{synthesize, SynthConfig};
+//! use szalinski::{RunOptions, SynthConfig, Synthesizer};
 //! use sz_cad::Cad;
 //!
+//! // Figure 2's input: five cubes spaced 2 apart along x.
 //! let flat = Cad::union_chain(
 //!     (1..=5).map(|i| Cad::translate(2.0 * i as f64, 0.0, 0.0, Cad::Unit)).collect(),
 //! );
-//! let result = synthesize(&flat, &SynthConfig::new());
+//! let session = Synthesizer::new(SynthConfig::new());
+//! let result = session.run(&flat, RunOptions::new()).unwrap();
 //! let (rank, prog) = result.structured().unwrap();
 //! assert_eq!(rank, 1);
-//! assert!(prog.cad.to_string().contains("Mapi"));
+//! assert!(prog.cad.to_string().contains("(Repeat Unit 5)"));
+//! // The loop unrolls back to the input geometry.
+//! assert_eq!(prog.cad.eval_to_flat().unwrap(), flat);
 //! ```
 
 #![warn(missing_docs)]
@@ -82,9 +86,9 @@ pub mod session;
 
 pub use analysis::{add_vec, num_of, vec_of, CadAnalysis, CadData, CadGraph};
 pub use cost::{
-    parse_cost_model, parse_cost_spec, validate_fingerprint, AstSizeCost, CadCost, CostKind,
-    CostModel, CostSpec, CostSpecError, CostVec, DepthCost, DepthPenalty, GeomCount, Lexicographic,
-    ModelCost, OpClass, RewardLoopsCost, WeightedCost, WeightedSum, COST_SPEC_GRAMMAR,
+    parse_cost_model, parse_cost_spec, validate_fingerprint, AstSizeCost, CostModel, CostSpec,
+    CostSpecError, CostVec, DepthCost, DepthPenalty, GeomCount, Lexicographic, ModelCost, OpClass,
+    RewardLoopsCost, WeightedCost, WeightedSum, COST_SPEC_GRAMMAR,
 };
 pub use determinize::{chains_of, determinize, determinize_all, AffineChain, ChainLayer, DetList};
 pub use funcinfer::{
@@ -94,14 +98,9 @@ pub use lang::{cad_to_lang, lang_to_cad, lang_to_cad_at, CadLang, FromLangError}
 pub use listmanip::list_manipulation;
 pub use lists::{add_cons_list, add_expr_tree, fold_sites, read_list, FoldSite};
 pub use loopinfer::{factorizations, index_sets, infer_loops, infer_loops_with};
-#[allow(deprecated)]
 pub use pipeline::{
-    resume_synthesize, synthesize, synthesize_with_snapshot, try_synthesize,
-    try_synthesize_with_snapshot,
-};
-pub use pipeline::{
-    ParetoProgram, ResumeError, SatPhase, SatPhaseHeader, SnapshotHeader, SynthConfig, SynthError,
-    SynthProgram, SynthSnapshot, Synthesis,
+    ParetoProgram, SatPhase, SatPhaseHeader, SnapshotHeader, SynthConfig, SynthError, SynthProgram,
+    SynthSnapshot, Synthesis,
 };
 pub use report::{fit_tags, has_structure, loop_tags, TableRow};
 pub use rules::{all_rules, rules, structural_rules, CadRewrite};

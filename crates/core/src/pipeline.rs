@@ -1,12 +1,10 @@
 //! The Szalinski pipeline types (paper Fig. 5): configuration, results,
-//! snapshots, and errors, plus the deprecated free-function entry points
-//! now implemented as thin wrappers over the session-based
-//! [`Synthesizer`](crate::Synthesizer) (see [`crate::session`] for the
-//! main loop itself).
+//! snapshots, and errors. The pipeline itself runs behind
+//! [`Synthesizer::run`](crate::Synthesizer::run) (see [`crate::session`]).
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sz_cad::Cad;
 use sz_egraph::{
@@ -15,8 +13,8 @@ use sz_egraph::{
 };
 use sz_trace::Telemetry;
 
-use crate::analysis::{CadAnalysis, CadGraph};
-use crate::cost::{AstSizeCost, CostKind, CostModel, ModelCost};
+use crate::analysis::CadGraph;
+use crate::cost::{AstSizeCost, CostModel, ModelCost};
 use crate::funcinfer::InferenceRecord;
 use crate::lang::lang_to_cad;
 use crate::report::{fit_tags, has_structure, loop_tags, TableRow};
@@ -28,14 +26,12 @@ pub struct SynthConfig {
     pub eps: f64,
     /// How many programs to return (the paper uses k = 5).
     pub k: usize,
-    /// Saturation iteration limit per main-loop round.
+    /// Saturation iteration limit.
     pub iter_limit: usize,
     /// E-node limit for saturation.
     pub node_limit: usize,
     /// Wall-clock limit for saturation.
     pub time_limit: Duration,
-    /// Rounds of the outer main loop (the paper found one sufficient).
-    pub main_loop_fuel: usize,
     /// Include the explosive structural boolean rules
     /// (commutativity/associativity); off by default, measured in the
     /// ablation bench.
@@ -63,7 +59,6 @@ impl Default for SynthConfig {
             iter_limit: 150,
             node_limit: 200_000,
             time_limit: Duration::from_secs(60),
-            main_loop_fuel: 1,
             structural_rules: false,
             backoff: false,
             cost_model: Arc::new(AstSizeCost),
@@ -88,13 +83,6 @@ impl SynthConfig {
     pub fn with_k(mut self, k: usize) -> Self {
         self.k = k;
         self
-    }
-
-    /// Sets the cost function from the legacy two-variant selector —
-    /// a thin compatibility wrapper over
-    /// [`SynthConfig::with_cost_model`].
-    pub fn with_cost(self, cost: CostKind) -> Self {
-        self.with_cost_model(cost.model())
     }
 
     /// Sets the extraction cost model (see [`CostModel`] for the
@@ -154,12 +142,6 @@ impl SynthConfig {
         self
     }
 
-    /// Sets the outer main-loop round count.
-    pub fn with_main_loop_fuel(mut self, fuel: usize) -> Self {
-        self.main_loop_fuel = fuel.max(1);
-        self
-    }
-
     /// Enables/disables backoff rule scheduling during saturation.
     pub fn with_backoff(mut self, on: bool) -> Self {
         self.backoff = on;
@@ -211,17 +193,19 @@ impl SynthConfig {
     /// extraction-only config changes: two configs with equal saturation
     /// fingerprints produce the same saturated graph for a given input,
     /// so a cost- or k-only change can resume from a stored snapshot
-    /// (see [`resume_synthesize`]) instead of re-saturating, while any
-    /// rule-set or fuel change invalidates it.
+    /// (see [`Synthesizer::run`](crate::Synthesizer::run)) instead of
+    /// re-saturating, while any rule-set or fuel change invalidates it.
     pub fn saturation_fingerprint(&self) -> String {
+        // `fuel=1` is the retired main-loop round count, kept as literal
+        // text: stored cache keys, `satphase` headers and the golden
+        // snapshot fixtures all carry it.
         format!(
-            "snapv{};eps={:e};iter={};nodes={};time_ms={};fuel={};structural={};backoff={}",
+            "snapv{};eps={:e};iter={};nodes={};time_ms={};fuel=1;structural={};backoff={}",
             sz_egraph::SNAPSHOT_FORMAT_VERSION,
             self.eps,
             self.iter_limit,
             self.node_limit,
             self.time_limit.as_millis(),
-            self.main_loop_fuel,
             self.structural_rules,
             self.backoff,
         )
@@ -240,11 +224,11 @@ impl SynthConfig {
     /// saturating from it instead of starting cold (see
     /// [`SynthSnapshot::supports_partial_resume`]).
     pub fn saturation_core_fingerprint(&self) -> String {
+        // `fuel=1`: see `saturation_fingerprint`.
         format!(
-            "snapv{};eps={:e};fuel={};structural={};backoff={}",
+            "snapv{};eps={:e};fuel=1;structural={};backoff={}",
             sz_egraph::SNAPSHOT_FORMAT_VERSION,
             self.eps,
-            self.main_loop_fuel,
             self.structural_rules,
             self.backoff,
         )
@@ -262,8 +246,23 @@ fn debug_assert_fingerprint(model: &dyn CostModel) {
     }
 }
 
-/// Why [`try_synthesize`] rejected a run (the panic-free entry point
-/// used by batch drivers).
+/// Why [`Synthesizer::run`](crate::Synthesizer::run) rejected a run (or
+/// [`Synthesizer::try_new`](crate::Synthesizer::try_new) a rule set).
+///
+/// # Examples
+///
+/// ```
+/// use szalinski::{RunOptions, SynthConfig, SynthError, Synthesizer};
+/// use sz_cad::Cad;
+///
+/// // A LambdaCAD term (not flat) is rejected, not mis-synthesized.
+/// let looped: Cad = "(Repeat Unit 3)".parse().unwrap();
+/// let session = Synthesizer::new(SynthConfig::new());
+/// assert!(matches!(
+///     session.run(&looped, RunOptions::new()),
+///     Err(SynthError::NotFlat)
+/// ));
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SynthError {
     /// The input is not a flat CSG (contains loops, lists, index
@@ -343,14 +342,15 @@ pub struct Synthesis {
     pub egraph_nodes: usize,
     /// Final e-graph size (classes).
     pub egraph_classes: usize,
-    /// Why saturation stopped (last round).
+    /// Why saturation stopped.
     pub stop_reason: Option<StopReason>,
-    /// Total saturation iterations across rounds.
+    /// Saturation iterations this run spent (a partial resume counts
+    /// only its own leg).
     pub iterations: usize,
-    /// Per-rule e-matching profile, totalled across all saturation
-    /// rounds: matches found, classes unioned, search/apply wall-clock
-    /// time, and backoff bans (see [`RuleStat`]). Empty for runs that
-    /// skipped saturation entirely (extraction-only snapshot resumes).
+    /// Per-rule e-matching profile: matches found, classes unioned,
+    /// search/apply wall-clock time, and backoff bans (see
+    /// [`RuleStat`]). Empty for runs that skipped saturation entirely
+    /// (extraction-only snapshot resumes).
     /// Partial-saturation resumes **merge** the producing legs' persisted
     /// counts with this leg's, so matches/applied/bans are lifetime
     /// totals; wall-clock times cover this leg only (prior legs persist
@@ -444,40 +444,6 @@ impl Synthesis {
     }
 }
 
-/// Runs the full Szalinski pipeline on a flat CSG.
-///
-/// # Examples
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use szalinski::{synthesize, SynthConfig};
-/// use sz_cad::Cad;
-///
-/// // Figure 2's input: five cubes spaced 2 apart along x.
-/// let items: Vec<Cad> = (1..=5)
-///     .map(|i| Cad::translate(2.0 * i as f64, 0.0, 0.0, Cad::Unit))
-///     .collect();
-/// let flat = Cad::union_chain(items);
-/// let result = synthesize(&flat, &SynthConfig::new());
-/// let (rank, prog) = result.structured().expect("finds the loop");
-/// assert_eq!(rank, 1);
-/// assert!(prog.cad.to_string().contains("(Repeat Unit 5)"));
-/// // The loop unrolls back to the input geometry.
-/// assert_eq!(prog.cad.eval_to_flat().unwrap(), flat);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Synthesizer` session and call `run` — it compiles the rule set once \
-            and adds snapshots, deadlines, cancellation, and progress hooks"
-)]
-pub fn synthesize(input: &Cad, config: &SynthConfig) -> Synthesis {
-    // Permissive on purpose: this function never enforced the flat-CSG
-    // contract or non-empty extraction, and the wrapper must not start
-    // panicking where the old code returned a result (see
-    // `Synthesizer::run` for the checked entry point).
-    crate::Synthesizer::new(config.clone()).run_unchecked(input, crate::RunOptions::new())
-}
-
 /// extract_prog: top-k under the configured cost function. Root
 /// derivations are enumerated lazily; distinct derivations can denote
 /// one tree (e.g. via the sorted-list fold variant), so pull up to 2k of
@@ -543,46 +509,10 @@ pub(crate) fn extract_pareto(
     Some(front)
 }
 
-/// Panic-free pipeline entry point for batch drivers.
-///
-/// Unlike [`synthesize`] this enforces the paper's input contract — the
-/// input must be a *flat* CSG — and reports failures as values instead
-/// of relying on downstream panics. All inputs and outputs are `Send`,
-/// so runs can be fanned out across worker threads (see `sz-batch`).
-///
-/// # Examples
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use szalinski::{try_synthesize, SynthConfig, SynthError};
-/// use sz_cad::Cad;
-///
-/// let flat = Cad::union_chain(
-///     (1..=4).map(|i| Cad::translate(2.0 * i as f64, 0.0, 0.0, Cad::Unit)).collect(),
-/// );
-/// let result = try_synthesize(&flat, &SynthConfig::new()).unwrap();
-/// assert!(!result.top_k.is_empty());
-///
-/// // A LambdaCAD term (not flat) is rejected, not mis-synthesized.
-/// let looped: Cad = "(Repeat Unit 3)".parse().unwrap();
-/// assert!(matches!(
-///     try_synthesize(&looped, &SynthConfig::new()),
-///     Err(SynthError::NotFlat)
-/// ));
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Synthesizer` session and call `run` — same contract, plus snapshots, \
-            deadlines, cancellation, and progress hooks"
-)]
-pub fn try_synthesize(input: &Cad, config: &SynthConfig) -> Result<Synthesis, SynthError> {
-    crate::Synthesizer::new(config.clone()).run(input, crate::RunOptions::new())
-}
-
 /// The **saturation-phase** section of a [`SynthSnapshot`]: the runner
 /// state (e-graph, scheduler, iteration count) captured right after
-/// equality saturation of the final main-loop round — *before* list
-/// manipulation and solver inference touch the graph.
+/// equality saturation — *before* list manipulation and solver
+/// inference touch the graph.
 ///
 /// This is the state [`Synthesizer::run`](crate::Synthesizer::run)
 /// continues from on a **partial-saturation resume**: a config whose
@@ -647,8 +577,7 @@ impl SatPhase {
     }
 
     /// The producing run's lifetime per-rule profile (counts only; wall
-    /// times are zero — see [`SatPhase::with_rule_stats`]). Empty for
-    /// snapshots written before the `szsynth v3` bump.
+    /// times are zero — see [`SatPhase::with_rule_stats`]).
     pub fn rule_stats(&self) -> &[RuleStat] {
         &self.rule_stats
     }
@@ -669,10 +598,9 @@ impl SatPhase {
 /// Serialized as text (`szsynth v3`): three header lines (input,
 /// saturation fingerprint, sat-phase descriptor), the sat-phase's
 /// per-rule `rulestat` count lines, the optional saturation-phase
-/// [`Snapshot`], then the final [`Snapshot`]. Legacy `szsynth v1` text
-/// (no sat-phase section) and `szsynth v2` text (no `rulestat` lines)
-/// still parse, so caches populated before the bumps keep serving
-/// resumes.
+/// [`Snapshot`], then the final [`Snapshot`]. Older `szsynth` versions
+/// fail to parse, so a store holding them runs the job cold and can
+/// overwrite the entry.
 /// Because the saturation fingerprint embeds the snapshot format
 /// version, bumping [`sz_egraph::SNAPSHOT_FORMAT_VERSION`] invalidates
 /// every stored snapshot key — stale snapshots can never poison a cache
@@ -767,17 +695,13 @@ impl SynthSnapshot {
     }
 
     /// Whether `config` can **continue saturating** from this snapshot's
-    /// saturation-phase section: the core fingerprints must match, the
-    /// producing fuel limits must not exceed `config`'s (every state
-    /// reachable under the tighter limits lies on the looser run's
-    /// trajectory), and the main loop must be single-round (multi-round
-    /// configs interleave inference with saturation, so a mid-pipeline
-    /// snapshot is not a prefix of a longer run).
+    /// saturation-phase section: the core fingerprints must match and the
+    /// producing fuel limits must not exceed `config`'s (see
+    /// [`SatPhaseHeader::fits`]).
     pub fn supports_partial_resume(&self, config: &SynthConfig) -> bool {
-        let Some(phase) = &self.sat_phase else {
-            return false;
-        };
-        config.main_loop_fuel == 1 && phase.header().fits(config)
+        self.sat_phase
+            .as_ref()
+            .is_some_and(|phase| phase.header().fits(config))
     }
 
     /// Reads the compatibility metadata out of serialized snapshot text
@@ -791,29 +715,22 @@ impl SynthSnapshot {
     /// than an unsound one.
     pub fn probe_header(text: &str) -> Option<SnapshotHeader> {
         let mut lines = LineCursor { text, pos: 0 };
-        let version: u32 = match lines.next()? {
-            "szsynth v3" => 3,
-            "szsynth v2" => 2,
-            "szsynth v1" => 1,
-            _ => return None,
-        };
+        if lines.next()? != "szsynth v3" {
+            return None;
+        }
         let input = lines.next()?.strip_prefix("input ")?.to_owned();
         let sat_fp = lines.next()?.strip_prefix("satfp ")?.to_owned();
-        let sat_phase = if version >= 2 {
-            let rest = lines.next()?.strip_prefix("satphase ")?;
-            if rest == "none" {
-                None
-            } else {
-                let mut toks = rest.split_whitespace();
-                Some(SatPhaseHeader {
-                    core_fp: toks.next()?.to_owned(),
-                    iter_limit: toks.next()?.parse().ok()?,
-                    node_limit: toks.next()?.parse().ok()?,
-                    time_ms: toks.next()?.parse().ok()?,
-                })
-            }
-        } else {
+        let rest = lines.next()?.strip_prefix("satphase ")?;
+        let sat_phase = if rest == "none" {
             None
+        } else {
+            let mut toks = rest.split_whitespace();
+            Some(SatPhaseHeader {
+                core_fp: toks.next()?.to_owned(),
+                iter_limit: toks.next()?.parse().ok()?,
+                node_limit: toks.next()?.parse().ok()?,
+                time_ms: toks.next()?.parse().ok()?,
+            })
         };
         Some(SnapshotHeader {
             input,
@@ -834,8 +751,7 @@ pub struct SnapshotHeader {
     /// (`satfp` line).
     pub sat_fp: String,
     /// The saturation-phase descriptor, when the snapshot kept its
-    /// continuable section (`satphase` line; `None` for `satphase none`
-    /// and legacy v1 snapshots).
+    /// continuable section (`satphase` line; `None` for `satphase none`).
     pub sat_phase: Option<SatPhaseHeader>,
 }
 
@@ -859,8 +775,6 @@ impl SatPhaseHeader {
     /// described section: core fingerprints match and the producing
     /// fuel limits do not exceed `config`'s (every state reachable
     /// under the tighter limits lies on the looser run's trajectory).
-    /// Callers must additionally require `config.main_loop_fuel == 1`
-    /// — [`SynthSnapshot::supports_partial_resume`] is the full check.
     pub fn fits(&self, config: &SynthConfig) -> bool {
         self.core_fp == config.saturation_core_fingerprint()
             && self.iter_limit <= config.iter_limit
@@ -965,19 +879,12 @@ impl std::str::FromStr for SynthSnapshot {
         let header = lines
             .next()
             .ok_or_else(|| SnapshotParseError::new(1, "empty snapshot"))?;
-        let version: u32 = match header {
-            "szsynth v3" => 3,
-            // Legacy two-section snapshots (no `rulestat` lines).
-            "szsynth v2" => 2,
-            // Legacy single-section snapshots (no sat-phase line).
-            "szsynth v1" => 1,
-            _ => {
-                return Err(SnapshotParseError::new(
-                    1,
-                    format!("unsupported header `{header}` (this build reads `szsynth v3`)"),
-                ))
-            }
-        };
+        if header != "szsynth v3" {
+            return Err(SnapshotParseError::new(
+                1,
+                format!("unsupported header `{header}` (this build reads `szsynth v3`)"),
+            ));
+        }
         let input = lines
             .next()
             .and_then(|l| l.strip_prefix("input "))
@@ -988,98 +895,83 @@ impl std::str::FromStr for SynthSnapshot {
             .and_then(|l| l.strip_prefix("satfp "))
             .ok_or_else(|| SnapshotParseError::new(3, "expected `satfp <fingerprint>`"))?
             .to_owned();
-        let mut consumed = 3usize;
-        let sat_phase = if version >= 2 {
-            let line = lines
-                .next()
-                .ok_or_else(|| SnapshotParseError::new(4, "expected `satphase ...`"))?;
-            consumed += 1;
-            let rest = line.strip_prefix("satphase ").ok_or_else(|| {
-                SnapshotParseError::new(4, format!("expected `satphase ...`, got `{line}`"))
-            })?;
-            if rest == "none" {
-                None
-            } else {
-                // v2 descriptors have five fields; v3 adds the
-                // `rulestat`-line count.
-                let toks: Vec<&str> = rest.split_whitespace().collect();
-                let (core_fp, iter_tok, nodes_tok, time_tok, len_tok, nstats_tok) =
-                    match toks.as_slice() {
-                        [a, b, c, d, e] if version == 2 => (*a, *b, *c, *d, *e, None),
-                        [a, b, c, d, e, f] if version >= 3 => (*a, *b, *c, *d, *e, Some(*f)),
-                        _ => {
-                            return Err(SnapshotParseError::new(
-                                4,
-                                format!(
-                                    "expected `satphase <core-fp> <iter> <nodes> <time_ms> \
-                                     <lines>{}`, got `{line}`",
-                                    if version >= 3 { " <rulestats>" } else { "" }
-                                ),
-                            ));
-                        }
-                    };
-                let field = |tok: &str, what: &str| -> Result<usize, SnapshotParseError> {
-                    tok.parse().map_err(|_| {
-                        SnapshotParseError::new(4, format!("expected {what}, got `{tok}`"))
-                    })
-                };
-                let iter_limit = field(iter_tok, "an iteration limit")?;
-                let node_limit = field(nodes_tok, "a node limit")?;
-                let time_ms = field(time_tok, "a time limit in ms")? as u128;
-                let len = field(len_tok, "a line count")?;
-                let nstats = match nstats_tok {
-                    None => 0,
-                    Some(tok) => field(tok, "a rulestat count")?,
-                };
-                let mut rule_stats = Vec::with_capacity(nstats);
-                for _ in 0..nstats {
-                    let line = lines.next().ok_or_else(|| {
-                        SnapshotParseError::new(consumed + 1, "truncated rulestat table")
-                    })?;
-                    consumed += 1;
-                    let stat_err = |what: String| SnapshotParseError::new(consumed, what);
-                    let toks: Vec<&str> = line.split_whitespace().collect();
-                    let ["rulestat", name, matches, applied, banned] = toks.as_slice() else {
-                        return Err(stat_err(format!(
-                            "expected `rulestat <name> <matches> <applied> <bans>`, got `{line}`"
-                        )));
-                    };
-                    let count = |tok: &str| -> Result<usize, SnapshotParseError> {
-                        tok.parse()
-                            .map_err(|_| stat_err(format!("expected a count, got `{tok}`")))
-                    };
-                    rule_stats.push(RuleStat {
-                        name: unescape_token(name).map_err(&stat_err)?,
-                        matches: count(matches)?,
-                        applied: count(applied)?,
-                        times_banned: count(banned)?,
-                        search_time: Duration::ZERO,
-                        apply_time: Duration::ZERO,
-                    });
-                }
-                // Skip exactly `len` lines (running out is truncation)
-                // and parse the skipped region as a zero-copy slice.
-                let section_start = lines.pos;
-                for _ in 0..len {
-                    lines.next().ok_or_else(|| {
-                        SnapshotParseError::new(consumed + 1, "truncated saturation-phase snapshot")
-                    })?;
-                    consumed += 1;
-                }
-                let snapshot = text[section_start..lines.pos]
-                    .parse::<Snapshot<crate::CadLang>>()
-                    .map_err(|e| e.offset_lines(consumed - len))?;
-                Some(SatPhase {
-                    core_fp: core_fp.to_owned(),
-                    iter_limit,
-                    node_limit,
-                    time_ms,
-                    rule_stats,
-                    snapshot,
-                })
-            }
-        } else {
+        let line = lines
+            .next()
+            .ok_or_else(|| SnapshotParseError::new(4, "expected `satphase ...`"))?;
+        let mut consumed = 4usize;
+        let rest = line.strip_prefix("satphase ").ok_or_else(|| {
+            SnapshotParseError::new(4, format!("expected `satphase ...`, got `{line}`"))
+        })?;
+        let sat_phase = if rest == "none" {
             None
+        } else {
+            let toks: Vec<&str> = rest.split_whitespace().collect();
+            let [core_fp, iter_tok, nodes_tok, time_tok, len_tok, nstats_tok] = toks.as_slice()
+            else {
+                return Err(SnapshotParseError::new(
+                    4,
+                    format!(
+                        "expected `satphase <core-fp> <iter> <nodes> <time_ms> <lines> \
+                         <rulestats>`, got `{line}`"
+                    ),
+                ));
+            };
+            let field = |tok: &str, what: &str| -> Result<usize, SnapshotParseError> {
+                tok.parse().map_err(|_| {
+                    SnapshotParseError::new(4, format!("expected {what}, got `{tok}`"))
+                })
+            };
+            let iter_limit = field(iter_tok, "an iteration limit")?;
+            let node_limit = field(nodes_tok, "a node limit")?;
+            let time_ms = field(time_tok, "a time limit in ms")? as u128;
+            let len = field(len_tok, "a line count")?;
+            let nstats = field(nstats_tok, "a rulestat count")?;
+            let mut rule_stats = Vec::with_capacity(nstats);
+            for _ in 0..nstats {
+                let line = lines.next().ok_or_else(|| {
+                    SnapshotParseError::new(consumed + 1, "truncated rulestat table")
+                })?;
+                consumed += 1;
+                let stat_err = |what: String| SnapshotParseError::new(consumed, what);
+                let toks: Vec<&str> = line.split_whitespace().collect();
+                let ["rulestat", name, matches, applied, banned] = toks.as_slice() else {
+                    return Err(stat_err(format!(
+                        "expected `rulestat <name> <matches> <applied> <bans>`, got `{line}`"
+                    )));
+                };
+                let count = |tok: &str| -> Result<usize, SnapshotParseError> {
+                    tok.parse()
+                        .map_err(|_| stat_err(format!("expected a count, got `{tok}`")))
+                };
+                rule_stats.push(RuleStat {
+                    name: unescape_token(name).map_err(&stat_err)?,
+                    matches: count(matches)?,
+                    applied: count(applied)?,
+                    times_banned: count(banned)?,
+                    search_time: Duration::ZERO,
+                    apply_time: Duration::ZERO,
+                });
+            }
+            // Skip exactly `len` lines (running out is truncation) and
+            // parse the skipped region as a zero-copy slice.
+            let section_start = lines.pos;
+            for _ in 0..len {
+                lines.next().ok_or_else(|| {
+                    SnapshotParseError::new(consumed + 1, "truncated saturation-phase snapshot")
+                })?;
+                consumed += 1;
+            }
+            let snapshot = text[section_start..lines.pos]
+                .parse::<Snapshot<crate::CadLang>>()
+                .map_err(|e| e.offset_lines(consumed - len))?;
+            Some(SatPhase {
+                core_fp: (*core_fp).to_owned(),
+                iter_limit,
+                node_limit,
+                time_ms,
+                rule_stats,
+                snapshot,
+            })
         };
         let rest = lines.rest();
         if rest.is_empty() {
@@ -1100,132 +992,11 @@ impl std::str::FromStr for SynthSnapshot {
     }
 }
 
-/// Why [`resume_synthesize`] refused to reuse a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResumeError {
-    /// The snapshot was taken for a different input.
-    InputMismatch,
-    /// The snapshot's saturation fingerprint does not match the config
-    /// (rule set, fuel, or tolerance changed — re-saturation required).
-    ConfigMismatch,
-    /// The snapshot records no root class (corrupt or hand-edited).
-    NoRoot,
-}
-
-impl fmt::Display for ResumeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ResumeError::InputMismatch => write!(f, "snapshot was taken for a different input"),
-            ResumeError::ConfigMismatch => write!(
-                f,
-                "snapshot's saturation fingerprint does not match the config"
-            ),
-            ResumeError::NoRoot => write!(f, "snapshot records no root class"),
-        }
-    }
-}
-
-impl std::error::Error for ResumeError {}
-
-/// [`synthesize`], additionally capturing a [`SynthSnapshot`] of the
-/// saturated e-graph so later runs can resume extraction from it.
-#[deprecated(
-    since = "0.2.0",
-    note = "call `Synthesizer::run` with `RunOptions::new().capture_snapshot(true)`; the \
-            snapshot is returned in `Synthesis::snapshot`"
-)]
-pub fn synthesize_with_snapshot(input: &Cad, config: &SynthConfig) -> (Synthesis, SynthSnapshot) {
-    // Permissive like `synthesize`: no flat-CSG or non-empty check.
-    let mut result = crate::Synthesizer::new(config.clone())
-        .run_unchecked(input, crate::RunOptions::new().capture_snapshot(true));
-    let snapshot = result
-        .snapshot
-        .take()
-        .expect("uncancelled runs always capture when asked");
-    (result, snapshot)
-}
-
-/// [`try_synthesize`], additionally capturing a [`SynthSnapshot`].
-#[deprecated(
-    since = "0.2.0",
-    note = "call `Synthesizer::run` with `RunOptions::new().capture_snapshot(true)`; the \
-            snapshot is returned in `Synthesis::snapshot`"
-)]
-pub fn try_synthesize_with_snapshot(
-    input: &Cad,
-    config: &SynthConfig,
-) -> Result<(Synthesis, SynthSnapshot), SynthError> {
-    let mut result = crate::Synthesizer::new(config.clone())
-        .run(input, crate::RunOptions::new().capture_snapshot(true))?;
-    let snapshot = result
-        .snapshot
-        .take()
-        .expect("uncancelled runs always capture when asked");
-    Ok((result, snapshot))
-}
-
-/// Resumes a synthesis run from a snapshot: restores the saturated
-/// e-graph and re-runs only extraction, skipping saturation entirely
-/// (the returned [`Synthesis::iterations`] is 0).
-///
-/// The config may differ from the producing run in **extraction-only**
-/// fields (`k`, `cost`); the saturated graph is the same either way, so
-/// the result is identical to a cold run under `config` — see
-/// `tests/incremental_differential.rs` for the proof over the paper's
-/// corpus.
-///
-/// # Errors
-///
-/// [`ResumeError`] if the snapshot belongs to a different input or to a
-/// config with a different [`SynthConfig::saturation_fingerprint`].
-#[deprecated(
-    since = "0.2.0",
-    note = "call `Synthesizer::run` with `RunOptions::new().with_snapshot(...)` — it \
-            dispatches extraction-only and partial-saturation resumes automatically \
-            (check `Synthesis::mode`)"
-)]
-pub fn resume_synthesize(
-    input: &Cad,
-    config: &SynthConfig,
-    snapshot: &SynthSnapshot,
-) -> Result<Synthesis, ResumeError> {
-    if snapshot.input != input.to_string() {
-        return Err(ResumeError::InputMismatch);
-    }
-    if snapshot.sat_fp != config.saturation_fingerprint() {
-        return Err(ResumeError::ConfigMismatch);
-    }
-    let &[root] = snapshot.snapshot.roots() else {
-        return Err(ResumeError::NoRoot);
-    };
-    let start = Instant::now();
-    let egraph = snapshot.snapshot.restore(CadAnalysis);
-    let top_k = extract_top_k(&egraph, root, config, &Telemetry::disabled());
-    let pareto = extract_pareto(&egraph, root, config);
-    Ok(Synthesis {
-        input: input.clone(),
-        top_k,
-        records: Vec::new(),
-        time: start.elapsed(),
-        egraph_nodes: egraph.total_number_of_nodes(),
-        egraph_classes: egraph.number_of_classes(),
-        stop_reason: None,
-        iterations: 0,
-        rule_stats: Vec::new(),
-        mode: crate::RunMode::ResumedExtraction,
-        snapshot: None,
-        pareto,
-        telemetry: Telemetry::disabled(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    // The deprecated wrappers stay under test on purpose: they must keep
-    // behaving exactly like the session API they delegate to.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::cost::RewardLoopsCost;
+    use crate::{RunMode, RunOptions, Synthesizer};
 
     fn row_of_cubes(n: usize, spacing: f64) -> Cad {
         Cad::union_chain(
@@ -1235,10 +1006,35 @@ mod tests {
         )
     }
 
+    fn run(input: &Cad, config: &SynthConfig) -> Synthesis {
+        Synthesizer::new(config.clone())
+            .run(input, RunOptions::new())
+            .unwrap()
+    }
+
+    /// A cold run that captures its snapshot.
+    fn capture(input: &Cad, config: &SynthConfig) -> (Synthesis, SynthSnapshot) {
+        let mut result = Synthesizer::new(config.clone())
+            .run(input, RunOptions::new().capture_snapshot(true))
+            .unwrap();
+        let snapshot = result.snapshot.take().expect("capture requested");
+        (result, snapshot)
+    }
+
+    fn resume(input: &Cad, config: &SynthConfig, snapshot: &SynthSnapshot) -> Synthesis {
+        Synthesizer::new(config.clone())
+            .run(input, RunOptions::new().with_snapshot(snapshot.clone()))
+            .unwrap()
+    }
+
+    fn reward_loops() -> SynthConfig {
+        SynthConfig::new().with_cost_model(Arc::new(RewardLoopsCost))
+    }
+
     #[test]
     fn fig2_end_to_end() {
         let flat = row_of_cubes(5, 2.0);
-        let result = synthesize(&flat, &SynthConfig::new());
+        let result = run(&flat, &SynthConfig::new());
         let (_, prog) = result.structured().unwrap();
         let s = prog.cad.to_string();
         assert!(s.contains("Mapi"), "got {s}");
@@ -1251,7 +1047,7 @@ mod tests {
     #[test]
     fn top_k_is_sorted_and_bounded() {
         let flat = row_of_cubes(4, 3.0);
-        let result = synthesize(&flat, &SynthConfig::new().with_k(5));
+        let result = run(&flat, &SynthConfig::new().with_k(5));
         assert!(result.top_k.len() <= 5);
         assert!(!result.top_k.is_empty());
         for w in result.top_k.windows(2) {
@@ -1265,7 +1061,7 @@ mod tests {
             Cad::scale(20.0, 20.0, 3.0, Cad::Unit),
             Cad::translate(1.0, 2.0, 0.0, Cad::Sphere),
         );
-        let result = synthesize(&flat, &SynthConfig::new());
+        let result = run(&flat, &SynthConfig::new());
         assert!(result.structured().is_none());
         assert_eq!(result.best().cad.num_nodes(), flat.num_nodes());
     }
@@ -1273,7 +1069,7 @@ mod tests {
     #[test]
     fn table_row_reports_reduction() {
         let flat = row_of_cubes(8, 2.0);
-        let result = synthesize(&flat, &SynthConfig::new());
+        let result = run(&flat, &SynthConfig::new());
         let row = result.table_row("row-of-8");
         assert!(row.o_ns < row.i_ns);
         assert_eq!(row.i_p, 8);
@@ -1292,8 +1088,8 @@ mod tests {
         // Two cubes: too few for AstSize to prefer the loop, but
         // RewardLoops surfaces it (the wardrobe@ effect).
         let flat = row_of_cubes(2, 2.0);
-        let default = synthesize(&flat, &SynthConfig::new());
-        let reward = synthesize(&flat, &SynthConfig::new().with_cost(CostKind::RewardLoops));
+        let default = run(&flat, &SynthConfig::new());
+        let reward = run(&flat, &reward_loops());
         assert!(reward.structured().is_some());
         let default_best_structured = default
             .structured()
@@ -1318,37 +1114,14 @@ mod tests {
     }
 
     #[test]
-    fn synthesize_stays_permissive_on_non_flat_input() {
-        // The deprecated wrapper never enforced the flat-CSG contract:
-        // an already-structured program must keep producing a result
-        // (not a panic) exactly as it did before the session API.
-        let looped: Cad = "(Repeat Unit 3)".parse().unwrap();
-        let result = synthesize(&looped, &SynthConfig::new().with_iter_limit(5));
-        assert_eq!(result.input, looped);
-    }
-
-    #[test]
-    fn try_synthesize_rejects_non_flat_input() {
+    fn run_rejects_non_flat_fold_input() {
         let looped: Cad = "(Fold Union Empty (Repeat Unit 3))".parse().unwrap();
         assert_eq!(
-            try_synthesize(&looped, &SynthConfig::new()).unwrap_err(),
+            Synthesizer::new(SynthConfig::new())
+                .run(&looped, RunOptions::new())
+                .unwrap_err(),
             SynthError::NotFlat
         );
-    }
-
-    #[test]
-    fn try_synthesize_matches_synthesize_on_flat_input() {
-        let flat = row_of_cubes(5, 2.0);
-        let config = SynthConfig::new();
-        let a = synthesize(&flat, &config);
-        let b = try_synthesize(&flat, &config).unwrap();
-        let progs = |s: &Synthesis| -> Vec<(usize, String)> {
-            s.top_k
-                .iter()
-                .map(|p| (p.cost, p.cad.to_string()))
-                .collect()
-        };
-        assert_eq!(progs(&a), progs(&b));
     }
 
     #[test]
@@ -1361,7 +1134,7 @@ mod tests {
             .with_backoff(true)
             .with_iter_limit(25)
             .with_node_limit(60_000);
-        let result = synthesize(&flat, &config);
+        let result = run(&flat, &config);
         let (_, prog) = result.structured().expect("still finds the loop");
         assert!(prog.cad.to_string().contains("(Repeat Unit 5)"));
     }
@@ -1375,10 +1148,9 @@ mod tests {
             base.clone().with_k(7),
             base.clone().with_iter_limit(1),
             base.clone().with_node_limit(1),
-            base.clone().with_main_loop_fuel(3),
             base.clone().with_structural_rules(true),
             base.clone().with_backoff(true),
-            base.clone().with_cost(CostKind::RewardLoops),
+            reward_loops(),
         ];
         for v in &variants {
             assert_ne!(v.fingerprint(), base.fingerprint(), "{:?}", v);
@@ -1394,9 +1166,7 @@ mod tests {
             base.saturation_fingerprint()
         );
         assert_eq!(
-            base.clone()
-                .with_cost(CostKind::RewardLoops)
-                .saturation_fingerprint(),
+            reward_loops().saturation_fingerprint(),
             base.saturation_fingerprint()
         );
         // ...but still change the full fingerprint.
@@ -1406,7 +1176,6 @@ mod tests {
             base.clone().with_eps(1e-2),
             base.clone().with_iter_limit(1),
             base.clone().with_node_limit(1),
-            base.clone().with_main_loop_fuel(3),
             base.clone().with_structural_rules(true),
             base.clone().with_backoff(true),
         ] {
@@ -1421,7 +1190,7 @@ mod tests {
     #[test]
     fn synthesis_reports_rule_stats() {
         let flat = row_of_cubes(5, 2.0);
-        let result = synthesize(&flat, &SynthConfig::new());
+        let (result, snapshot) = capture(&flat, &SynthConfig::new());
         assert_eq!(result.rule_stats.len(), crate::rules::rules().len());
         let folds = result
             .rule_stats
@@ -1433,8 +1202,8 @@ mod tests {
         let total_matches: usize = result.rule_stats.iter().map(|s| s.matches).sum();
         assert!(total_matches > 0);
         // Resumed runs skip saturation and carry no per-rule profile.
-        let (_, snapshot) = synthesize_with_snapshot(&flat, &SynthConfig::new());
-        let resumed = resume_synthesize(&flat, &SynthConfig::new(), &snapshot).unwrap();
+        let resumed = resume(&flat, &SynthConfig::new(), &snapshot);
+        assert_eq!(resumed.mode, RunMode::ResumedExtraction);
         assert!(resumed.rule_stats.is_empty());
     }
 
@@ -1442,8 +1211,9 @@ mod tests {
     fn resume_reproduces_cold_run_byte_for_byte() {
         let flat = row_of_cubes(5, 2.0);
         let config = SynthConfig::new();
-        let (cold, snapshot) = synthesize_with_snapshot(&flat, &config);
-        let resumed = resume_synthesize(&flat, &config, &snapshot).unwrap();
+        let (cold, snapshot) = capture(&flat, &config);
+        let resumed = resume(&flat, &config, &snapshot);
+        assert_eq!(resumed.mode, RunMode::ResumedExtraction);
         assert_eq!(resumed.iterations, 0);
         assert!(cold.iterations > 0);
         assert_eq!(resumed.egraph_nodes, cold.egraph_nodes);
@@ -1462,37 +1232,50 @@ mod tests {
         // Snapshot under AstSize, resume under RewardLoops: must equal a
         // cold RewardLoops run (the saturated graph is cost-agnostic).
         let flat = row_of_cubes(2, 2.0);
-        let (_, snapshot) = synthesize_with_snapshot(&flat, &SynthConfig::new());
-        let reward = SynthConfig::new().with_cost(CostKind::RewardLoops);
-        let resumed = resume_synthesize(&flat, &reward, &snapshot).unwrap();
-        let cold = synthesize(&flat, &reward);
+        let (_, snapshot) = capture(&flat, &SynthConfig::new());
+        let resumed = resume(&flat, &reward_loops(), &snapshot);
+        assert_eq!(resumed.mode, RunMode::ResumedExtraction);
+        let cold = run(&flat, &reward_loops());
         assert_eq!(resumed.best().cad.to_string(), cold.best().cad.to_string());
         assert_eq!(resumed.structured().map(|(r, _)| r), Some(1));
     }
 
-    #[test]
-    fn resume_rejects_mismatches() {
-        let flat = row_of_cubes(3, 2.0);
-        let config = SynthConfig::new();
-        let (_, snapshot) = synthesize_with_snapshot(&flat, &config);
-        assert_eq!(
-            resume_synthesize(&row_of_cubes(4, 2.0), &config, &snapshot).unwrap_err(),
-            ResumeError::InputMismatch
-        );
-        // A rule-set change is a saturation change: snapshot refused.
-        assert_eq!(
-            resume_synthesize(&flat, &config.with_structural_rules(true), &snapshot).unwrap_err(),
-            ResumeError::ConfigMismatch
-        );
+    /// `text` (a `szsynth v3` capture with a saturation phase) rewritten
+    /// in the retired `szsynth v1` form: no satphase line, only the
+    /// final graph.
+    fn as_v1(text: &str, snapshot: &SynthSnapshot) -> String {
+        let mut v1: String = text.lines().take(3).map(|l| format!("{l}\n")).collect();
+        v1 = v1.replacen("szsynth v3", "szsynth v1", 1);
+        v1.push_str(&snapshot.egraph_snapshot().to_string());
+        v1
+    }
+
+    /// `text` rewritten in the retired `szsynth v2` form: a five-token
+    /// satphase descriptor and no `rulestat` table.
+    fn as_v2(text: &str, nstats: usize) -> String {
+        let mut v2 = String::new();
+        for (i, line) in text.lines().enumerate() {
+            if i == 0 {
+                v2.push_str("szsynth v2");
+            } else if i == 3 {
+                v2.push_str(&line[..line.rfind(' ').unwrap()]);
+            } else if (4..4 + nstats).contains(&i) {
+                continue;
+            } else {
+                v2.push_str(line);
+            }
+            v2.push('\n');
+        }
+        v2
     }
 
     #[test]
     fn synth_snapshot_text_roundtrip_and_errors() {
         let flat = row_of_cubes(3, 2.0);
-        let (_, snapshot) = synthesize_with_snapshot(&flat, &SynthConfig::new());
+        let (_, snapshot) = capture(&flat, &SynthConfig::new());
         assert!(
             snapshot.sat_phase().is_some(),
-            "single-round capture carries the saturation phase"
+            "a capture carries the saturation phase"
         );
         let text = snapshot.to_string();
         assert_eq!(text.lines().next(), Some("szsynth v3"));
@@ -1503,7 +1286,7 @@ mod tests {
         assert_eq!(
             back.sat_phase().unwrap().iterations(),
             back.iterations(),
-            "single-round runs saturate once: both sections agree on the count"
+            "runs saturate once: both sections agree on the count"
         );
 
         // Header and truncation corruption yield errors, never panics.
@@ -1522,75 +1305,16 @@ mod tests {
         for cut in [0, 10, text.len() / 2, text.len() - 10] {
             assert!(text[..cut].parse::<SynthSnapshot>().is_err());
         }
-    }
-
-    #[test]
-    fn legacy_v1_snapshot_text_still_parses() {
-        // Caches written before the v2 bump hold `szsynth v1` text with
-        // no satphase line; they must keep serving extraction-only
-        // resumes (and report no partial-resume support).
-        let flat = row_of_cubes(3, 2.0);
-        let config = SynthConfig::new();
-        let (_, snapshot) = synthesize_with_snapshot(&flat, &config);
-        let v3 = snapshot.to_string();
-        // Rebuild the v1 form: old header, no satphase section.
-        let final_graph = snapshot.egraph_snapshot().to_string();
-        let mut v1 = String::new();
-        for line in v3.lines().take(3) {
-            v1.push_str(line);
-            v1.push('\n');
+        // Well-formed text of the retired versions is unsupported too.
+        for legacy in [as_v1(&text, &snapshot), as_v2(&text, nstats)] {
+            let err = legacy.parse::<SynthSnapshot>().unwrap_err();
+            assert_eq!(err.line(), 1, "{err}");
+            assert!(
+                err.to_string().contains("this build reads `szsynth v3`"),
+                "{err}"
+            );
+            assert_eq!(SynthSnapshot::probe_header(&legacy), None);
         }
-        v1 = v1.replacen("szsynth v3", "szsynth v1", 1);
-        v1.push_str(&final_graph);
-
-        let legacy: SynthSnapshot = v1.parse().unwrap();
-        assert_eq!(legacy.input_sexp(), snapshot.input_sexp());
-        assert_eq!(
-            legacy.saturation_fingerprint(),
-            snapshot.saturation_fingerprint()
-        );
-        assert!(legacy.sat_phase().is_none());
-        assert!(!legacy.supports_partial_resume(&config));
-        let resumed = resume_synthesize(&flat, &config, &legacy).unwrap();
-        assert_eq!(resumed.iterations, 0);
-    }
-
-    #[test]
-    fn legacy_v2_snapshot_text_still_parses() {
-        // Caches written before the v3 bump hold `szsynth v2` text: a
-        // five-token satphase descriptor and no `rulestat` table. They
-        // must keep supporting partial resume (with empty lifetime
-        // stats).
-        let flat = row_of_cubes(3, 2.0);
-        let config = SynthConfig::new();
-        let (_, snapshot) = synthesize_with_snapshot(&flat, &config);
-        let nstats = snapshot.sat_phase().unwrap().rule_stats().len();
-        let mut v2 = String::new();
-        for (i, line) in snapshot.to_string().lines().enumerate() {
-            if i == 0 {
-                v2.push_str("szsynth v2");
-            } else if i == 3 {
-                // Drop the trailing `<rulestats>` token from the
-                // descriptor.
-                let cut = line.rfind(' ').unwrap();
-                v2.push_str(&line[..cut]);
-            } else if (4..4 + nstats).contains(&i) {
-                continue; // the rulestat table is v3-only
-            } else {
-                v2.push_str(line);
-            }
-            v2.push('\n');
-        }
-
-        let legacy: SynthSnapshot = v2.parse().unwrap();
-        assert_eq!(legacy.input_sexp(), snapshot.input_sexp());
-        let phase = legacy.sat_phase().unwrap();
-        assert_eq!(
-            phase.iterations(),
-            snapshot.sat_phase().unwrap().iterations()
-        );
-        assert!(phase.rule_stats().is_empty());
-        assert!(legacy.supports_partial_resume(&config));
     }
 
     #[test]
@@ -1613,7 +1337,6 @@ mod tests {
             base.clone().with_eps(1e-2),
             base.clone().with_structural_rules(true),
             base.clone().with_backoff(true),
-            base.clone().with_main_loop_fuel(3),
         ] {
             assert_ne!(
                 v.saturation_core_fingerprint(),
@@ -1629,7 +1352,7 @@ mod tests {
         let low = SynthConfig::new()
             .with_iter_limit(10)
             .with_node_limit(10_000);
-        let (_, snapshot) = synthesize_with_snapshot(&flat, &low);
+        let (_, snapshot) = capture(&flat, &low);
 
         // Higher (or equal) fuel: resumable.
         assert!(snapshot.supports_partial_resume(&low.clone().with_iter_limit(50)));
@@ -1638,9 +1361,7 @@ mod tests {
         assert!(!snapshot.supports_partial_resume(&low.clone().with_iter_limit(5)));
         assert!(!snapshot.supports_partial_resume(&low.clone().with_node_limit(5_000)));
         // Core changes: not resumable at any fuel.
-        assert!(!snapshot.supports_partial_resume(&low.clone().with_eps(1e-2).with_iter_limit(50)));
-        // Multi-round configs never partially resume.
-        assert!(!snapshot.supports_partial_resume(&low.with_main_loop_fuel(2).with_iter_limit(50)));
+        assert!(!snapshot.supports_partial_resume(&low.with_eps(1e-2).with_iter_limit(50)));
     }
 
     #[test]
@@ -1649,7 +1370,7 @@ mod tests {
         let low = SynthConfig::new()
             .with_iter_limit(10)
             .with_node_limit(10_000);
-        let (_, snapshot) = synthesize_with_snapshot(&flat, &low);
+        let (_, snapshot) = capture(&flat, &low);
         assert!(snapshot.sat_phase().is_some(), "precondition: continuable");
         let text = snapshot.to_string();
 
@@ -1658,8 +1379,7 @@ mod tests {
         assert_eq!(header.sat_fp, snapshot.saturation_fingerprint());
         let phase = header.sat_phase.as_ref().unwrap();
         assert_eq!(*phase, snapshot.sat_phase().unwrap().header());
-        // The probe's fuel check mirrors supports_partial_resume for
-        // every single-round config.
+        // The probe's fuel check mirrors supports_partial_resume.
         for config in [
             low.clone().with_iter_limit(50),
             low.clone(),
@@ -1700,7 +1420,7 @@ mod tests {
             Cad::scale(10.0, 10.0, 2.0, Cad::Cylinder),
             Cad::union_chain(teeth),
         );
-        let result = synthesize(&flat, &SynthConfig::new());
+        let result = run(&flat, &SynthConfig::new());
         let (rank, prog) = result.structured().unwrap();
         let s = prog.cad.to_string();
         assert!(rank <= 5);

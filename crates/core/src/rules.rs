@@ -552,8 +552,8 @@ mod tests {
     #[test]
     fn rule_count_matches_paper_scale() {
         // The paper reports "40 semantics-preserving rewrites in 4 sets";
-        // we land in the same ballpark (the exact split is documented in
-        // DESIGN.md).
+        // we land in the same ballpark, split into lifting, reordering,
+        // collapsing, fold, boolean and structural families.
         let n = all_rules().len();
         assert!((30..=45).contains(&n), "rule count {n} out of range");
     }

@@ -187,10 +187,10 @@ impl RunOptions {
     }
 
     /// Whether to capture a [`SynthSnapshot`] of this run (final e-graph
-    /// plus, for single-round configs, the saturation-phase state that
-    /// enables partial resume). Cancelled runs never capture: their
-    /// graphs are wall-clock-truncated, not the deterministic product of
-    /// the config, and must not poison snapshot caches.
+    /// plus the saturation-phase state that enables partial resume).
+    /// Cancelled runs never capture: their graphs are
+    /// wall-clock-truncated, not the deterministic product of the
+    /// config, and must not poison snapshot caches.
     pub fn capture_snapshot(mut self, capture: bool) -> Self {
         self.capture = capture;
         self
@@ -392,23 +392,10 @@ impl Synthesizer {
     /// (cannot happen for well-formed inputs). Cancellation is **not** an
     /// error: the result carries [`StopReason::Cancelled`] and whatever
     /// programs the partial graph yields.
-    pub fn run(&self, input: &Cad, opts: RunOptions) -> Result<Synthesis, SynthError> {
+    pub fn run(&self, input: &Cad, mut opts: RunOptions) -> Result<Synthesis, SynthError> {
         if !input.is_flat_csg() {
             return Err(SynthError::NotFlat);
         }
-        let result = self.run_unchecked(input, opts);
-        if result.top_k.is_empty() {
-            return Err(SynthError::NoPrograms);
-        }
-        Ok(result)
-    }
-
-    /// [`Synthesizer::run`] without the flat-CSG and empty-extraction
-    /// checks — the permissive behavior the deprecated `synthesize`
-    /// free function always had (it ran the pipeline over any `Cad` and
-    /// could return an empty top-k). Crate-internal: new code should go
-    /// through [`Synthesizer::run`].
-    pub(crate) fn run_unchecked(&self, input: &Cad, mut opts: RunOptions) -> Synthesis {
         let start = Instant::now();
         let config = self.effective_config(&opts);
         let deadline = opts.limits.deadline.map(|d| start + d);
@@ -486,7 +473,10 @@ impl Synthesizer {
                 1,
             );
         }
-        result
+        if result.top_k.is_empty() {
+            return Err(SynthError::NoPrograms);
+        }
+        Ok(result)
     }
 
     /// Extraction-only resume: restore the final graph, re-run extraction.
@@ -567,11 +557,9 @@ impl Synthesizer {
         )
     }
 
-    /// Cold run: build the graph and drive the main loop. Single-round
-    /// configs (the default, and the only shape that can partially
-    /// resume) share [`Synthesizer::finish_from_runner`] with the
-    /// partial-resume path, so the two trajectories cannot drift apart;
-    /// multi-round configs keep their own loop below.
+    /// Cold run: build the graph, saturate once, then share
+    /// [`Synthesizer::finish_from_runner`] with the partial-resume path,
+    /// so the two trajectories cannot drift apart.
     fn run_cold(
         &self,
         input: &Cad,
@@ -589,122 +577,29 @@ impl Synthesizer {
         let mut egraph = CadGraph::new(CadAnalysis);
         let root = egraph.add_expr(&expr);
         egraph.rebuild();
-
-        let new_runner = |egraph: CadGraph, scheduler: Scheduler| {
-            configure_runner(
-                Runner::new(CadAnalysis)
-                    .with_egraph(egraph)
-                    .with_iter_limit(config.iter_limit)
-                    .with_node_limit(config.node_limit)
-                    .with_time_limit(config.time_limit)
-                    .with_scheduler(scheduler),
-                opts,
-                deadline,
-            )
-        };
-
-        if config.main_loop_fuel == 1 {
-            let sat_span = opts.telemetry.span("pipeline", "saturation");
-            let runner = new_runner(egraph, scheduler).run(&self.ruleset);
-            drop(sat_span);
-            return self.finish_from_runner(
-                input,
-                config,
-                opts,
-                runner,
-                Vec::new(),
-                root,
-                RunMode::Cold,
-                deadline,
-                start,
-            );
-        }
-
-        // Multi-round main loop (saturation → inference, repeated). No
-        // saturation-phase capture: multi-round snapshots are never
-        // partially resumable (see `SynthSnapshot::supports_partial_resume`).
-        let ctl = pass_control(opts, deadline);
-        let mut records = Vec::new();
-        let mut stop_reason = None;
-        let mut iterations = 0usize;
-        let mut rule_stats: Vec<RuleStat> = Vec::new();
-        let mut cancelled = false;
-        let last_round = config.main_loop_fuel - 1;
-        for round in 0..config.main_loop_fuel {
-            let mut runner = new_runner(
-                std::mem::replace(&mut egraph, CadGraph::new(CadAnalysis)),
-                scheduler.clone(),
-            );
-            // Lifetime iteration indices for the progress observer span
-            // rounds.
-            runner.prior_iterations = iterations;
-            let sat_span = opts.telemetry.span("pipeline", "saturation");
-            let runner = runner.run(&self.ruleset);
-            drop(sat_span);
-            iterations += runner.iterations.len();
-            stop_reason = runner.stop_reason.clone();
-            merge_rule_stats(&mut rule_stats, runner.rule_totals());
-            cancelled = stop_reason == Some(StopReason::Cancelled);
-            egraph = runner.egraph;
-            if cancelled {
-                // Stop as soon as possible: skip the inference passes and
-                // extract whatever the partial graph holds.
-                break;
-            }
-
-            let infer_span = opts.telemetry.span("pipeline", "inference");
-            let (round_records, truncated) =
-                run_inference_passes(&mut egraph, config.eps, &ctl, &opts.telemetry);
-            drop(infer_span);
-            records.extend(round_records);
-
-            // A truncated inference pass left a wall-clock-dependent
-            // graph: that is a cancellation. A stop that fires between
-            // rounds merely skips the remaining (whole) rounds — also a
-            // cancellation, but only when rounds actually remain: a run
-            // whose passes all completed is the deterministic product of
-            // its config even if the deadline expired just afterwards.
-            if truncated || (round != last_round && ctl.should_stop()) {
-                stop_reason = Some(StopReason::Cancelled);
-                cancelled = true;
-                if let Some(progress) = &opts.progress {
-                    progress.on_stop(&StopReason::Cancelled);
-                }
-                break;
-            }
-        }
-
-        let snapshot = if opts.capture && !cancelled {
-            let _span = opts.telemetry.span("pipeline", "snapshot.capture");
-            capture_snapshot(Snapshot::of_egraph(&egraph, &[root]))
-                .map(|s| s.with_iterations(iterations))
-                .map(|s| SynthSnapshot::new(input, config, s))
-        } else {
-            None
-        };
-
-        let extract_span = opts.telemetry.span("pipeline", "extraction");
-        let top_k = extract_top_k(&egraph, root, config, &opts.telemetry);
-        let pareto = extract_pareto(&egraph, root, config);
-        drop(extract_span);
-        Synthesis {
-            input: input.clone(),
-            top_k,
-            records,
-            time: start.elapsed(),
-            egraph_nodes: egraph.total_number_of_nodes(),
-            egraph_classes: egraph.number_of_classes(),
-            stop_reason,
-            iterations,
-            rule_stats,
-            mode: RunMode::Cold,
-            snapshot,
-            pareto,
-            telemetry: opts.telemetry.clone(),
-        }
+        let runner = Runner::new(CadAnalysis)
+            .with_egraph(egraph)
+            .with_iter_limit(config.iter_limit)
+            .with_node_limit(config.node_limit)
+            .with_time_limit(config.time_limit)
+            .with_scheduler(scheduler);
+        let sat_span = opts.telemetry.span("pipeline", "saturation");
+        let runner = configure_runner(runner, opts, deadline).run(&self.ruleset);
+        drop(sat_span);
+        self.finish_from_runner(
+            input,
+            config,
+            opts,
+            runner,
+            Vec::new(),
+            root,
+            RunMode::Cold,
+            deadline,
+            start,
+        )
     }
 
-    /// Shared tail of the single-round cold and partial-resume paths:
+    /// Shared tail of the cold and partial-resume paths:
     /// run the inference passes (unless cancelled), capture, extract,
     /// assemble the [`Synthesis`]. Sharing this tail is what keeps the
     /// two trajectories provably identical (the partial-resume
@@ -819,13 +714,11 @@ fn pass_control(opts: &RunOptions, deadline: Option<Instant>) -> PassControl {
     ctl
 }
 
-/// One round of the non-saturation pipeline passes (determ + list_manip
-/// sorted-list variants, then solver-driven function and loop
-/// inference), returning what the solvers did plus whether the stage was
-/// **truncated** — stopped with inference work left undone. Shared
-/// verbatim by the single-round cold, multi-round cold, and
-/// partial-resume paths so their trajectories cannot drift apart. `ctl`
-/// is polled between list sites and between passes, so a deadline
+/// The non-saturation pipeline passes (determ + list_manip sorted-list
+/// variants, then solver-driven function and loop inference), returning
+/// what the solvers did plus whether the stage was **truncated** —
+/// stopped with inference work left undone. `ctl` is polled between
+/// list sites and between passes, so a deadline
 /// interrupts inference mid-pass instead of waiting for the next
 /// saturation boundary; a stage whose passes all ran to completion
 /// reports `false` even if the stop condition became true afterwards.
@@ -898,9 +791,9 @@ fn prints_as(value: &impl fmt::Display, text: &str) -> bool {
     fmt::write(&mut rest, format_args!("{value}")).is_ok() && rest.0.is_empty()
 }
 
-/// Unwraps a snapshot capture. The main loop always rebuilds before
-/// returning, so `NotClean` cannot happen; debug builds assert, release
-/// builds degrade to "no snapshot captured".
+/// Unwraps a snapshot capture. Saturation and inference always rebuild
+/// before returning, so `NotClean` cannot happen; debug builds assert,
+/// release builds degrade to "no snapshot captured".
 fn capture_snapshot(
     result: Result<Snapshot<crate::CadLang>, SnapshotError>,
 ) -> Option<Snapshot<crate::CadLang>> {
@@ -908,10 +801,11 @@ fn capture_snapshot(
     result.ok()
 }
 
-/// Folds one round's per-rule totals into the running totals (matched by
-/// name; every round runs the same rule set, so order is stable).
-pub(crate) fn merge_rule_stats(totals: &mut Vec<RuleStat>, round: Vec<RuleStat>) {
-    for stat in round {
+/// Folds one saturation leg's per-rule totals into the running totals
+/// (matched by name; every leg runs the same rule set, so order is
+/// stable).
+fn merge_rule_stats(totals: &mut Vec<RuleStat>, leg: Vec<RuleStat>) {
+    for stat in leg {
         match totals.iter_mut().find(|t| t.name == stat.name) {
             Some(total) => total.absorb(&stat),
             None => totals.push(stat),
@@ -922,7 +816,7 @@ pub(crate) fn merge_rule_stats(totals: &mut Vec<RuleStat>, round: Vec<RuleStat>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostKind;
+    use crate::cost::RewardLoopsCost;
 
     fn row_of_cubes(n: usize, spacing: f64) -> Cad {
         Cad::union_chain(
@@ -1033,7 +927,7 @@ mod tests {
         let snapshot = cold.snapshot.clone().expect("capture requested");
         assert!(
             snapshot.sat_phase().is_some(),
-            "single-round capture carries the sat phase"
+            "a capture carries the sat phase"
         );
 
         let resumed = session
@@ -1449,41 +1343,56 @@ mod tests {
     }
 
     #[test]
-    fn multi_round_progress_indices_are_monotonic() {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    fn partial_resume_progress_indices_continue_the_producing_run() {
+        use std::sync::Mutex;
         #[derive(Default)]
-        struct Monotonic {
-            next_expected: AtomicUsize,
-            violated: AtomicBool,
+        struct Lifetime {
+            indices: Mutex<Vec<usize>>,
+            stops: Mutex<Vec<StopReason>>,
         }
-        impl ProgressObserver for Monotonic {
+        impl ProgressObserver for Lifetime {
             fn on_iteration(&self, lifetime_iteration: usize, _stats: &sz_egraph::Iteration) {
-                let expected = self.next_expected.fetch_add(1, Ordering::Relaxed);
-                if lifetime_iteration != expected {
-                    self.violated.store(true, Ordering::Relaxed);
-                }
+                self.indices.lock().unwrap().push(lifetime_iteration);
+            }
+            fn on_stop(&self, reason: &StopReason) {
+                self.stops.lock().unwrap().push(reason.clone());
             }
         }
-        let observer = Arc::new(Monotonic::default());
-        let session = Synthesizer::new(quick().with_main_loop_fuel(3).with_iter_limit(4));
-        let result = session
+        let flat = row_of_cubes(5, 2.0);
+        let snapshot = Synthesizer::new(quick().with_iter_limit(3))
+            .run(&flat, RunOptions::new().capture_snapshot(true))
+            .unwrap()
+            .snapshot
+            .unwrap();
+        assert_eq!(snapshot.sat_phase().unwrap().iterations(), 3);
+
+        let observer = Arc::new(Lifetime::default());
+        let result = Synthesizer::new(quick().with_iter_limit(40))
             .run(
-                &row_of_cubes(4, 2.0),
-                RunOptions::new().with_progress(observer.clone()),
+                &flat,
+                RunOptions::new()
+                    .with_snapshot(snapshot)
+                    .with_progress(observer.clone()),
             )
             .unwrap();
-        use std::sync::atomic::Ordering as O;
-        assert!(
-            !observer.violated.load(O::Relaxed),
-            "lifetime iteration indices must be monotonic across rounds"
+        assert_eq!(result.mode, RunMode::ResumedSaturation);
+        assert!(result.iterations > 0);
+        assert_eq!(
+            *observer.indices.lock().unwrap(),
+            (3..3 + result.iterations).collect::<Vec<_>>(),
+            "lifetime indices continue at 3 with no gap"
         );
-        assert_eq!(observer.next_expected.load(O::Relaxed), result.iterations);
+        assert_eq!(
+            *observer.stops.lock().unwrap(),
+            vec![result.stop_reason.unwrap()],
+            "exactly one stop, carrying the run's stop reason"
+        );
     }
 
     #[test]
     fn extraction_fields_still_configurable_per_session() {
         let flat = row_of_cubes(2, 2.0);
-        let reward = Synthesizer::new(quick().with_cost(CostKind::RewardLoops));
+        let reward = Synthesizer::new(quick().with_cost_model(Arc::new(RewardLoopsCost)));
         let result = reward.run(&flat, RunOptions::new()).unwrap();
         assert_eq!(result.structured().map(|(r, _)| r), Some(1));
     }

@@ -76,15 +76,12 @@ impl CancelToken {
 /// fanned across worker threads (e.g. a batch progress bar).
 pub trait ProgressObserver: Send + Sync {
     /// Called after each completed iteration with its 0-based *lifetime*
-    /// index (continues counting past [`Runner::prior_iterations`], so
-    /// resumed runs and multi-round pipelines report monotonic indices)
-    /// and the iteration's statistics.
+    /// index (continues counting past [`Runner::prior_iterations`], so a
+    /// resumed run picks up where the snapshotted run stopped) and the
+    /// iteration's statistics.
     fn on_iteration(&self, _lifetime_iteration: usize, _stats: &Iteration) {}
 
-    /// Called once when a saturation run stops. A pipeline that drives
-    /// several runner rounds (`SynthConfig::main_loop_fuel > 1`) reports
-    /// one stop per round; the last call is the pipeline's final stop
-    /// reason.
+    /// Called once when a saturation run stops, with its stop reason.
     fn on_stop(&self, _reason: &StopReason) {}
 }
 
@@ -191,9 +188,9 @@ pub struct Runner<L: Language, N: Analysis<L>> {
     pub prior_iterations: usize,
     /// True when this runner was rebuilt from a snapshot
     /// ([`Runner::resume_from`]): gates resume-only behavior such as the
-    /// immediate over-node-limit stop, without overloading
-    /// `prior_iterations` (which pipelines may also use as a progress
-    /// index base for multi-round cold runs).
+    /// immediate over-node-limit stop. `prior_iterations` cannot stand
+    /// in for it: a snapshot may record zero iterations, and callers may
+    /// set the public field themselves.
     resumed: bool,
     iter_limit: usize,
     node_limit: usize,
@@ -441,12 +438,10 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             // A *resumed* graph already over the node limit (the
             // producing run stopped at its node limit) must not saturate
             // further: the cold run it mirrors stopped at exactly this
-            // state. Gated on `resumed` so cold runs — including later
-            // rounds of a multi-round pipeline, which set
-            // `prior_iterations` purely for progress indexing — keep
-            // their historical behavior (one iteration even when the
-            // entry graph is over the limit) and persisted program
-            // caches stay valid across this release.
+            // state. Gated on `resumed` so cold runs keep their
+            // historical behavior (one iteration even when the entry
+            // graph is over the limit) and persisted program caches
+            // stay valid across this release.
             if self.resumed && self.egraph.total_number_of_nodes() > self.node_limit {
                 self.stop_reason = Some(StopReason::NodeLimit(self.node_limit));
                 break;

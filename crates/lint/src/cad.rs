@@ -4,7 +4,7 @@
 //! The CAD s-expression parser is deliberately permissive — `NaN`, `inf`,
 //! zero scales, and solid/list confusions all parse — because the paper's
 //! corpus conversion must accept whatever the `.scad` frontend produced.
-//! This pass runs between parsing and synthesis (`szb lint`, `szlint`) so
+//! This pass runs between parsing and synthesis (`szb lint`) so
 //! degenerate inputs are rejected with a location instead of producing
 //! degenerate geometry or an evaluator panic mid-batch.
 

@@ -17,8 +17,8 @@
 //!    catches pattern-compiler bugs without running an e-graph.
 //! 3. **CAD input linting** ([`lint_cad`]) over parsed
 //!    [`Cad`](sz_cad::Cad) programs — degenerate transforms, empty
-//!    boolean operands, ill-sorted terms — run by `szb lint` / `szlint`
-//!    before a corpus enters the batch pipeline.
+//!    boolean operands, ill-sorted terms — run by `szb lint` before a
+//!    corpus enters the batch pipeline.
 //!
 //! Every finding carries a stable code:
 //!
@@ -42,7 +42,7 @@
 //! | SZL205 | warn | non-positive / fractional `Repeat`/`MapIdx` count  |
 //! | SZL206 | deny | ill-sorted term (solid/list/function confusion)    |
 //!
-//! Severities gate differently: **deny** findings fail `szlint` and turn
+//! Severities gate differently: **deny** findings fail `szb lint` and turn
 //! into a structured `SynthError` inside `szalinski::Synthesizer`;
 //! **warn**/**info** are reported but never fail a build. Both renderings
 //! ([`Report::render_text`], [`Report::to_json`]) are deterministic and

@@ -7,7 +7,7 @@
 //!
 //! The original artifacts are not redistributable; each model is rebuilt
 //! from the paper's description with the same name, loop structure, and
-//! approximate size (see DESIGN.md, "Substitutions").
+//! approximate size.
 //!
 //! ## Example
 //!

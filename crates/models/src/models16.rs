@@ -1,8 +1,7 @@
 //! The 16 Thingiverse benchmark models of Table 1, re-implemented from
-//! the paper's descriptions (see DESIGN.md for the substitution
-//! rationale: the original STL/SCAD artifacts are not redistributable,
-//! so each model is regenerated with the same name, loop structure, and
-//! approximate size).
+//! the paper's descriptions: the original STL/SCAD artifacts are not
+//! redistributable, so each model is regenerated with the same name,
+//! loop structure, and approximate size.
 
 use sz_cad::Cad;
 

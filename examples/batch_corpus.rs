@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use szalinski_repro::sz_batch::{suite16_jobs, BatchEngine, ResultCache};
 use szalinski_repro::szalinski::{
-    CostKind, RunMode, RunOptions, StopReason, SynthConfig, Synthesizer,
+    RewardLoopsCost, RunMode, RunOptions, StopReason, SynthConfig, Synthesizer,
 };
 
 fn main() {
@@ -64,7 +64,7 @@ fn main() {
     // fingerprint) but hits the snapshot tier (same saturation
     // fingerprint): every job restores its saturated e-graph and re-runs
     // extraction alone.
-    let reward = config.clone().with_cost(CostKind::RewardLoops);
+    let reward = config.clone().with_cost_model(Arc::new(RewardLoopsCost));
     let resumed = engine.run(suite16_jobs(&reward));
     println!(
         "cost-only rerun: {:.2}s wall, {} snapshot resumes ({:.0}% tier hit rate), {} saturation iterations",

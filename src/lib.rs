@@ -14,8 +14,8 @@
 //!   distribution-controlled flat-CSG corpora at 10⁴–10⁶ scale (and the
 //!   `szgen` CLI);
 //! * [`sz_lint`] — static analysis: rewrite-rule hygiene, compiled
-//!   e-match program verification, CAD input linting (and the `szlint`
-//!   CLI);
+//!   e-match program verification, CAD input linting (run by
+//!   `szb lint`);
 //! * [`sz_batch`] — corpus-scale parallel batch synthesis with result
 //!   caching (and the `szb` CLI);
 //! * [`sz_trace`] — zero-dependency telemetry: hierarchical spans,
@@ -53,7 +53,7 @@
 //!              sz-trace underlies sz-egraph/szalinski/sz-batch;
 //!        sz-lint sits on sz-egraph + sz-cad and is consumed by
 //!        szalinski — rule-set analysis at compile time — and by
-//!                  sz-batch — `szb lint` / `szlint`)
+//!                  sz-batch — `szb lint`)
 //! ```
 //!
 //! The generated-corpus layer slots in between the corpus engines and
@@ -117,14 +117,14 @@
 //!   [`sz_egraph::StopReason::Cancelled`] while the e-graph is clean —
 //!   the partial `Synthesis` is still extracted, so serving callers
 //!   always get a well-formed answer. A
-//!   [`szalinski::ProgressObserver`] hook sees every iteration. The old
-//!   free functions (`synthesize`, `try_synthesize`,
-//!   `*_with_snapshot`, `resume_synthesize`) survive as deprecated
-//!   thin wrappers over a one-shot session. Saturated e-graphs persist
+//!   [`szalinski::ProgressObserver`] hook sees every iteration.
+//!   `Synthesizer::run` is the only synthesis entry point, and every
+//!   cold run saturates once before inference and extraction (the
+//!   paper's one main-loop round). Saturated e-graphs persist
 //!   as versioned text (`szsynth v3` wrapping
 //!   [`sz_egraph::Snapshot`]s): the final graph for extraction-only
 //!   resumes plus a saturation-phase section (with the per-rule
-//!   lifetime [`sz_egraph::RuleStat`] counts since v3) that makes
+//!   lifetime [`sz_egraph::RuleStat`] counts) that makes
 //!   lower-fuel snapshots *continuable* — proven byte-identical to
 //!   cold runs by `tests/partial_resume_differential.rs`.
 //!
@@ -132,8 +132,7 @@
 //!   object-safe [`szalinski::CostModel`] trait (a per-node cost over
 //!   `CadLang` folded through lexicographic [`szalinski::CostVec`]s,
 //!   plus a stable `fingerprint()` that keys caches), set per config
-//!   via `SynthConfig::with_cost_model` (the legacy `CostKind` enum is
-//!   a thin wrapper):
+//!   via `SynthConfig::with_cost_model`:
 //!
 //!   ```text
 //!   CostModel ── built-ins:   AstSizeCost (default) · RewardLoopsCost (wardrobe@)
@@ -165,8 +164,7 @@
 //!   `szalinski::Synthesizer` runs the rule analyzer once at
 //!   rule-compile time (a denied set is a structured
 //!   [`szalinski::SynthError::RuleLint`], not a mid-saturation panic),
-//!   and `sz-batch` exposes the corpus surface as `szb lint` and the
-//!   standalone `szlint` binary.
+//!   and `sz-batch` exposes the corpus surface as `szb lint`.
 //! * **`sz-gen`** is the corpus factory above those: a deterministic,
 //!   seeded generator composing `sz-models` primitives, affine
 //!   transforms, and [`sz_models::add_noise_with`] noise into *flat*

@@ -1,14 +1,10 @@
 //! End-to-end pipeline tests with geometric (translation) validation:
 //! every synthesized program must denote the same solid as its input.
 
-// The deprecated free-function pipeline API stays under test on
-// purpose: the wrappers must keep matching the `Synthesizer` session
-// API they delegate to (see `tests/session_api.rs`).
-#![allow(deprecated)]
-
+use sz_cad::Cad;
 use sz_mesh::validate_program;
 use sz_models::{gear, row_of_cubes};
-use szalinski::{synthesize, SynthConfig};
+use szalinski::{RunOptions, SynthConfig, Synthesis, Synthesizer};
 
 fn config() -> SynthConfig {
     SynthConfig::new()
@@ -16,12 +12,19 @@ fn config() -> SynthConfig {
         .with_node_limit(80_000)
 }
 
+/// One cold run through a fresh session.
+fn synth(input: &Cad, config: &SynthConfig) -> Synthesis {
+    Synthesizer::new(config.clone())
+        .run(input, RunOptions::new())
+        .unwrap()
+}
+
 #[test]
 fn small_gear_end_to_end() {
     // A 12-tooth gear keeps debug-mode runtime low; the 60-tooth run is
     // in the release bench harness.
     let flat = gear(12);
-    let result = synthesize(&flat, &config());
+    let result = synth(&flat, &config());
     let (rank, prog) = result.structured().expect("gear has structure");
     assert!(rank <= 5, "structured program must be in the top-5");
     let s = prog.cad.to_string();
@@ -35,7 +38,7 @@ fn small_gear_end_to_end() {
 fn every_top_k_program_is_equivalent_to_input() {
     // Soundness across the whole top-k, not just the winner.
     let flat = row_of_cubes(6, 3.0);
-    let result = synthesize(&flat, &config());
+    let result = synth(&flat, &config());
     assert!(!result.top_k.is_empty());
     for prog in &result.top_k {
         let v = validate_program(&prog.cad, &flat, 4000).unwrap();
@@ -50,8 +53,8 @@ fn every_top_k_program_is_equivalent_to_input() {
 #[test]
 fn synthesis_is_deterministic() {
     let flat = row_of_cubes(4, 2.0);
-    let a = synthesize(&flat, &config());
-    let b = synthesize(&flat, &config());
+    let a = synth(&flat, &config());
+    let b = synth(&flat, &config());
     let strings = |r: &szalinski::Synthesis| -> Vec<String> {
         r.top_k.iter().map(|p| p.cad.to_string()).collect()
     };
@@ -63,8 +66,8 @@ fn noise_within_epsilon_preserves_structure() {
     // §6.4: ε-bounded noise must not change the discovered structure.
     let clean = row_of_cubes(6, 2.0);
     let noisy = sz_models::add_noise(&clean, 4e-4, 17);
-    let clean_result = synthesize(&clean, &config());
-    let noisy_result = synthesize(&noisy, &config());
+    let clean_result = synth(&clean, &config());
+    let noisy_result = synth(&noisy, &config());
     let (_, clean_prog) = clean_result.structured().expect("clean structure");
     let (_, noisy_prog) = noisy_result.structured().expect("noisy structure");
     // The recovered programs are *identical*: snapping removed the noise.
@@ -78,7 +81,7 @@ fn scad_to_synthesis_to_scad() {
     let src = "for (i = [1 : 6]) translate([i * 4, 0, 0]) cube(2, center = true);";
     let flat = sz_scad::scad_to_flat_csg(src).unwrap();
     assert_eq!(flat.num_prims(), 6);
-    let result = synthesize(&flat, &config());
+    let result = synth(&flat, &config());
     let (_, prog) = result.structured().expect("structure");
     let emitted = sz_scad::cad_to_scad(&prog.cad).unwrap();
     assert!(emitted.contains("for ("), "loop survives: {emitted}");
@@ -90,7 +93,7 @@ fn scad_to_synthesis_to_scad() {
 fn stl_pipeline_from_synthesized_program() {
     // Program -> flat -> mesh -> STL -> mesh again.
     let flat = row_of_cubes(3, 2.0);
-    let result = synthesize(&flat, &config());
+    let result = synth(&flat, &config());
     let prog = &result.best().cad;
     let mesh = sz_mesh::compile_mesh(
         &prog.eval_to_flat().unwrap(),

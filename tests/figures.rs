@@ -2,16 +2,13 @@
 //! (small-scale versions run in debug; the full-size reruns live in the
 //! bench harness).
 
-// The deprecated free-function pipeline API stays under test on
-// purpose: the wrappers must keep matching the `Synthesizer` session
-// API they delegate to (see `tests/session_api.rs`).
-#![allow(deprecated)]
+use std::sync::Arc;
 
 use sz_cad::Cad;
 use sz_models::{
     dice_six_face, grid_2x2, hexcell_plate, nested_affine_cubes, noisy_hexagons, row_of_cubes,
 };
-use szalinski::{synthesize, CostKind, SynthConfig};
+use szalinski::{RewardLoopsCost, RunOptions, SynthConfig, Synthesis, Synthesizer};
 
 fn config() -> SynthConfig {
     SynthConfig::new()
@@ -19,10 +16,17 @@ fn config() -> SynthConfig {
         .with_node_limit(80_000)
 }
 
+/// One cold run through a fresh session.
+fn synth(input: &Cad, config: &SynthConfig) -> Synthesis {
+    Synthesizer::new(config.clone())
+        .run(input, RunOptions::new())
+        .unwrap()
+}
+
 #[test]
 fn fig2_five_cubes_to_mapi() {
     let flat = row_of_cubes(5, 2.0);
-    let result = synthesize(&flat, &config());
+    let result = synth(&flat, &config());
     let (rank, prog) = result.structured().expect("structure");
     assert_eq!(rank, 1);
     let s = prog.cad.to_string();
@@ -40,7 +44,7 @@ fn fig9_two_cubes_steps() {
     // inference. With only two elements the loop does not win AST size,
     // but it must exist in the e-graph (we surface it via reward-loops).
     let flat = row_of_cubes(2, 2.0);
-    let result = synthesize(&flat, &config().with_cost(CostKind::RewardLoops));
+    let result = synth(&flat, &config().with_cost_model(Arc::new(RewardLoopsCost)));
     let (_, prog) = result.structured().expect("structure exists");
     assert!(prog.cad.to_string().contains("(Repeat Unit 2)"));
 }
@@ -48,7 +52,7 @@ fn fig9_two_cubes_steps() {
 #[test]
 fn fig10_nested_affine_to_nested_mapi() {
     let flat = nested_affine_cubes(5);
-    let result = synthesize(&flat, &config());
+    let result = synth(&flat, &config());
     let (_, prog) = result.structured().expect("structure");
     let s = prog.cad.to_string();
     assert_eq!(s.matches("Mapi").count(), 3, "three affine layers: {s}");
@@ -59,7 +63,7 @@ fn fig10_nested_affine_to_nested_mapi() {
 
 #[test]
 fn fig14_grid_to_doubly_nested_loop() {
-    let result = synthesize(&grid_2x2(), &config());
+    let result = synth(&grid_2x2(), &config());
     let (_, prog) = result.structured().expect("structure");
     let s = prog.cad.to_string();
     assert!(s.contains("MapIdx2"), "got {s}");
@@ -78,7 +82,7 @@ fn fig14_grid_to_doubly_nested_loop() {
 #[test]
 fn fig16_noisy_input_recovers_clean_loop() {
     let flat = noisy_hexagons();
-    let result = synthesize(&flat, &config().with_cost(CostKind::RewardLoops));
+    let result = synth(&flat, &config().with_cost_model(Arc::new(RewardLoopsCost)));
     let (_, prog) = result.structured().expect("noise-tolerant structure");
     let s = prog.cad.to_string();
     // The noisy 1.4999996667 / 1.499999466 got snapped to 1.5 inside the
@@ -92,7 +96,7 @@ fn fig16_noisy_input_recovers_clean_loop() {
 
 #[test]
 fn fig17_dice_six_face_nested_loop() {
-    let result = synthesize(&dice_six_face(), &config());
+    let result = synth(&dice_six_face(), &config());
     let (_, prog) = result.structured().expect("structure");
     let s = prog.cad.to_string();
     assert!(s.contains("MapIdx2"), "got {s}");
@@ -101,7 +105,7 @@ fn fig17_dice_six_face_nested_loop() {
 
 #[test]
 fn fig18_19_hexcell_diversity() {
-    let result = synthesize(&hexcell_plate(), &config().with_k(24));
+    let result = synth(&hexcell_plate(), &config().with_k(24));
     let loops = result
         .top_k
         .iter()
@@ -122,7 +126,7 @@ fn fig18_19_hexcell_diversity() {
 #[test]
 fn fig18_loop_edit_adds_column() {
     // The editability claim: bumping a loop bound adds a column of cells.
-    let result = synthesize(&hexcell_plate(), &config().with_k(24));
+    let result = synth(&hexcell_plate(), &config().with_k(24));
     let loopy = result
         .top_k
         .iter()

@@ -4,18 +4,21 @@
 //! a tight tolerance of zero — wiring the mesh oracle (paper §7's "more
 //! rigorous approach") into tier-1 `cargo test`.
 
-// The deprecated free-function pipeline API stays under test on
-// purpose: the wrappers must keep matching the `Synthesizer` session
-// API they delegate to (see `tests/session_api.rs`).
-#![allow(deprecated)]
-
+use sz_cad::Cad;
 use sz_mesh::{compile_mesh, hausdorff_distance, joint_diagonal, MeshQuality};
-use szalinski::{synthesize, SynthConfig};
+use szalinski::{RunOptions, SynthConfig, Synthesis, Synthesizer};
 
 fn config() -> SynthConfig {
     SynthConfig::new()
         .with_iter_limit(60)
         .with_node_limit(80_000)
+}
+
+/// One cold run through a fresh session.
+fn synth(input: &Cad, config: &SynthConfig) -> Synthesis {
+    Synthesizer::new(config.clone())
+        .run(input, RunOptions::new())
+        .unwrap()
 }
 
 /// Modest quality keeps debug-mode meshing tractable; the tolerance
@@ -32,7 +35,7 @@ fn quality() -> MeshQuality {
 #[test]
 fn suite16_best_program_is_within_hausdorff_eps() {
     for model in sz_models::all_models() {
-        let result = synthesize(&model.flat, &config());
+        let result = synth(&model.flat, &config());
         let best = &result.best().cad;
         let output_flat = best
             .eval_to_flat()

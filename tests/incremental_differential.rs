@@ -5,22 +5,34 @@
 //! must follow the saturation/extraction fingerprint split (cost-only
 //! config changes reuse snapshots; rule-set changes invalidate them).
 
-// The deprecated free-function pipeline API stays under test on
-// purpose: the wrappers must keep matching the `Synthesizer` session
-// API they delegate to (see `tests/session_api.rs`).
-#![allow(deprecated)]
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use sz_cad::{AffineKind, Cad};
 use szalinski::{
-    resume_synthesize, synthesize, synthesize_with_snapshot, CostKind, ResumeError, SynthConfig,
-    SynthSnapshot, Synthesis,
+    RewardLoopsCost, RunMode, RunOptions, SynthConfig, SynthSnapshot, Synthesis, Synthesizer,
 };
 
 fn config() -> SynthConfig {
     SynthConfig::new()
         .with_iter_limit(60)
         .with_node_limit(80_000)
+}
+
+/// A cold run that captures its snapshot.
+fn capture(input: &Cad, config: &SynthConfig) -> (Synthesis, SynthSnapshot) {
+    let mut cold = Synthesizer::new(config.clone())
+        .run(input, RunOptions::new().capture_snapshot(true))
+        .unwrap();
+    let snapshot = cold.snapshot.take().expect("capture requested");
+    (cold, snapshot)
+}
+
+/// A run under `config` that is offered `snapshot`.
+fn offer(input: &Cad, config: &SynthConfig, snapshot: &SynthSnapshot) -> Synthesis {
+    Synthesizer::new(config.clone())
+        .run(input, RunOptions::new().with_snapshot(snapshot.clone()))
+        .unwrap()
 }
 
 /// The byte-level identity of a synthesis result: costs plus printed
@@ -49,13 +61,14 @@ fn assert_rows_identical(a: &Synthesis, b: &Synthesis, name: &str) {
 #[test]
 fn suite16_resumed_equals_cold() {
     for model in sz_models::all_models() {
-        let (cold, snapshot) = synthesize_with_snapshot(&model.flat, &config());
+        let (cold, snapshot) = capture(&model.flat, &config());
         // Round-trip through text: exactly what the cache tier stores.
         let snapshot: SynthSnapshot = snapshot
             .to_string()
             .parse()
             .unwrap_or_else(|e| panic!("{}: snapshot text must reparse: {e}", model.name));
-        let resumed = resume_synthesize(&model.flat, &config(), &snapshot).unwrap();
+        let resumed = offer(&model.flat, &config(), &snapshot);
+        assert_eq!(resumed.mode, RunMode::ResumedExtraction, "{}", model.name);
 
         assert_eq!(
             programs(&resumed),
@@ -86,12 +99,21 @@ fn suite16_cost_only_change_reuses_snapshots() {
     // model must accept the snapshot (100% tier compatibility) and match
     // a cold RewardLoops run program-for-program.
     for model in sz_models::all_models().into_iter().take(4) {
-        let (_, snapshot) = synthesize_with_snapshot(&model.flat, &config());
-        let reward = config().with_cost(CostKind::RewardLoops).with_k(3);
-        let resumed = resume_synthesize(&model.flat, &reward, &snapshot)
-            .unwrap_or_else(|e| panic!("{}: cost-only change must resume: {e}", model.name));
+        let (_, snapshot) = capture(&model.flat, &config());
+        let reward = config()
+            .with_cost_model(Arc::new(RewardLoopsCost))
+            .with_k(3);
+        let resumed = offer(&model.flat, &reward, &snapshot);
+        assert_eq!(
+            resumed.mode,
+            RunMode::ResumedExtraction,
+            "{}: cost-only change must resume",
+            model.name
+        );
         assert_eq!(resumed.iterations, 0);
-        let cold = synthesize(&model.flat, &reward);
+        let cold = Synthesizer::new(reward)
+            .run(&model.flat, RunOptions::new())
+            .unwrap();
         assert_eq!(
             programs(&resumed),
             programs(&cold),
@@ -103,19 +125,19 @@ fn suite16_cost_only_change_reuses_snapshots() {
 
 #[test]
 fn suite16_rule_set_change_invalidates_snapshots() {
+    // A saturation-affecting change never reuses the final graph: a
+    // rule-set or tolerance change runs cold, and a raised iteration
+    // limit continues saturating from the snapshot's saturation phase.
     for model in sz_models::all_models().into_iter().take(4) {
-        let (_, snapshot) = synthesize_with_snapshot(&model.flat, &config());
-        for changed in [
-            config().with_structural_rules(true),
-            config().with_eps(1e-2),
-            config().with_iter_limit(61),
+        let (_, snapshot) = capture(&model.flat, &config());
+        for (changed, mode) in [
+            (config().with_structural_rules(true), RunMode::Cold),
+            (config().with_eps(1e-2), RunMode::Cold),
+            (config().with_iter_limit(61), RunMode::ResumedSaturation),
         ] {
-            assert_eq!(
-                resume_synthesize(&model.flat, &changed, &snapshot).unwrap_err(),
-                ResumeError::ConfigMismatch,
-                "{}: saturation-affecting change must invalidate",
-                model.name
-            );
+            let result = offer(&model.flat, &changed, &snapshot);
+            assert_eq!(result.mode, mode, "{}: {changed:?}", model.name);
+            assert_ne!(result.mode, RunMode::ResumedExtraction);
         }
     }
 }
@@ -164,9 +186,10 @@ proptest! {
         let config = SynthConfig::new()
             .with_iter_limit(12)
             .with_node_limit(20_000);
-        let (cold, snapshot) = synthesize_with_snapshot(&input, &config);
+        let (cold, snapshot) = capture(&input, &config);
         let snapshot: SynthSnapshot = snapshot.to_string().parse().unwrap();
-        let resumed = resume_synthesize(&input, &config, &snapshot).unwrap();
+        let resumed = offer(&input, &config, &snapshot);
+        prop_assert_eq!(resumed.mode, RunMode::ResumedExtraction);
         prop_assert_eq!(programs(&resumed), programs(&cold));
         prop_assert_eq!(resumed.iterations, 0);
         prop_assert!(cold.iterations > 0);

@@ -1,6 +1,6 @@
 //! The lint gate: the shipped artifacts must carry **zero deny-level
 //! findings** — the same invariant CI's `lint-gate` job pins via
-//! `szlint`, checked here at the library level so `cargo test` alone
+//! `szb lint`, checked here at the library level so `cargo test` alone
 //! catches a regression.
 //!
 //! Warn/info findings are expected (annihilation rules drop variables,

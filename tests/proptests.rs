@@ -2,11 +2,6 @@
 //! trips, rewrite soundness under the geometric semantics, solver
 //! recovery of planted closed forms, and evaluator/validator agreement.
 
-// The deprecated free-function pipeline API stays under test on
-// purpose: the wrappers must keep matching the `Synthesizer` session
-// API they delegate to (see `tests/session_api.rs`).
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 use sz_cad::{AffineKind, Cad};
 use sz_mesh::validate_flat;
@@ -130,7 +125,9 @@ proptest! {
             .with_iter_limit(12)
             .with_node_limit(12_000)
             .with_k(3);
-        let result = szalinski::synthesize(&cad, &config);
+        let result = szalinski::Synthesizer::new(config)
+            .run(&cad, szalinski::RunOptions::new())
+            .unwrap();
         for prog in &result.top_k {
             let flat = prog.cad.eval_to_flat().unwrap();
             let v = validate_flat(&flat, &cad, 1500).unwrap();

@@ -5,9 +5,9 @@
 //! preserving" claim; `tests/proptests.rs` adds randomized inputs.)
 
 use sz_cad::Cad;
-use sz_egraph::{Runner, StopReason};
+use sz_egraph::{AstSize, KBestExtractor, Runner, StopReason};
 use sz_mesh::validate_flat;
-use szalinski::{all_rules, cad_to_lang, lang_to_cad, CadAnalysis, CadCost, CostKind};
+use szalinski::{all_rules, cad_to_lang, lang_to_cad, CadAnalysis};
 
 /// Saturates `input` with the full rule set, extracts up to 8 programs,
 /// and validates them all against the input geometry.
@@ -22,7 +22,7 @@ fn check_all_variants(input: &str) {
         !matches!(runner.stop_reason, Some(StopReason::TimeLimit(_))),
         "saturation should finish for {input}"
     );
-    let kbest = sz_egraph::KBestExtractor::new(&runner.egraph, CadCost::new(CostKind::AstSize), 8);
+    let kbest = KBestExtractor::new(&runner.egraph, AstSize, 8);
     let results = kbest.find_best_k(runner.roots[0]);
     assert!(!results.is_empty());
     for (cost, expr) in results {

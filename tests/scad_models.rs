@@ -4,18 +4,21 @@
 //! in OpenSCAD, flattened with `sz-scad`, and checked to regain their
 //! structure.
 
-// The deprecated free-function pipeline API stays under test on
-// purpose: the wrappers must keep matching the `Synthesizer` session
-// API they delegate to (see `tests/session_api.rs`).
-#![allow(deprecated)]
-
+use sz_cad::Cad;
 use sz_scad::scad_to_flat_csg;
-use szalinski::{synthesize, SynthConfig};
+use szalinski::{RunOptions, SynthConfig, Synthesis, Synthesizer};
 
 fn config() -> SynthConfig {
     SynthConfig::new()
         .with_iter_limit(60)
         .with_node_limit(80_000)
+}
+
+/// One cold run through a fresh session.
+fn synth(input: &Cad, config: &SynthConfig) -> Synthesis {
+    Synthesizer::new(config.clone())
+        .run(input, RunOptions::new())
+        .unwrap()
 }
 
 #[test]
@@ -29,7 +32,7 @@ fn card_org_from_openscad() {
     let flat = scad_to_flat_csg(src).unwrap();
     assert!(flat.is_flat_csg());
     assert_eq!(flat.num_prims(), 8);
-    let result = synthesize(&flat, &config());
+    let result = synth(&flat, &config());
     let (rank, prog) = result.structured().expect("fin loop");
     assert_eq!(rank, 1);
     // The shared (2, 30, 40) scale may be lifted above the whole fold, in
@@ -55,7 +58,7 @@ fn box_tray_from_openscad() {
     ";
     let flat = scad_to_flat_csg(src).unwrap();
     assert_eq!(flat.num_prims(), 16);
-    let result = synthesize(&flat, &config());
+    let result = synth(&flat, &config());
     let (_, prog) = result.structured().expect("grid loop");
     assert!(
         prog.cad.to_string().contains("MapIdx2"),
@@ -78,7 +81,7 @@ fn gear_ring_from_openscad() {
     ";
     let flat = scad_to_flat_csg(src).unwrap();
     assert_eq!(flat.num_prims(), 11);
-    let result = synthesize(&flat, &config());
+    let result = synth(&flat, &config());
     let (_, prog) = result.structured().expect("tooth loop");
     let s = prog.cad.to_string();
     assert!(s.contains("(/ (* 360 i) 10)"), "rotation form: {s}");
@@ -99,7 +102,7 @@ fn hex_cells_from_openscad() {
     let flat = scad_to_flat_csg(src).unwrap();
     assert_eq!(flat.num_prims(), 5);
     assert!(flat.to_string().contains("Hexagon"));
-    let result = synthesize(&flat, &config());
+    let result = synth(&flat, &config());
     assert!(result.structured().is_some());
 }
 

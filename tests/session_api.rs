@@ -1,16 +1,16 @@
 //! Integration smoke tests for the session API on real suite16 models:
 //! deadlines and cancel tokens stop *promptly* with well-formed results
-//! (`StopReason::Cancelled`, extractable partial programs), the
-//! deprecated free-function wrappers still agree with the sessions they
-//! delegate to, and progress hooks observe every iteration.
+//! (`StopReason::Cancelled`, extractable partial programs), per-run
+//! limits match a session configured that way, and progress hooks
+//! observe every iteration.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use szalinski::{
-    CancelToken, ProgressObserver, RunLimits, RunMode, RunOptions, StopReason, SynthConfig,
-    Synthesis, Synthesizer,
+    CancelToken, ProgressObserver, RunLimits, RunOptions, StopReason, SynthConfig, Synthesis,
+    Synthesizer,
 };
 
 fn programs(s: &Synthesis) -> Vec<(usize, String)> {
@@ -86,33 +86,6 @@ fn cancel_token_fired_mid_run_stops_at_a_boundary() {
     assert_eq!(result.iterations, observer.seen.load(Ordering::Relaxed));
     assert_eq!(result.iterations, 2, "cancelled at the requested boundary");
     assert!(!result.top_k.is_empty());
-}
-
-#[test]
-fn deprecated_wrappers_agree_with_the_session_api() {
-    #![allow(deprecated)]
-    let flat = sz_cad::Cad::union_chain(
-        (1..=5)
-            .map(|i| sz_cad::Cad::translate(2.0 * i as f64, 0.0, 0.0, sz_cad::Cad::Unit))
-            .collect(),
-    );
-    let config = SynthConfig::new()
-        .with_iter_limit(30)
-        .with_node_limit(30_000);
-    let session = Synthesizer::new(config.clone());
-
-    let via_session = session.run(&flat, RunOptions::new()).unwrap();
-    let via_synthesize = szalinski::synthesize(&flat, &config);
-    let via_try = szalinski::try_synthesize(&flat, &config).unwrap();
-    assert_eq!(programs(&via_session), programs(&via_synthesize));
-    assert_eq!(programs(&via_session), programs(&via_try));
-
-    let (with_snap, snapshot) = szalinski::synthesize_with_snapshot(&flat, &config);
-    assert_eq!(programs(&via_session), programs(&with_snap));
-    let resumed = szalinski::resume_synthesize(&flat, &config, &snapshot).unwrap();
-    assert_eq!(programs(&via_session), programs(&resumed));
-    assert_eq!(resumed.mode, RunMode::ResumedExtraction);
-    assert_eq!(resumed.iterations, 0);
 }
 
 #[test]

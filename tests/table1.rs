@@ -2,13 +2,11 @@
 //! suite (the full 16-model table runs in the release harness:
 //! `cargo run --release -p sz-bench --bin table1`).
 
-// The deprecated free-function pipeline API stays under test on
-// purpose: the wrappers must keep matching the `Synthesizer` session
-// API they delegate to (see `tests/session_api.rs`).
-#![allow(deprecated)]
+use std::sync::Arc;
 
+use sz_cad::Cad;
 use sz_models::all_models;
-use szalinski::{synthesize, CostKind, SynthConfig};
+use szalinski::{RewardLoopsCost, RunOptions, SynthConfig, Synthesis, Synthesizer};
 
 fn config() -> SynthConfig {
     SynthConfig::new()
@@ -16,12 +14,19 @@ fn config() -> SynthConfig {
         .with_node_limit(80_000)
 }
 
+/// One cold run through a fresh session.
+fn synth(input: &Cad, config: &SynthConfig) -> Synthesis {
+    Synthesizer::new(config.clone())
+        .run(input, RunOptions::new())
+        .unwrap()
+}
+
 fn run(name: &str) -> szalinski::TableRow {
     let model = all_models()
         .into_iter()
         .find(|m| m.name == name)
         .unwrap_or_else(|| panic!("model {name} exists"));
-    synthesize(&model.flat, &config()).table_row(name)
+    synth(&model.flat, &config()).table_row(name)
 }
 
 #[test]
@@ -63,7 +68,7 @@ fn relay_box_low_rank_pair_loop() {
         .into_iter()
         .find(|m| m.name == "3452260:relay-box")
         .unwrap();
-    let result = synthesize(&model.flat, &config());
+    let result = synth(&model.flat, &config());
     match result.structured() {
         Some((rank, prog)) => {
             assert!(rank >= 2, "pair loop should not beat the flat form");
@@ -92,7 +97,7 @@ fn soldering_keeps_external_and_loops() {
         .into_iter()
         .find(|m| m.name == "1725308:soldering")
         .unwrap();
-    let result = synthesize(&model.flat, &config());
+    let result = synth(&model.flat, &config());
     let (_, prog) = result.structured().expect("clip loop");
     let s = prog.cad.to_string();
     assert!(
@@ -111,10 +116,12 @@ fn wardrobe_needs_reward_loops() {
         .into_iter()
         .find(|m| m.name == "510849:wardrobe")
         .unwrap();
-    let plain = synthesize(&model.flat, &config());
-    let reward = synthesize(
+    let plain = synth(&model.flat, &config());
+    let reward = synth(
         &model.flat,
-        &config().with_cost(CostKind::RewardLoops).with_k(10),
+        &config()
+            .with_cost_model(Arc::new(RewardLoopsCost))
+            .with_k(10),
     );
     assert_ne!(
         plain.structured().map(|(r, _)| r),

@@ -723,19 +723,23 @@ fn pass_control(opts: &RunOptions, deadline: Option<Instant>) -> PassControl {
 /// saturation boundary; a stage whose passes all ran to completion
 /// reports `false` even if the stop condition became true afterwards.
 /// Records one `infer/list_manip`, `infer/functions` and `infer/loops`
-/// span per pass on `telemetry` (the rebuilds between them are not
-/// included).
+/// span per pass on `telemetry`, and one `infer/rebuild` span around the
+/// rebuild after each pass.
 fn run_inference_passes(
     egraph: &mut CadGraph,
     eps: f64,
     ctl: &PassControl,
     telemetry: &Telemetry,
 ) -> (Vec<crate::InferenceRecord>, bool) {
+    let rebuild = |egraph: &mut CadGraph| {
+        let _span = telemetry.span("infer", "rebuild");
+        egraph.rebuild();
+    };
     let mut records = Vec::new();
     let span = telemetry.span("infer", "list_manip");
     list_manipulation(egraph);
     drop(span);
-    egraph.rebuild();
+    rebuild(egraph);
     // The passes themselves report truncation (they know whether any
     // site was actually skipped — a stop with no sites left is still a
     // deterministic product, not a truncation).
@@ -743,7 +747,7 @@ fn run_inference_passes(
     let (recs, truncated) = infer_functions_with(egraph, eps, ctl);
     drop(span);
     records.extend(recs);
-    egraph.rebuild();
+    rebuild(egraph);
     if truncated {
         return (records, true);
     }
@@ -751,7 +755,7 @@ fn run_inference_passes(
     let (recs, truncated) = infer_loops_with(egraph, eps, ctl);
     drop(span);
     records.extend(recs);
-    egraph.rebuild();
+    rebuild(egraph);
     (records, truncated)
 }
 

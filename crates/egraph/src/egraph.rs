@@ -32,6 +32,24 @@
 //! walk `&[NodeId]` slices and resolve them through the arena
 //! cache-linearly.
 //!
+//! # Rebuild cost: only what changed
+//!
+//! A rebuild canonicalizes the classes touched since the previous one, not
+//! the whole graph. The e-graph keeps a *dirty list* of class ids (possibly
+//! stale): `add` pushes the new class, a union pushes the winner, and
+//! congruence repair pushes the class of every `(node, class)` parent
+//! entry it repairs. Every class outside the list is unchanged since it was
+//! last canonicalized, and none of its children was absorbed (an absorbed
+//! child's parent entries are exactly what repair walks), so re-sorting it
+//! would be a no-op. `rebuild` maps the list through `find`, sorts and
+//! dedups it, and visits the classes in ascending id order: the order a
+//! whole-graph pass would intern re-canonicalized nodes in, so [`NodeId`]s
+//! come out the same. The operator index is kept up the same way: a union
+//! records the absorbed class's operator keys (only while the index is
+//! built), and `rebuild` re-canonicalizes just those keys' id lists. The
+//! total node count is a running sum (`add` adds one, a union moves nodes,
+//! a rebuild subtracts the duplicates it drops).
+//!
 //! # Id stability (what snapshots rely on)
 //!
 //! - Class [`Id`]s are assigned densely by creation order and are *never*
@@ -50,6 +68,7 @@ use std::marker::PhantomData;
 use std::sync::OnceLock;
 
 use crate::arena::{FxHashMap, NodeArena};
+use crate::subst::InlineVec;
 use crate::{Analysis, Id, Language, NodeId, RecExpr, UnionFind};
 
 /// An equivalence class of e-nodes, plus its analysis data.
@@ -139,13 +158,23 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     /// Operator index: discriminant (node with children zeroed) → sorted
     /// canonical ids of the classes containing an e-node with that
     /// operator. **Derived state**, valid only while [`EGraph::is_clean`]:
-    /// `add` appends incrementally, `rebuild` reconstructs it in the same
-    /// pass that canonicalizes class node lists, and snapshot restore
-    /// leaves it unset, to be built from the restored (clean) classes on
-    /// first use (it is never serialized, and an extraction-only resume
-    /// never searches). Compiled pattern search uses it to visit only the
-    /// classes that can possibly match a pattern's root operator.
+    /// `add` appends incrementally, a union records the absorbed class's
+    /// keys in `stale_ops` and `rebuild` re-canonicalizes only those
+    /// keys' lists, and snapshot restore leaves it unset, to be built from
+    /// the restored classes on first use, the only whole-index build (it
+    /// is never serialized, and an extraction-only resume never searches).
+    /// Compiled pattern search uses it to visit only the classes that can
+    /// possibly match a pattern's root operator.
     op_index: OnceLock<FxHashMap<L, Vec<Id>>>,
+    /// Operator keys of the classes absorbed since the last rebuild,
+    /// recorded only while `op_index` is built: the index lists that may
+    /// name a non-canonical id.
+    stale_ops: Vec<L>,
+    /// Classes touched since the last rebuild (ids possibly stale): the
+    /// only classes `rebuild` canonicalizes (see the [module docs](self)).
+    dirty: Vec<Id>,
+    /// Running total of node-list lengths over the live classes.
+    n_nodes: usize,
 }
 
 impl<L: Language, N: Analysis<L> + Default> Default for EGraph<L, N> {
@@ -180,6 +209,9 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             analysis_pending: VecDeque::new(),
             clean: true,
             op_index: OnceLock::from(FxHashMap::default()),
+            stale_ops: Vec::new(),
+            dirty: Vec::new(),
+            n_nodes: 0,
         }
     }
 
@@ -187,33 +219,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// zeroed, i.e. exactly the equivalence [`Language::matches`] checks.
     fn op_key(node: &L) -> L {
         node.map_children(|_| Id::from(0usize))
-    }
-
-    /// Records class `id` under each of `nodes`' operators. Callers must
-    /// finish the batch with [`EGraph::finish_op_index`]; the two together
-    /// are the single definition of the index invariant, shared by
-    /// `rebuild_classes` and the first-use build after a snapshot restore.
-    fn index_class_ops(
-        arena: &NodeArena<L>,
-        index: &mut FxHashMap<L, Vec<Id>>,
-        id: Id,
-        nodes: &[NodeId],
-    ) {
-        for &nid in nodes {
-            index
-                .entry(Self::op_key(arena.get(nid)))
-                .or_default()
-                .push(id);
-        }
-    }
-
-    /// Sorts and dedups every candidate list after a batch of
-    /// [`EGraph::index_class_ops`] calls.
-    fn finish_op_index(index: &mut FxHashMap<L, Vec<Id>>) {
-        for ids in index.values_mut() {
-            ids.sort_unstable();
-            ids.dedup();
-        }
     }
 
     /// The canonical ids of every class containing an e-node whose
@@ -237,11 +242,20 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// snapshot restore.
     fn op_index(&self) -> &FxHashMap<L, Vec<Id>> {
         self.op_index.get_or_init(|| {
-            let mut index = FxHashMap::default();
+            let mut index: FxHashMap<L, Vec<Id>> = FxHashMap::default();
             for class in self.classes() {
-                Self::index_class_ops(&self.arena, &mut index, class.id, &class.nodes);
+                for &nid in &class.nodes {
+                    index
+                        .entry(Self::op_key(self.arena.get(nid)))
+                        .or_default()
+                        .push(class.id);
+                }
             }
-            Self::finish_op_index(&mut index);
+            // Classes come in ascending id order, so every list is already
+            // sorted; a class with several nodes of one operator repeats.
+            for ids in index.values_mut() {
+                ids.dedup();
+            }
             index
         })
     }
@@ -258,7 +272,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// recomputed to fixpoint from the nodes (seeded at `Default`, joined
     /// with [`Analysis::merge`]).
     /// [`Analysis::modify`] is *not* re-run — its structural effects are
-    /// already part of the snapshotted node set.
+    /// already part of the snapshotted node set. Every restored class
+    /// starts on the dirty list, so the first rebuild canonicalizes all of
+    /// them through the same code as any other rebuild.
+    /// `n_nodes` must be the total number of nodes in `class_list`.
     ///
     /// Callers (the `snapshot` module) must have validated that class
     /// ids and node children are canonical and that every union-find
@@ -280,9 +297,11 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         let mut classes: Vec<Option<EClass<L, N::Data>>> = Vec::new();
         classes.resize_with(universe, || None);
         let mut parents: Vec<Vec<(NodeId, Id)>> = vec![Vec::new(); universe];
+        let mut dirty = Vec::with_capacity(n_classes);
         // Interning follows (sorted class, node) order, so arena ids and
         // parent lists come out deterministic.
         for (id, nodes) in class_list {
+            dirty.push(id);
             let mut nids = Vec::with_capacity(nodes.len());
             for node in nodes {
                 let nid = arena.intern(node.clone());
@@ -317,8 +336,11 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             analysis_pending: VecDeque::new(),
             clean: true,
             // Derived state excluded from the snapshot format (no version
-            // bump needed), built on first use exactly as `rebuild` would.
+            // bump needed), built on first use.
             op_index: OnceLock::new(),
+            stale_ops: Vec::new(),
+            dirty,
+            n_nodes,
         };
         // Analysis fixpoint. Ascending id order roughly follows creation
         // order (children before parents), so this usually converges in
@@ -357,9 +379,11 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.unionfind.size()
     }
 
-    /// The total number of e-nodes across all classes.
+    /// The total number of e-nodes across all classes, kept as a running
+    /// count (a node a union brings into a class twice counts twice until
+    /// the next [`EGraph::rebuild`]).
     pub fn total_number_of_nodes(&self) -> usize {
-        self.classes().map(|c| c.nodes.len()).sum()
+        self.n_nodes
     }
 
     /// The number of distinct e-nodes ever interned into the arena.
@@ -481,7 +505,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// Looks up an entire expression; returns its class if every node is
     /// already represented.
     pub fn lookup_expr(&self, expr: &RecExpr<L>) -> Option<Id> {
-        let mut ids: Vec<Id> = Vec::with_capacity(expr.len());
+        let mut ids: InlineVec<Id, 8> = InlineVec::with_capacity(expr.len());
         for (_, node) in expr.iter() {
             let node = node.map_children(|c| ids[usize::from(c)]);
             let id = self.lookup(node)?;
@@ -520,11 +544,12 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             _lang: PhantomData,
         });
         self.n_classes += 1;
+        self.n_nodes += 1;
+        self.dirty.push(id);
         // Incremental op-index maintenance: the fresh id is the largest
-        // yet, so pushing keeps each candidate list sorted; `rebuild`
-        // reconstructs the index wholesale after unions invalidate ids.
-        // An index not built yet (after a restore) reads the new class
-        // when it is built.
+        // yet, so pushing keeps each candidate list sorted. An index not
+        // built yet (after a restore) reads the new class when it is
+        // built.
         if let Some(index) = self.op_index.get_mut() {
             let key = Self::op_key(self.arena.get(nid));
             index.entry(key).or_default().push(id);
@@ -576,6 +601,16 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             .take()
             .expect("class must exist");
         self.n_classes -= 1;
+        self.dirty.push(id1);
+        // Every index list naming `id2` is under one of its operators.
+        if self.op_index.get().is_some() {
+            self.stale_ops.extend(
+                class2
+                    .nodes
+                    .iter()
+                    .map(|&nid| Self::op_key(self.arena.get(nid))),
+            );
+        }
         // Move the absorbed class's parents: copy the `Copy` pairs onto
         // the repair worklist, then append the buffer itself to the
         // winner's list — no per-node clones.
@@ -615,6 +650,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             for (nid, class) in todo {
                 let nid = self.canonicalize_nid(nid);
                 let class = self.unionfind.find(class);
+                // The class lists a node with a child just absorbed.
+                self.dirty.push(class);
                 if let Some(old) = self.memo_insert(nid, class) {
                     let old = self.unionfind.find(old);
                     if old != class {
@@ -645,21 +682,33 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         n_unions
     }
 
+    /// Canonicalizes the dirty classes and the stale op-index lists. Uses
+    /// `find_immutable` only: path compression would change the
+    /// union-find parents a snapshot serializes.
     fn rebuild_classes(&mut self) {
-        // Reconstructing the op index here is free asymptotically: this
-        // pass already touches every node of every class to canonicalize
-        // it, and the index must drop ids absorbed by unions.
         let EGraph {
             unionfind: uf,
             arena,
             memo,
             classes,
             op_index,
+            stale_ops,
+            dirty,
+            n_nodes,
             ..
         } = self;
-        let mut index = op_index.take().unwrap_or_default();
-        index.clear();
-        for class in classes.iter_mut().filter_map(|c| c.as_mut()) {
+        for id in dirty.iter_mut() {
+            *id = uf.find_immutable(*id);
+        }
+        // Ascending id order is the order a whole-graph pass would intern
+        // re-canonicalized nodes in, so arena ids do not depend on which
+        // classes were skipped.
+        dirty.sort_unstable();
+        dirty.dedup();
+        for &id in dirty.iter() {
+            let class = classes[usize::from(id)]
+                .as_mut()
+                .expect("a canonical id has a class");
             for nid in class.nodes.iter_mut() {
                 let node = arena.get(*nid);
                 if !node.children().iter().all(|&c| uf.find_immutable(c) == c) {
@@ -676,11 +725,25 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             class
                 .nodes
                 .sort_unstable_by(|&a, &b| arena.get(a).cmp(arena.get(b)));
+            let len = class.nodes.len();
             class.nodes.dedup();
-            Self::index_class_ops(arena, &mut index, class.id, &class.nodes);
+            *n_nodes -= len - class.nodes.len();
         }
-        Self::finish_op_index(&mut index);
-        *op_index = OnceLock::from(index);
+        dirty.clear();
+        if let Some(index) = op_index.get_mut() {
+            stale_ops.sort_unstable();
+            stale_ops.dedup();
+            for key in stale_ops.iter() {
+                if let Some(ids) = index.get_mut(key) {
+                    for id in ids.iter_mut() {
+                        *id = uf.find_immutable(*id);
+                    }
+                    ids.sort_unstable();
+                    ids.dedup();
+                }
+            }
+        }
+        stale_ops.clear();
     }
 
     /// Returns the ids of all classes, canonical and sorted.

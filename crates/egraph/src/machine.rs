@@ -23,7 +23,13 @@
 //! [`Rewrite`](crate::Rewrite). Root candidates come from the e-graph's
 //! operator index ([`EGraph::classes_with_op`]): a rule only visits classes
 //! that actually contain its root operator, instead of scanning every
-//! class.
+//! class. `add` appends to the index and `rebuild` re-canonicalizes only
+//! the lists a union made stale.
+//!
+//! A search allocates one register file and one match buffer and reuses
+//! them for every candidate class; [`Subst`]s keep their bindings inline,
+//! so the only per-class allocation is the exactly-sized match list of a
+//! class that matched.
 //!
 //! The naive matcher is retained as the reference implementation (and as
 //! the rewrite searcher under the `naive-ematch` feature); the differential
@@ -201,18 +207,25 @@ impl<L: Language> Program<L> {
             .collect()
     }
 
-    /// Runs the machine rooted at (canonical) `eclass`, appending every
-    /// accepting substitution to `out`.
+    /// A register file sized for this program's usual patterns, to be
+    /// reused across every [`Program::run`] of one search.
+    fn registers(&self) -> Vec<Id> {
+        Vec::with_capacity(self.subst.len() + 4)
+    }
+
+    /// Runs the machine rooted at (canonical) `eclass` on the register
+    /// file `regs`, appending every accepting substitution to `out`.
     fn run<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         ground: &[Id],
         eclass: Id,
+        regs: &mut Vec<Id>,
         out: &mut Vec<Subst>,
     ) {
-        let mut regs: Vec<Id> = Vec::with_capacity(self.subst.len() + 4);
+        regs.clear();
         regs.push(eclass);
-        self.step(egraph, ground, &mut regs, 0, out);
+        self.step(egraph, ground, regs, 0, out);
     }
 
     fn step<N: Analysis<L>>(
@@ -362,20 +375,30 @@ impl<L: Language> CompiledPattern<L> {
         &self.program
     }
 
+    /// Matches one candidate class. `regs` and `substs` are the search's
+    /// buffers, reused across candidates: a class without matches costs
+    /// no allocation, and one with matches gets one exactly-sized list.
     fn search_resolved<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         ground: &[Id],
         eclass: Id,
+        regs: &mut Vec<Id>,
+        substs: &mut Vec<Subst>,
     ) -> Option<SearchMatches> {
-        let mut substs = Vec::new();
-        self.program.run(egraph, ground, eclass, &mut substs);
+        self.program.run(egraph, ground, eclass, regs, substs);
         if substs.is_empty() {
             return None;
         }
         substs.sort_unstable();
         substs.dedup();
-        Some(SearchMatches { eclass, substs })
+        // `append` moves the matches out and leaves the buffer's capacity.
+        let mut matched = Vec::with_capacity(substs.len());
+        matched.append(substs);
+        Some(SearchMatches {
+            eclass,
+            substs: matched,
+        })
     }
 }
 
@@ -395,19 +418,18 @@ impl<L: Language, N: Analysis<L>> Searcher<L, N> for CompiledPattern<L> {
         let Some(ground) = self.program.resolve_ground(egraph) else {
             return Vec::new();
         };
+        let mut regs = self.program.registers();
+        let mut substs = Vec::new();
+        let mut visit = |id| self.search_resolved(egraph, &ground, id, &mut regs, &mut substs);
         match &self.program.root_op {
             Some(op) => egraph
                 .classes_with_op(op)
                 .iter()
-                .filter_map(|&id| self.search_resolved(egraph, &ground, id))
+                .filter_map(|&id| visit(id))
                 .collect(),
             // Bare-variable root: every class matches; keep the output
             // deterministic by visiting classes in sorted id order.
-            None => egraph
-                .class_ids()
-                .into_iter()
-                .filter_map(|id| self.search_resolved(egraph, &ground, id))
-                .collect(),
+            None => egraph.classes().filter_map(|c| visit(c.id)).collect(),
         }
     }
 
@@ -417,7 +439,14 @@ impl<L: Language, N: Analysis<L>> Searcher<L, N> for CompiledPattern<L> {
             "searching a dirty e-graph; call rebuild() first"
         );
         let ground = self.program.resolve_ground(egraph)?;
-        self.search_resolved(egraph, &ground, egraph.find(eclass))
+        let mut regs = self.program.registers();
+        self.search_resolved(
+            egraph,
+            &ground,
+            egraph.find(eclass),
+            &mut regs,
+            &mut Vec::new(),
+        )
     }
 
     fn vars(&self) -> Vec<Var> {

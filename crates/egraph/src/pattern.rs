@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::recexpr::{parse_term, tokenize, RecExprParseError};
+use crate::subst::InlineVec;
 use crate::{Analysis, EGraph, FromOpError, Id, Language, RecExpr, Subst, Var};
 
 /// A node in a pattern: either a concrete language node or a pattern
@@ -202,13 +203,14 @@ impl<L: Language> Pattern<L> {
     }
 
     /// Instantiates the pattern under `subst`, adding the resulting term to
-    /// the e-graph and returning its class.
+    /// the e-graph and returning its class. Patterns of up to 8 nodes
+    /// (every built-in right-hand side) allocate nothing here.
     ///
     /// # Panics
     ///
     /// Panics if a pattern variable is unbound in `subst`.
     pub fn instantiate<N: Analysis<L>>(&self, egraph: &mut EGraph<L, N>, subst: &Subst) -> Id {
-        let mut ids: Vec<Id> = Vec::with_capacity(self.ast.len());
+        let mut ids: InlineVec<Id, 8> = InlineVec::with_capacity(self.ast.len());
         for (_, node) in self.ast.iter() {
             let id = match node {
                 ENodeOrVar::Var(v) => subst[*v],

@@ -68,21 +68,122 @@ impl std::str::FromStr for Var {
     }
 }
 
+/// A short list of `Copy` items: up to `N` are stored inline, more spill
+/// to one heap `Vec`. Substitutions and pattern instantiation keep their
+/// few ids here, so neither allocates on the saturation hot path.
+#[derive(Clone)]
+pub(crate) enum InlineVec<T: Copy, const N: usize> {
+    /// `len` items in `items[..len]`. The slots past `len` hold copies of
+    /// the first item and are never read, so `T` needs no `Default`.
+    Inline(usize, [T; N]),
+    /// Empty before the first push, or spilled past `N` items.
+    Heap(Vec<T>),
+}
+
+impl<T: Copy, const N: usize> Default for InlineVec<T, N> {
+    fn default() -> Self {
+        InlineVec::Heap(Vec::new())
+    }
+}
+
+impl<T: Copy, const N: usize> InlineVec<T, N> {
+    /// An empty list that will hold `n` items without reallocating.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        if n > N {
+            InlineVec::Heap(Vec::with_capacity(n))
+        } else {
+            InlineVec::default()
+        }
+    }
+
+    /// Appends an item.
+    pub(crate) fn push(&mut self, item: T) {
+        match self {
+            InlineVec::Inline(len, items) if *len < N => {
+                items[*len] = item;
+                *len += 1;
+            }
+            InlineVec::Inline(_, items) => {
+                let mut spilled = Vec::with_capacity(2 * N);
+                spilled.extend_from_slice(items);
+                spilled.push(item);
+                *self = InlineVec::Heap(spilled);
+            }
+            InlineVec::Heap(spilled) if spilled.capacity() == 0 && N > 0 => {
+                *self = InlineVec::Inline(1, [item; N]);
+            }
+            InlineVec::Heap(spilled) => spilled.push(item),
+        }
+    }
+}
+
+impl<T: Copy, const N: usize> std::ops::Deref for InlineVec<T, N> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        match self {
+            InlineVec::Inline(len, items) => &items[..*len],
+            InlineVec::Heap(spilled) => spilled,
+        }
+    }
+}
+
+impl<T: Copy, const N: usize> std::ops::DerefMut for InlineVec<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            InlineVec::Inline(len, items) => &mut items[..*len],
+            InlineVec::Heap(spilled) => spilled,
+        }
+    }
+}
+
+/// Bindings a [`Subst`] keeps inline; every built-in CAD rule binds at
+/// most 3 variables.
+const INLINE_BINDINGS: usize = 4;
+
 /// A mapping from pattern [`Var`]s to e-class [`Id`]s, produced by matching
 /// a pattern against an e-graph.
 ///
-/// Stored as a small sorted-insertion vector: patterns have a handful of
-/// variables, so linear scans beat hashing.
+/// Stored as an insertion-ordered list, inline up to four bindings and on
+/// the heap above that: patterns have a handful of variables, so linear
+/// scans beat hashing and a match allocates nothing.
 ///
-/// `Ord` is derived (lexicographic over the insertion-ordered bindings):
-/// both matchers bind variables in pattern pre-order, so sorting
-/// substitutions by this ordering is deterministic, allocation-free, and
-/// independent of `Debug` formatting — it is what
+/// `Ord` is lexicographic over the insertion-ordered bindings: both
+/// matchers bind variables in pattern pre-order, so sorting substitutions
+/// by this ordering is deterministic, allocation-free, and independent of
+/// `Debug` formatting — it is what
 /// [`Pattern::search`](crate::Pattern::search) and the compiled
 /// [`CompiledPattern`](crate::CompiledPattern) use to dedup matches.
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Default)]
 pub struct Subst {
-    bindings: Vec<(Var, Id)>,
+    bindings: InlineVec<(Var, Id), INLINE_BINDINGS>,
+}
+
+impl PartialEq for Subst {
+    fn eq(&self, other: &Self) -> bool {
+        self.bindings[..] == other.bindings[..]
+    }
+}
+
+impl Eq for Subst {}
+
+impl PartialOrd for Subst {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Subst {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.bindings[..].cmp(&other.bindings[..])
+    }
+}
+
+impl fmt::Debug for Subst {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Subst")
+            .field("bindings", &&self.bindings[..])
+            .finish()
+    }
 }
 
 impl Subst {
@@ -94,13 +195,13 @@ impl Subst {
     /// Creates a substitution with capacity for `n` bindings.
     pub fn with_capacity(n: usize) -> Self {
         Subst {
-            bindings: Vec::with_capacity(n),
+            bindings: InlineVec::with_capacity(n),
         }
     }
 
     /// Inserts a binding, returning the previous value if `var` was bound.
     pub fn insert(&mut self, var: Var, id: Id) -> Option<Id> {
-        for (v, i) in &mut self.bindings {
+        for (v, i) in self.bindings.iter_mut() {
             if *v == var {
                 return Some(std::mem::replace(i, id));
             }

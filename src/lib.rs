@@ -88,7 +88,8 @@
 //!   and the engine-level proptests), and what every rewrite falls back
 //!   to under the `sz-egraph/naive-ematch` feature. The op index is
 //!   derived state: snapshots never store it (format unchanged, no
-//!   version bump) and [`sz_egraph::Snapshot::restore`] rebuilds it.
+//!   version bump), a restored graph builds it on first use, and
+//!   `rebuild` re-canonicalizes only the lists a union made stale.
 //! * **`szalinski`** (core) composes them into the paper's pipeline:
 //!   saturate → determinize → list-manipulate → infer → extract. The
 //!   entry point is the **session API**: build a

@@ -50,6 +50,7 @@ fn identical_runs_emit_identical_telemetry() {
         "infer/list_manip",
         "infer/functions",
         "infer/loops",
+        "infer/rebuild",
         "pipeline/extraction",
         "extract/table",
         "extract/materialize",

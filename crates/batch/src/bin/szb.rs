@@ -56,9 +56,11 @@ EXECUTION:
                            order — so all N processes agree on the partition
                            on any machine and across releases. Fold the
                            per-shard reports/caches afterwards with `szb merge`
-    --per-job-timeout <S>  per-job wall-clock deadline: clamps saturation time
-                           and cancels the job cooperatively at the next
-                           iteration boundary (stop_reason \"cancelled\")
+    --per-job-timeout <S>  per-job wall-clock deadline: cancels the job
+                           cooperatively at the next iteration boundary
+                           (stop_reason \"cancelled\"; never cached). A job it
+                           does not stop hits and fills the same cache and
+                           snapshot entries as a run without it
     --deadline <SECS>      wall-clock deadline for the WHOLE run: jobs past it
                            are cancelled cooperatively but still emit their
                            partial (less saturated) programs
@@ -104,7 +106,6 @@ SYNTHESIS FUEL:
     --eps <X>              solver tolerance                (default 1e-3)
     --iter-limit <N>       saturation iteration limit      (default 150)
     --node-limit <N>       saturation e-node limit         (default 200000)
-    --time-limit <SECS>    saturation time limit           (default 60)
     --structural-rules     include assoc/comm boolean rules
     --backoff              throttle explosive rules (backoff scheduler)
 
@@ -296,10 +297,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--metrics" => opts.metrics = Some(PathBuf::from(value()?)),
             "--stats" => opts.stats = true,
             "--k" => {
-                opts.config = opts
-                    .config
-                    .clone()
-                    .with_k(value()?.parse().map_err(|e| format!("--k: {e}"))?);
+                let k: usize = value()?.parse().map_err(|e| format!("--k: {e}"))?;
+                if k == 0 {
+                    return Err("--k must be at least 1".into());
+                }
+                opts.config = opts.config.clone().with_k(k);
             }
             "--eps" => {
                 opts.config = opts
@@ -318,9 +320,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .config
                     .clone()
                     .with_node_limit(value()?.parse().map_err(|e| format!("--node-limit: {e}"))?);
-            }
-            "--time-limit" => {
-                opts.config.time_limit = parse_secs("--time-limit", value()?)?;
             }
             other if !other.starts_with('-') && opts.input_dir.is_none() => {
                 opts.input_dir = Some(PathBuf::from(other));

@@ -140,7 +140,7 @@ impl fmt::Display for SnapshotKey {
 
 /// The fuel-agnostic key of one `(input, core-saturation-config)` pair —
 /// the snapshot tier's **secondary** index. Unlike [`SnapshotKey`] it
-/// ignores the fuel *limits* (iteration/node/time), hashing only
+/// ignores the fuel *limits* (iteration/node), hashing only
 /// [`SynthConfig::saturation_core_fingerprint`], so runs at different
 /// fuel settings share one core key and a lower-fuel snapshot can serve
 /// a higher-fuel job via partial-saturation resume.
@@ -390,8 +390,8 @@ impl ResultCache {
     /// core key matches and whose producing fuel limits fit under
     /// `config`'s (see [`SatPhaseHeader::fits`]), returns the
     /// most-saturated one — highest producer iteration limit, then node
-    /// limit, then time limit, ties broken by smallest key so the
-    /// choice is deterministic.
+    /// limit, ties broken by smallest key so the choice is
+    /// deterministic.
     ///
     /// The returned text still goes through a full
     /// [`SynthSnapshot`] parse and the session's
@@ -411,7 +411,6 @@ impl ResultCache {
                 (
                     e.header.iter_limit,
                     e.header.node_limit,
-                    e.header.time_ms,
                     std::cmp::Reverse(e.key),
                 )
             })?;
@@ -1103,13 +1102,12 @@ mod tests {
     /// sections can be placeholders.
     fn fake_continuable(input: &Cad, config: &SynthConfig) -> String {
         format!(
-            "szsynth v3\ninput {}\nsatfp {}\nsatphase {} {} {} {} 1 0\nfake\nrest\n",
+            "szsynth v3\ninput {}\nsatfp {}\nsatphase {} {} {} 60000 1 0\nfake\nrest\n",
             input,
             config.saturation_fingerprint(),
             config.saturation_core_fingerprint(),
             config.iter_limit,
             config.node_limit,
-            config.time_limit.as_millis(),
         )
     }
 

@@ -24,7 +24,9 @@
 //! ([`BatchEngine::with_cancel_token`]) aborts every in-flight job
 //! cooperatively. Cancelled jobs still return their partial programs but
 //! are never cached (their graphs are wall-clock-truncated, not the
-//! deterministic product of the config).
+//! deterministic product of the config). A deadline never changes a
+//! job's config or its cache keys, so a run under `--per-job-timeout`
+//! hits the same program and snapshot entries as a run without one.
 //!
 //! Parallel and sequential execution share one per-job code path
 //! ([`BatchEngine::run`] vs [`BatchEngine::run_sequential`]), so the
@@ -153,10 +155,11 @@ pub struct JobOutcome {
     /// the saturated e-graph was restored and only extraction ran
     /// (zero saturation iterations). Mutually exclusive with `cached`.
     pub snapshot_hit: bool,
-    /// Whether wall-clock time exceeded the engine's per-job deadline
-    /// (the saturation time limit is clamped to the deadline, so this
-    /// marks jobs that *cooperatively* ran out of time; their programs
-    /// are still valid, just less saturated).
+    /// Whether wall-clock time exceeded the engine's per-job deadline.
+    /// The deadline is enforced cooperatively, so such a job either
+    /// stopped as [`StopReason::Cancelled`] (its programs are still
+    /// valid, just less saturated) or ran past the deadline after its
+    /// last check.
     pub hit_deadline: bool,
     /// Why this job's saturation stopped — including
     /// [`StopReason::Cancelled`] for deadline/cancel-token stops. `None`
@@ -373,12 +376,13 @@ impl BatchEngine {
         self
     }
 
-    /// Sets a per-job wall-clock deadline. Saturation time limits are
-    /// clamped to it (the clamp participates in cache keys), and the
-    /// deadline is also enforced cooperatively at iteration boundaries:
-    /// a job that exceeds it stops with [`StopReason::Cancelled`] and
-    /// returns its partial result. Outcomes whose wall clock exceeded
-    /// the deadline are flagged [`JobOutcome::hit_deadline`].
+    /// Sets a per-job wall-clock deadline, enforced cooperatively at
+    /// iteration boundaries: a job that exceeds it stops with
+    /// [`StopReason::Cancelled`], returns its partial result and is never
+    /// cached. The deadline is not part of any job's config or cache
+    /// key, so a job it does not stop hits and fills the same entries as
+    /// a run without it. Outcomes whose wall clock exceeded the deadline
+    /// are flagged [`JobOutcome::hit_deadline`].
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -598,28 +602,22 @@ fn execute_job_inner(
     telemetry: &Telemetry,
 ) -> JobOutcome {
     let start = Instant::now();
-    let mut config = job.config.clone();
-    if let Some(d) = deadline {
-        config.time_limit = config.time_limit.min(d);
-    }
-    // Key on the *effective* config: a different deadline clamp is a
-    // different run and must not alias in the cache. Pareto runs bypass
-    // the program tier entirely — its entries store only the ranked
-    // top-k, so a hit could not reproduce the front; the snapshot tier
-    // (keyed on the saturation fingerprint, which Pareto objectives
-    // never touch) still serves them via extraction resume. The input is
-    // printed once and every key hashes that text.
+    let config = &job.config;
+    // Pareto runs bypass the program tier entirely — its entries store
+    // only the ranked top-k, so a hit could not reproduce the front; the
+    // snapshot tier (keyed on the saturation fingerprint, which Pareto
+    // objectives never touch) still serves them via extraction resume.
+    // The input is printed once and every key hashes that text.
     let input_sexp = cache.map(|_| job.input.to_string());
     let key = input_sexp
         .as_deref()
         .filter(|_| config.pareto.is_none())
-        .map(|sexp| JobKey::of_sexp(sexp, &config));
+        .map(|sexp| JobKey::of_sexp(sexp, config));
     // The snapshot-tier key, computed once per job and shared by the
-    // lookup and the insert below (both hash the same input + effective
-    // config).
+    // lookup and the insert below (both hash the same input + config).
     let skey = input_sexp
         .as_deref()
-        .map(|sexp| SnapshotKey::of_sexp(sexp, &config));
+        .map(|sexp| SnapshotKey::of_sexp(sexp, config));
 
     // Program tier: a hit reconstructs the outcome without any pipeline
     // work.
@@ -664,7 +662,7 @@ fn execute_job_inner(
             let cache = cache.lock().unwrap();
             cache.get_snapshot(skey).map(str::to_owned).or_else(|| {
                 cache
-                    .best_core_snapshot(CoreKey::of_sexp(input_sexp, &config), &config)
+                    .best_core_snapshot(CoreKey::of_sexp(input_sexp, config), config)
                     .map(|(_, text)| text.to_owned())
             })
         };
@@ -694,8 +692,8 @@ fn execute_job_inner(
                     // sat-phase section before storing — a saturated
                     // graph has nothing left to continue, so the section
                     // would only double the entry's cost against the
-                    // byte budget. Fuel-limited runs (iteration/node/
-                    // time limit) keep it, so their snapshots stay
+                    // byte budget. Fuel-limited runs (iteration or node
+                    // limit) keep it, so their snapshots stay
                     // *continuable*: the first step toward the core-key
                     // index that will let the tier serve lower-fuel
                     // snapshots to higher-fuel jobs as partial-saturation
@@ -713,7 +711,7 @@ fn execute_job_inner(
                     }
                 }
             }
-            outcome_from_result(job.name, result, &config, start, deadline, snapshot_hit)
+            outcome_from_result(job.name, result, config, start, deadline, snapshot_hit)
         }
         Err(e) => JobOutcome {
             name: job.name,
@@ -885,33 +883,48 @@ mod tests {
 
     #[test]
     fn cache_hit_skips_saturation() {
-        let cache = Arc::new(Mutex::new(ResultCache::new()));
+        let cache = Arc::new(Mutex::new(
+            ResultCache::new().with_snapshot_budget(64 << 20),
+        ));
         let engine = BatchEngine::new().with_workers(2).with_cache(cache.clone());
         let cold = engine.run(jobs());
         assert_eq!(cold.cache_hits(), 0);
         assert!(cold.outcomes.iter().all(|o| o.iterations > 0));
         assert_eq!(cache.lock().unwrap().len(), 4);
+        assert_eq!(cache.lock().unwrap().snapshot_count(), 4);
 
         let warm = engine.run(jobs());
-        assert_eq!(warm.cache_hits(), 4);
-        assert!((warm.cache_hit_rate() - 1.0).abs() < f64::EPSILON);
-        assert!(warm.outcomes.iter().all(|o| o.iterations == 0));
-        for (a, b) in cold.outcomes.iter().zip(&warm.outcomes) {
-            assert_eq!(
-                a.programs, b.programs,
-                "cached result differs for {}",
-                a.name
-            );
-            let (ra, rb) = (a.row.as_ref().unwrap(), b.row.as_ref().unwrap());
-            assert_eq!(ra.n_l, rb.n_l);
-            assert_eq!(ra.f, rb.f);
-            assert_eq!(ra.rank, rb.rank);
-            assert_eq!(ra.o_ns, rb.o_ns);
+        // A per-job deadline is how a run executes, not what it
+        // computes: it must hit the same entries and add none.
+        let timed = BatchEngine::new()
+            .with_workers(2)
+            .with_cache(cache.clone())
+            .with_deadline(Duration::from_secs(30))
+            .run(jobs());
+        for rerun in [&warm, &timed] {
+            assert_eq!(rerun.cache_hits(), 4);
+            assert!((rerun.cache_hit_rate() - 1.0).abs() < f64::EPSILON);
+            assert!(rerun.outcomes.iter().all(|o| o.cached && o.iterations == 0));
+            for (a, b) in cold.outcomes.iter().zip(&rerun.outcomes) {
+                assert_eq!(
+                    a.programs, b.programs,
+                    "cached result differs for {}",
+                    a.name
+                );
+                let (ra, rb) = (a.row.as_ref().unwrap(), b.row.as_ref().unwrap());
+                assert_eq!(ra.n_l, rb.n_l);
+                assert_eq!(ra.f, rb.f);
+                assert_eq!(ra.rank, rb.rank);
+                assert_eq!(ra.o_ns, rb.o_ns);
+            }
         }
+        let cache = cache.lock().unwrap();
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.snapshot_count(), 4);
     }
 
     #[test]
-    fn deadline_clamps_time_limit_and_flags() {
+    fn generous_deadline_flags_nothing() {
         // A generous deadline changes nothing for these tiny jobs.
         let report = BatchEngine::new()
             .with_deadline(Duration::from_secs(60))

@@ -22,7 +22,6 @@ pub fn stop_reason_tag(reason: &StopReason) -> &'static str {
         StopReason::Saturated => "saturated",
         StopReason::IterationLimit(_) => "iteration_limit",
         StopReason::NodeLimit(_) => "node_limit",
-        StopReason::TimeLimit(_) => "time_limit",
         StopReason::Cancelled => "cancelled",
     }
 }

@@ -123,6 +123,24 @@ fn usage_errors_exit_2() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--cost"));
+
+    // k = 0 would reach the extractor's `k > 0` assertion and panic
+    // every job; the parser refuses it up front.
+    let out = szb()
+        .args(["--suite16", "--sequential", "--k", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--k must be at least 1"));
+
+    // There is no saturation time limit; `--per-job-timeout` is the one
+    // wall-clock bound.
+    let out = szb()
+        .args(["--suite16", "--time-limit", "5"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument: --time-limit"));
 }
 
 #[test]

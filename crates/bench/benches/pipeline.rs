@@ -6,8 +6,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 use sz_egraph::Runner;
 use szalinski::{
-    cad_to_lang, infer_functions, list_manipulation, parse_cost_model, rules, AstSizeCost,
-    CadAnalysis, CostModel, RewardLoopsCost, RunOptions, SynthConfig, Synthesizer,
+    cad_to_lang, infer_functions_with, list_manipulation, parse_cost_model, rules, AstSizeCost,
+    CadAnalysis, CostModel, PassControl, RewardLoopsCost, RunOptions, SynthConfig, Synthesizer,
 };
 
 fn bench_structural_rules_ablation(c: &mut Criterion) {
@@ -78,7 +78,8 @@ fn bench_listmanip_and_inference(c: &mut Criterion) {
     group.bench_function("infer_functions", |b| {
         b.iter(|| {
             let mut eg = eg.clone();
-            black_box(infer_functions(&mut eg, 1e-3).len())
+            let (records, _) = infer_functions_with(&mut eg, 1e-3, &PassControl::new());
+            black_box(records.len())
         });
     });
     group.finish();

@@ -88,7 +88,7 @@ fn main() -> ExitCode {
     // Rule-compilation reuse gate: the Synthesizer sessions behind the
     // batch engine share one process-wide compiled rule set, so pattern
     // compiles must be bounded by the rule-set size — not scale with the
-    // 16 jobs. (Under `naive-ematch` nothing compiles; 0 passes too.)
+    // 16 jobs.
     let pattern_compiles = sz_egraph::compile_count();
     let rule_count = szalinski::rules().len() + szalinski::all_rules().len();
 

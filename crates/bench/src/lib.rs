@@ -32,8 +32,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::time::Duration;
-
 use std::sync::Arc;
 
 use sz_batch::BatchEngine;
@@ -141,11 +139,6 @@ pub fn quick_config() -> SynthConfig {
         .with_k(3)
         .with_iter_limit(40)
         .with_node_limit(60_000)
-}
-
-/// A per-run time limit for CI-friendly benches.
-pub fn bench_time_limit() -> Duration {
-    Duration::from_secs(30)
 }
 
 #[cfg(test)]

@@ -293,16 +293,13 @@ impl PassControl {
 /// tried, so diverse parameterizations coexist in the e-graph and the
 /// final top-k extraction chooses among them. Call
 /// [`CadGraph::rebuild`] afterwards.
-pub fn infer_functions(egraph: &mut CadGraph, eps: f64) -> Vec<InferenceRecord> {
-    infer_functions_with(egraph, eps, &PassControl::new()).0
-}
-
-/// [`infer_functions`] with cooperative cancellation: `ctl` is polled
-/// between list sites. Returns the records produced plus whether the
-/// pass was **truncated** — stopped with sites left unprocessed (the
-/// e-graph keeps any structure already inserted). A pass that ran every
-/// site reports `false` even if the stop condition became true
-/// afterwards: its product is still the deterministic one.
+///
+/// Cancellation is cooperative: `ctl` is polled between list sites
+/// ([`PassControl::new`] never stops). Returns the records produced plus
+/// whether the pass was **truncated** — stopped with sites left
+/// unprocessed (the e-graph keeps any structure already inserted). A
+/// pass that ran every site reports `false` even if the stop condition
+/// became true afterwards: its product is still the deterministic one.
 pub fn infer_functions_with(
     egraph: &mut CadGraph,
     eps: f64,
@@ -397,7 +394,7 @@ mod tests {
             .run(&crate::rules::rules());
         let mut eg = runner.egraph;
         let root = runner.roots[0];
-        let records = infer_functions(&mut eg, 1e-3);
+        let (records, _) = infer_functions_with(&mut eg, 1e-3, &PassControl::new());
         eg.rebuild();
         let ex = Extractor::new(&eg, AstSize);
         let (_, best) = ex.find_best(root);

@@ -16,10 +16,10 @@
 //!    affine decomposition per list element;
 //! 4. [`list_manipulation`] adds lexicographically sorted list variants
 //!    inside commutative folds;
-//! 5. [`infer_functions`] fits closed forms (degree-1/2 polynomials with
-//!    ε tolerance, sinusoids) per affine layer and inserts
-//!    `Mapi`/`Repeat` structure; [`infer_loops`] finds nested loops via
-//!    m-factorization and the irregular-grid grouping fallback;
+//! 5. [`infer_functions_with`] fits closed forms (degree-1/2 polynomials
+//!    with ε tolerance, sinusoids) per affine layer and inserts
+//!    `Mapi`/`Repeat` structure; [`infer_loops_with`] finds nested loops
+//!    via m-factorization and the irregular-grid grouping fallback;
 //! 6. extraction returns the **top-k** programs under any pluggable
 //!    [`CostModel`] (the paper's AST size is the default, the
 //!    `wardrobe@` loop-rewarding scheme a built-in; see [`cost`] for
@@ -37,7 +37,10 @@
 //! whose [`SynthConfig::saturation_core_fingerprint`] matches with
 //! lower-or-equal fuel limits — saturation *continues* from the stored
 //! [`SatPhase`], landing byte-identical to a cold run at the higher
-//! fuel). Which flavor ran is recorded in [`Synthesis`]`::mode`.
+//! fuel). Which flavor ran is recorded in [`Synthesis`]`::mode`. The
+//! config decides the result and the [`RunOptions`] only run it: a run
+//! that no deadline or cancel token stopped returns the same programs
+//! whichever flavor ran.
 //!
 //! Stores that hold many serialized snapshots decide what to offer via
 //! [`SynthSnapshot::probe_header`], which reads a snapshot's identity
@@ -91,20 +94,18 @@ pub use cost::{
     RewardLoopsCost, WeightedCost, WeightedSum, COST_SPEC_GRAMMAR,
 };
 pub use determinize::{chains_of, determinize, determinize_all, AffineChain, ChainLayer, DetList};
-pub use funcinfer::{
-    infer_functions, infer_functions_with, InferenceRecord, LoopShape, PassControl,
-};
+pub use funcinfer::{infer_functions_with, InferenceRecord, LoopShape, PassControl};
 pub use lang::{cad_to_lang, lang_to_cad, lang_to_cad_at, CadLang, FromLangError};
 pub use listmanip::list_manipulation;
 pub use lists::{add_cons_list, add_expr_tree, fold_sites, read_list, FoldSite};
-pub use loopinfer::{factorizations, index_sets, infer_loops, infer_loops_with};
+pub use loopinfer::{factorizations, index_sets, infer_loops_with};
 pub use pipeline::{
     ParetoProgram, SatPhase, SatPhaseHeader, SnapshotHeader, SynthConfig, SynthError, SynthProgram,
     SynthSnapshot, Synthesis,
 };
 pub use report::{fit_tags, has_structure, loop_tags, TableRow};
 pub use rules::{all_rules, rules, structural_rules, CadRewrite};
-pub use session::{RunLimits, RunMode, RunOptions, Synthesizer};
+pub use session::{RunMode, RunOptions, Synthesizer};
 pub use sz_egraph::{CancelToken, ProgressObserver, RuleStat, StopReason};
 pub use sz_lint::{lint_ruleset, Diagnostic as LintDiagnostic, Report as LintReport};
 pub use sz_trace::{Metrics, Telemetry, Tracer};

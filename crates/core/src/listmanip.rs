@@ -62,7 +62,7 @@ pub fn list_manipulation(egraph: &mut CadGraph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::funcinfer::infer_functions;
+    use crate::funcinfer::{infer_functions_with, PassControl};
     use crate::lang_to_cad;
     use sz_egraph::{AstSize, Extractor, RecExpr};
 
@@ -88,7 +88,7 @@ mod tests {
         let added = list_manipulation(&mut eg);
         assert_eq!(added, 1);
         eg.rebuild();
-        infer_functions(&mut eg, 1e-3);
+        infer_functions_with(&mut eg, 1e-3, &PassControl::new());
         eg.rebuild();
         let ex = Extractor::new(&eg, AstSize);
         let (_, best) = ex.find_best(root);

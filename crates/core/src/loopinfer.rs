@@ -277,16 +277,13 @@ fn infer_irregular(
 /// elements share an outermost affine kind and a common inner subterm.
 /// Only `Union`/`Inter` folds are considered (grouping reorders elements,
 /// which is sound only for commutative operators).
-pub fn infer_loops(egraph: &mut CadGraph, eps: f64) -> Vec<InferenceRecord> {
-    infer_loops_with(egraph, eps, &PassControl::new()).0
-}
-
-/// [`infer_loops`] with cooperative cancellation: `ctl` is polled
-/// between list sites. Returns the records produced plus whether the
-/// pass was **truncated** — stopped with sites left unprocessed (the
-/// e-graph keeps any structure already inserted); a pass that ran every
-/// site reports `false` even if the stop condition became true only
-/// afterwards.
+///
+/// Cancellation is cooperative: `ctl` is polled between list sites
+/// ([`PassControl::new`] never stops). Returns the records produced plus
+/// whether the pass was **truncated** — stopped with sites left
+/// unprocessed (the e-graph keeps any structure already inserted); a
+/// pass that ran every site reports `false` even if the stop condition
+/// became true only afterwards.
 pub fn infer_loops_with(
     egraph: &mut CadGraph,
     eps: f64,
@@ -365,7 +362,7 @@ mod tests {
             .run(&crate::rules::rules());
         let mut eg = runner.egraph;
         let root = runner.roots[0];
-        let records = infer_loops(&mut eg, 1e-3);
+        let (records, _) = infer_loops_with(&mut eg, 1e-3, &PassControl::new());
         eg.rebuild();
         let ex = Extractor::new(&eg, AstSize);
         let (_, best) = ex.find_best(root);

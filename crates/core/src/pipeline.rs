@@ -19,7 +19,10 @@ use crate::funcinfer::InferenceRecord;
 use crate::lang::lang_to_cad;
 use crate::report::{fit_tags, has_structure, loop_tags, TableRow};
 
-/// Configuration ("fuel") for one synthesis run.
+/// Configuration ("fuel") for one synthesis run: the only input besides
+/// the flat CAD that decides a non-cancelled result. How a run executes
+/// (snapshot offer, capture, deadline, cancellation, progress, telemetry)
+/// is [`RunOptions`](crate::RunOptions)' business and never changes it.
 #[derive(Debug, Clone)]
 pub struct SynthConfig {
     /// Noise tolerance for the arithmetic solvers (the paper's ε).
@@ -30,8 +33,6 @@ pub struct SynthConfig {
     pub iter_limit: usize,
     /// E-node limit for saturation.
     pub node_limit: usize,
-    /// Wall-clock limit for saturation.
-    pub time_limit: Duration,
     /// Include the explosive structural boolean rules
     /// (commutativity/associativity); off by default, measured in the
     /// ablation bench.
@@ -58,7 +59,6 @@ impl Default for SynthConfig {
             k: 5,
             iter_limit: 150,
             node_limit: 200_000,
-            time_limit: Duration::from_secs(60),
             structural_rules: false,
             backoff: false,
             cost_model: Arc::new(AstSizeCost),
@@ -79,7 +79,8 @@ impl SynthConfig {
         self
     }
 
-    /// Sets k for top-k extraction.
+    /// Sets k for top-k extraction. k must be at least 1: extraction
+    /// panics on k = 0 (`szb --k 0` is rejected as a usage error).
     pub fn with_k(mut self, k: usize) -> Self {
         self.k = k;
         self
@@ -185,9 +186,9 @@ impl SynthConfig {
     }
 
     /// The **saturation** half of [`SynthConfig::fingerprint`]: only the
-    /// fields that shape the saturated e-graph (solver tolerance, fuel
-    /// limits, rule set, scheduling). Extraction-only fields — `k` and
-    /// `cost` — are deliberately excluded.
+    /// fields that shape the saturated e-graph (solver tolerance,
+    /// iteration and node limits, rule set, scheduling). Extraction-only
+    /// fields — `k` and `cost` — are deliberately excluded.
     ///
     /// This split is what makes e-graph snapshots reusable across
     /// extraction-only config changes: two configs with equal saturation
@@ -196,24 +197,25 @@ impl SynthConfig {
     /// (see [`Synthesizer::run`](crate::Synthesizer::run)) instead of
     /// re-saturating, while any rule-set or fuel change invalidates it.
     pub fn saturation_fingerprint(&self) -> String {
-        // `fuel=1` is the retired main-loop round count, kept as literal
-        // text: stored cache keys, `satphase` headers and the golden
-        // snapshot fixtures all carry it.
+        // `time_ms=60000` (the retired saturation time limit's old
+        // default) and `fuel=1` (the retired main-loop round count) are
+        // literal text: stored cache keys, `satphase` headers and the
+        // golden snapshot fixtures all carry them, so dropping either
+        // waits for the next snapshot-format bump.
         format!(
-            "snapv{};eps={:e};iter={};nodes={};time_ms={};fuel=1;structural={};backoff={}",
+            "snapv{};eps={:e};iter={};nodes={};time_ms=60000;fuel=1;structural={};backoff={}",
             sz_egraph::SNAPSHOT_FORMAT_VERSION,
             self.eps,
             self.iter_limit,
             self.node_limit,
-            self.time_limit.as_millis(),
             self.structural_rules,
             self.backoff,
         )
     }
 
     /// The saturation fingerprint **modulo fuel limits**: every field of
-    /// [`SynthConfig::saturation_fingerprint`] except `iter`/`nodes`/
-    /// `time_ms`.
+    /// [`SynthConfig::saturation_fingerprint`] except `iter`/`nodes` (and
+    /// the literal `time_ms` token).
     ///
     /// Two configs with equal core fingerprints explore the *same
     /// saturation trajectory* — they differ only in where along it they
@@ -224,7 +226,7 @@ impl SynthConfig {
     /// saturating from it instead of starting cold (see
     /// [`SynthSnapshot::supports_partial_resume`]).
     pub fn saturation_core_fingerprint(&self) -> String {
-        // `fuel=1`: see `saturation_fingerprint`.
+        // `fuel=1`: literal text, see `saturation_fingerprint`.
         format!(
             "snapv{};eps={:e};fuel=1;structural={};backoff={}",
             sz_egraph::SNAPSHOT_FORMAT_VERSION,
@@ -364,10 +366,9 @@ pub struct Synthesis {
     /// was requested and the run was not cancelled.
     pub snapshot: Option<SynthSnapshot>,
     /// The deterministic Pareto front under the two cost models of
-    /// [`SynthConfig::with_pareto`] /
-    /// [`RunOptions::with_pareto`](crate::RunOptions::with_pareto):
-    /// mutually non-dominating programs, ascending on the first
-    /// objective. `None` when no Pareto extraction was requested.
+    /// [`SynthConfig::with_pareto`]: mutually non-dominating programs,
+    /// ascending on the first objective. `None` when no Pareto extraction
+    /// was requested.
     pub pareto: Option<Vec<ParetoProgram>>,
     /// The telemetry bundle this run recorded into (the one passed via
     /// [`RunOptions::with_telemetry`](crate::RunOptions::with_telemetry),
@@ -526,7 +527,6 @@ pub struct SatPhase {
     core_fp: String,
     iter_limit: usize,
     node_limit: usize,
-    time_ms: u128,
     rule_stats: Vec<RuleStat>,
     snapshot: Snapshot<crate::CadLang>,
 }
@@ -539,7 +539,6 @@ impl SatPhase {
             core_fp: config.saturation_core_fingerprint(),
             iter_limit: config.iter_limit,
             node_limit: config.node_limit,
-            time_ms: config.time_limit.as_millis(),
             rule_stats: Vec::new(),
             snapshot,
         }
@@ -725,12 +724,14 @@ impl SynthSnapshot {
             None
         } else {
             let mut toks = rest.split_whitespace();
-            Some(SatPhaseHeader {
+            let header = SatPhaseHeader {
                 core_fp: toks.next()?.to_owned(),
                 iter_limit: toks.next()?.parse().ok()?,
                 node_limit: toks.next()?.parse().ok()?,
-                time_ms: toks.next()?.parse().ok()?,
-            })
+            };
+            // The retired time limit's token: still a number, unused.
+            toks.next()?.parse::<u128>().ok()?;
+            Some(header)
         };
         Some(SnapshotHeader {
             input,
@@ -766,8 +767,6 @@ pub struct SatPhaseHeader {
     pub iter_limit: usize,
     /// The producing run's e-node limit.
     pub node_limit: usize,
-    /// The producing run's saturation time limit, in milliseconds.
-    pub time_ms: u128,
 }
 
 impl SatPhaseHeader {
@@ -779,7 +778,6 @@ impl SatPhaseHeader {
         self.core_fp == config.saturation_core_fingerprint()
             && self.iter_limit <= config.iter_limit
             && self.node_limit <= config.node_limit
-            && self.time_ms <= config.time_limit.as_millis()
     }
 }
 
@@ -791,7 +789,6 @@ impl SatPhase {
             core_fp: self.core_fp.clone(),
             iter_limit: self.iter_limit,
             node_limit: self.node_limit,
-            time_ms: self.time_ms,
         }
     }
 }
@@ -807,15 +804,16 @@ impl fmt::Display for SynthSnapshot {
                 // The embedded snapshot's and rule-stat table's lengths
                 // are declared up front (fingerprints contain no
                 // whitespace, so the descriptor stays one
-                // whitespace-separated line).
+                // whitespace-separated line). `60000` is the retired
+                // time limit's slot, kept as literal text like the
+                // fingerprint's `time_ms=60000`.
                 let text = phase.snapshot.to_string();
                 writeln!(
                     f,
-                    "satphase {} {} {} {} {} {}",
+                    "satphase {} {} {} 60000 {} {}",
                     phase.core_fp,
                     phase.iter_limit,
                     phase.node_limit,
-                    phase.time_ms,
                     text.lines().count(),
                     phase.rule_stats.len(),
                 )?;
@@ -923,7 +921,8 @@ impl std::str::FromStr for SynthSnapshot {
             };
             let iter_limit = field(iter_tok, "an iteration limit")?;
             let node_limit = field(nodes_tok, "a node limit")?;
-            let time_ms = field(time_tok, "a time limit in ms")? as u128;
+            // The retired time limit's slot: must be a number, then unused.
+            field(time_tok, "a time limit in ms")?;
             let len = field(len_tok, "a line count")?;
             let nstats = field(nstats_tok, "a rulestat count")?;
             let mut rule_stats = Vec::with_capacity(nstats);
@@ -968,7 +967,6 @@ impl std::str::FromStr for SynthSnapshot {
                 core_fp: (*core_fp).to_owned(),
                 iter_limit,
                 node_limit,
-                time_ms,
                 rule_stats,
                 snapshot,
             })
@@ -1362,6 +1360,52 @@ mod tests {
         assert!(!snapshot.supports_partial_resume(&low.clone().with_node_limit(5_000)));
         // Core changes: not resumable at any fuel.
         assert!(!snapshot.supports_partial_resume(&low.with_eps(1e-2).with_iter_limit(50)));
+    }
+
+    #[test]
+    fn snapshot_with_another_time_token_serves_only_partial_resume() {
+        // A snapshot stored under another saturation time limit (older
+        // builds clamped it to `szb --per-job-timeout`) carries another
+        // number in both time slots. It still parses, but its `satfp`
+        // equals no config's fingerprint, so only its saturation phase
+        // can be resumed.
+        let flat = row_of_cubes(4, 2.0);
+        let low = SynthConfig::new().with_iter_limit(3);
+        let (_, snapshot) = capture(&flat, &low);
+        let mut lines: Vec<String> = snapshot.to_string().lines().map(str::to_owned).collect();
+        assert!(lines[2].contains(";time_ms=60000;"), "{}", lines[2]);
+        lines[2] = lines[2].replace(";time_ms=60000;", ";time_ms=30000;");
+        let toks: Vec<&str> = lines[3].split(' ').collect();
+        assert_eq!(toks[4], "60000", "{}", lines[3]);
+        let with_time = |tok: &str| {
+            let mut toks = toks.clone();
+            toks[4] = tok;
+            let mut lines = lines.clone();
+            lines[3] = toks.join(" ");
+            lines.join("\n") + "\n"
+        };
+
+        let err = with_time("soon").parse::<SynthSnapshot>().unwrap_err();
+        assert_eq!(err.line(), 4, "{err}");
+        assert!(err.to_string().contains("a time limit in ms"), "{err}");
+        assert_eq!(SynthSnapshot::probe_header(&with_time("soon")), None);
+
+        let old: SynthSnapshot = with_time("30000").parse().unwrap();
+        let high = SynthConfig::new().with_iter_limit(40);
+        assert!(old.supports_partial_resume(&low));
+        assert!(old.supports_partial_resume(&high));
+        for config in [&low, &high] {
+            assert_ne!(
+                old.saturation_fingerprint(),
+                config.saturation_fingerprint()
+            );
+            let resumed = resume(&flat, config, &old);
+            assert_eq!(resumed.mode, RunMode::ResumedSaturation);
+            assert_eq!(
+                resumed.best().cad.to_string(),
+                run(&flat, config).best().cad.to_string()
+            );
+        }
     }
 
     #[test]

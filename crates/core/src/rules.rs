@@ -13,8 +13,8 @@
 //! `sz_egraph::machine`) — a rule like `collapse-scale` only ever visits
 //! classes that actually contain a `Scale` node. The original pattern
 //! stays reachable via [`Rewrite::searcher`] as the naive oracle for the
-//! VM-vs-naive differential suite (`tests/ematch_differential.rs`), and
-//! building with `sz-egraph/naive-ematch` swaps every rule back to it.
+//! VM-vs-naive differential suite (`tests/ematch_differential.rs`); the
+//! compiled program is the only matcher saturation runs.
 //!
 //! Note on the rotate/translate reordering rules: Fig. 8b as printed
 //! contains `tan⁻¹(cosθ/sinθ)` terms that do not type-check geometrically;

@@ -16,14 +16,20 @@
 //!   passes and extraction re-run — strictly fewer iterations than a
 //!   cold run at the higher fuel, byte-identical output.
 //!
-//! Runs are bounded and observable: [`RunOptions`] carries per-run
-//! [`RunLimits`] (iteration/node overrides and a wall-clock deadline), a
-//! cooperative [`CancelToken`], and a [`ProgressObserver`] iteration
-//! hook. Deadlines and cancellation stop saturation **at iteration
+//! **The config decides the result; the run options only run it.** A
+//! non-cancelled run's output is a function of the input and the
+//! session's [`SynthConfig`] alone. [`RunOptions`] decides only how a run
+//! executes: which snapshot is offered, whether one is captured, a
+//! wall-clock deadline, a cooperative [`CancelToken`], a
+//! [`ProgressObserver`] iteration hook, and telemetry. None of them can
+//! change the fuel or the extraction, so a caller that wants other fuel
+//! builds a second `Synthesizer` (one `Arc` clone of the compiled rule
+//! set). Deadlines and cancellation stop saturation **at iteration
 //! boundaries** with [`StopReason::Cancelled`]; the partial result is
 //! still extracted, so a cancelled run returns a well-formed
 //! [`Synthesis`] rather than an error (serving callers can always
-//! respond with *something*).
+//! respond with *something*), and it is the only result that depends on
+//! the wall clock.
 //!
 //! The compiled rule sets are cached process-wide: every session with
 //! the same `structural_rules` flag shares one `Arc` of compiled
@@ -43,7 +49,6 @@ use sz_lint::Report;
 use sz_trace::Telemetry;
 
 use crate::analysis::{CadAnalysis, CadGraph};
-use crate::cost::CostModel;
 use crate::funcinfer::{infer_functions_with, PassControl};
 use crate::lang::cad_to_lang;
 use crate::listmanip::list_manipulation;
@@ -75,71 +80,28 @@ impl RunMode {
     }
 }
 
-/// Per-run resource bounds layered over the session's [`SynthConfig`].
+/// How one [`Synthesizer::run`] executes: an optional snapshot to
+/// resume from, whether to capture a [`SynthSnapshot`] of the result
+/// (returned in [`Synthesis::snapshot`]), a wall-clock deadline, a
+/// [`CancelToken`], a [`ProgressObserver`], and a [`Telemetry`] bundle.
 ///
-/// `iter_limit` / `node_limit` override the config's saturation fuel for
-/// this run only (they participate in snapshot-compatibility decisions
-/// exactly like config fields). `deadline` is a wall-clock bound on the
-/// whole run: when it passes, saturation stops at the next iteration
-/// boundary with [`StopReason::Cancelled`] and the partial result is
-/// extracted — unlike the config's `time_limit`, which is saturation-only
-/// fuel and reports [`StopReason::TimeLimit`].
-#[derive(Debug, Clone, Default)]
-pub struct RunLimits {
-    iter_limit: Option<usize>,
-    node_limit: Option<usize>,
-    deadline: Option<Duration>,
-}
-
-impl RunLimits {
-    /// No overrides: the session config's limits apply.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the saturation iteration limit for this run.
-    pub fn with_iter_limit(mut self, limit: usize) -> Self {
-        self.iter_limit = Some(limit);
-        self
-    }
-
-    /// Overrides the saturation e-node limit for this run.
-    pub fn with_node_limit(mut self, limit: usize) -> Self {
-        self.node_limit = Some(limit);
-        self
-    }
-
-    /// Sets a wall-clock deadline for the whole run, measured from the
-    /// moment [`Synthesizer::run`] is called.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// The configured deadline, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-}
-
-/// Options for one [`Synthesizer::run`]: an optional snapshot to resume
-/// from, per-run [`RunLimits`], a [`CancelToken`], a
-/// [`ProgressObserver`], and whether to capture a [`SynthSnapshot`] of
-/// the result (returned in [`Synthesis::snapshot`]).
+/// None of these decides the result: a run that is not cancelled
+/// returns the same programs whatever its options (see the
+/// [module docs](self)). Fuel and extraction live in the session's
+/// [`SynthConfig`].
 #[derive(Clone, Default)]
 pub struct RunOptions {
     snapshot: Option<SynthSnapshot>,
-    limits: RunLimits,
+    capture: bool,
+    deadline: Option<Duration>,
     cancel: Option<CancelToken>,
     progress: Option<Arc<dyn ProgressObserver>>,
-    capture: bool,
-    pareto: Option<[Arc<dyn CostModel>; 2]>,
     telemetry: Telemetry,
 }
 
 impl RunOptions {
-    /// Default options: cold run, session limits, no cancellation, no
-    /// progress hook, no snapshot capture.
+    /// Default options: cold run, no snapshot capture, no deadline, no
+    /// cancellation, no progress hook, telemetry off.
     pub fn new() -> Self {
         Self::default()
     }
@@ -154,21 +116,14 @@ impl RunOptions {
         self
     }
 
-    /// Sets per-run limits (see [`RunLimits`]). A deadline already set
-    /// via [`RunOptions::with_deadline`] is preserved unless `limits`
-    /// carries its own — so `with_deadline(...).with_limits(...)` and
-    /// the reverse order both keep the deadline.
-    pub fn with_limits(mut self, limits: RunLimits) -> Self {
-        let deadline = limits.deadline.or(self.limits.deadline);
-        self.limits = limits;
-        self.limits.deadline = deadline;
-        self
-    }
-
-    /// Shorthand for a wall-clock deadline on this run (see
-    /// [`RunLimits::with_deadline`]).
+    /// Sets a wall-clock deadline for the whole run, measured from the
+    /// moment [`Synthesizer::run`] is called. When it passes, the run
+    /// stops at the next saturation iteration boundary (or between
+    /// inference list sites) with [`StopReason::Cancelled`] and the
+    /// partial result is extracted. A run the deadline does not stop
+    /// returns what it would have returned without it.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.limits.deadline = Some(deadline);
+        self.deadline = Some(deadline);
         self
     }
 
@@ -196,26 +151,6 @@ impl RunOptions {
         self
     }
 
-    /// Requests Pareto-front extraction under two cost models for this
-    /// run only, overriding [`SynthConfig::with_pareto`]. The front is
-    /// returned in [`Synthesis::pareto`]; the first model must be
-    /// strictly monotone (see [`CostModel`]).
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic when the first model is not strictly monotone
-    /// (mirroring [`SynthConfig::with_pareto`] and the CLI's
-    /// `parse_cost_spec` rejection).
-    pub fn with_pareto(mut self, a: Arc<dyn CostModel>, b: Arc<dyn CostModel>) -> Self {
-        debug_assert!(
-            a.strictly_monotone(),
-            "the first pareto objective must be strictly monotone \
-             (put plateauing measures like GeomCount second)"
-        );
-        self.pareto = Some([a, b]);
-        self
-    }
-
     /// Attaches a [`Telemetry`] bundle (spans + metrics) to this run.
     ///
     /// The pipeline records phase spans (`pipeline/saturation`,
@@ -237,11 +172,10 @@ impl std::fmt::Debug for RunOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunOptions")
             .field("snapshot", &self.snapshot.as_ref().map(|_| "..."))
-            .field("limits", &self.limits)
+            .field("capture", &self.capture)
+            .field("deadline", &self.deadline)
             .field("cancel", &self.cancel)
             .field("progress", &self.progress.as_ref().map(|_| "..."))
-            .field("capture", &self.capture)
-            .field("pareto", &self.pareto)
             .field("telemetry", &self.telemetry)
             .finish()
     }
@@ -338,7 +272,8 @@ impl Synthesizer {
         })
     }
 
-    /// The session's base configuration.
+    /// The session's configuration: with the input, all that decides a
+    /// non-cancelled run's result.
     pub fn config(&self) -> &SynthConfig {
         &self.config
     }
@@ -357,33 +292,17 @@ impl Synthesizer {
         &self.lint
     }
 
-    /// The session config with this run's [`RunLimits`] and pareto
-    /// overrides folded in — the config whose fingerprints govern
-    /// snapshot compatibility and capture for the run.
-    fn effective_config(&self, opts: &RunOptions) -> SynthConfig {
-        let mut config = self.config.clone();
-        if let Some(iter) = opts.limits.iter_limit {
-            config.iter_limit = iter;
-        }
-        if let Some(nodes) = opts.limits.node_limit {
-            config.node_limit = nodes;
-        }
-        if let Some(pareto) = &opts.pareto {
-            config.pareto = Some(pareto.clone());
-        }
-        config
-    }
-
     /// Runs the pipeline on a flat CSG. One entry point for every mode;
     /// see the [module docs](self) for the dispatch rules and
     /// cancellation semantics.
     ///
-    /// Determinism caveat (shared by every resume guarantee in this
-    /// workspace): byte-identity between a resumed and a cold run holds
-    /// when the config's saturation `time_limit` never binds — a
-    /// time-limited stop is wall-clock-dependent, so even two cold runs
-    /// at the same config can differ. A resumed run additionally gets a
-    /// fresh `time_limit` budget for its own leg.
+    /// Determinism (shared by every resume guarantee in this workspace):
+    /// a run that is not cancelled returns the same result for the same
+    /// input and session config, whatever its [`RunOptions`] and however
+    /// it executed — cold, or resumed from either snapshot flavor. Only a
+    /// deadline or cancel token can make a result wall-clock-dependent,
+    /// and such a run reports [`StopReason::Cancelled`] and never
+    /// captures a snapshot.
     ///
     /// # Errors
     ///
@@ -397,8 +316,8 @@ impl Synthesizer {
             return Err(SynthError::NotFlat);
         }
         let start = Instant::now();
-        let config = self.effective_config(&opts);
-        let deadline = opts.limits.deadline.map(|d| start + d);
+        let config = &self.config;
+        let deadline = opts.deadline.map(|d| start + d);
 
         // A cancel/deadline that is *already* triggered stops the run
         // before any restore or extraction work — crucial for batch
@@ -423,7 +342,7 @@ impl Synthesizer {
                     && snapshot.egraph_snapshot().roots().len() == 1
                 {
                     Plan::Extraction
-                } else if snapshot.supports_partial_resume(&config)
+                } else if snapshot.supports_partial_resume(config)
                     && snapshot
                         .sat_phase()
                         .is_some_and(|p| p.snapshot().roots().len() == 1)
@@ -442,24 +361,23 @@ impl Synthesizer {
         let result = match plan {
             Plan::Extraction => {
                 let snapshot = opts.snapshot.take().expect("dispatch saw a snapshot");
-                let result = self.run_extraction_resume(input, &config, &opts, snapshot, start);
+                let result = self.run_extraction_resume(input, &opts, snapshot, start);
                 if result.top_k.is_empty() {
-                    self.run_cold(input, &config, &opts, deadline, start)
+                    self.run_cold(input, &opts, deadline, start)
                 } else {
                     result
                 }
             }
             Plan::Partial => {
                 let snapshot = opts.snapshot.take().expect("dispatch saw a snapshot");
-                let result =
-                    self.run_partial_resume(input, &config, &opts, &snapshot, deadline, start);
+                let result = self.run_partial_resume(input, &opts, &snapshot, deadline, start);
                 if result.top_k.is_empty() {
-                    self.run_cold(input, &config, &opts, deadline, start)
+                    self.run_cold(input, &opts, deadline, start)
                 } else {
                     result
                 }
             }
-            Plan::Cold => self.run_cold(input, &config, &opts, deadline, start),
+            Plan::Cold => self.run_cold(input, &opts, deadline, start),
         };
         // Count the mode the run *actually* executed in (a resume plan
         // that degraded to cold counts once, as cold).
@@ -483,11 +401,11 @@ impl Synthesizer {
     fn run_extraction_resume(
         &self,
         input: &Cad,
-        config: &SynthConfig,
         opts: &RunOptions,
         snapshot: SynthSnapshot,
         start: Instant,
     ) -> Synthesis {
+        let config = &self.config;
         let &[root] = snapshot.egraph_snapshot().roots() else {
             unreachable!("dispatch checked for exactly one root");
         };
@@ -524,19 +442,17 @@ impl Synthesizer {
     fn run_partial_resume(
         &self,
         input: &Cad,
-        config: &SynthConfig,
         opts: &RunOptions,
         snapshot: &SynthSnapshot,
         deadline: Option<Instant>,
         start: Instant,
     ) -> Synthesis {
         let phase = snapshot.sat_phase().expect("dispatch checked");
-        let remaining = config.iter_limit.saturating_sub(phase.iterations());
+        let remaining = self.config.iter_limit.saturating_sub(phase.iterations());
         let restore_span = opts.telemetry.span("pipeline", "snapshot.restore");
         let runner = Runner::resume_from(phase.snapshot(), CadAnalysis)
             .with_iter_limit(remaining)
-            .with_node_limit(config.node_limit)
-            .with_time_limit(config.time_limit);
+            .with_node_limit(self.config.node_limit);
         drop(restore_span);
         let sat_span = opts.telemetry.span("pipeline", "saturation");
         let runner = configure_runner(runner, opts, deadline).run(&self.ruleset);
@@ -544,7 +460,6 @@ impl Synthesizer {
         let root = runner.roots[0];
         self.finish_from_runner(
             input,
-            config,
             opts,
             runner,
             // The producing legs' persisted lifetime counts: this leg's
@@ -563,11 +478,11 @@ impl Synthesizer {
     fn run_cold(
         &self,
         input: &Cad,
-        config: &SynthConfig,
         opts: &RunOptions,
         deadline: Option<Instant>,
         start: Instant,
     ) -> Synthesis {
+        let config = &self.config;
         let scheduler = if config.backoff {
             Scheduler::backoff()
         } else {
@@ -581,14 +496,12 @@ impl Synthesizer {
             .with_egraph(egraph)
             .with_iter_limit(config.iter_limit)
             .with_node_limit(config.node_limit)
-            .with_time_limit(config.time_limit)
             .with_scheduler(scheduler);
         let sat_span = opts.telemetry.span("pipeline", "saturation");
         let runner = configure_runner(runner, opts, deadline).run(&self.ruleset);
         drop(sat_span);
         self.finish_from_runner(
             input,
-            config,
             opts,
             runner,
             Vec::new(),
@@ -613,7 +526,6 @@ impl Synthesizer {
     fn finish_from_runner(
         &self,
         input: &Cad,
-        config: &SynthConfig,
         opts: &RunOptions,
         mut runner: Runner<crate::CadLang, CadAnalysis>,
         prior_stats: Vec<RuleStat>,
@@ -622,6 +534,7 @@ impl Synthesizer {
         deadline: Option<Instant>,
         start: Instant,
     ) -> Synthesis {
+        let config = &self.config;
         let iterations = runner.iterations.len();
         let lifetime_iterations = runner.prior_iterations + iterations;
         let mut stop_reason = runner.stop_reason.clone();
@@ -841,7 +754,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Synthesizer>();
         assert_send_sync::<RunOptions>();
-        assert_send_sync::<RunLimits>();
 
         // One session, many threads: results must match a lone run.
         let session = Arc::new(Synthesizer::new(quick()));
@@ -1124,35 +1036,6 @@ mod tests {
     }
 
     #[test]
-    fn run_limit_overrides_participate_in_dispatch() {
-        // A snapshot captured at the session's default fuel is reused by
-        // a *higher* per-run iter override via partial resume.
-        let flat = row_of_cubes(5, 2.0);
-        let session = Synthesizer::new(quick().with_iter_limit(3));
-        let snapshot = session
-            .run(&flat, RunOptions::new().capture_snapshot(true))
-            .unwrap()
-            .snapshot
-            .unwrap();
-        let resumed = session
-            .run(
-                &flat,
-                RunOptions::new()
-                    .with_snapshot(snapshot)
-                    .with_limits(RunLimits::new().with_iter_limit(40)),
-            )
-            .unwrap();
-        assert_eq!(resumed.mode, RunMode::ResumedSaturation);
-        let cold = session
-            .run(
-                &flat,
-                RunOptions::new().with_limits(RunLimits::new().with_iter_limit(40)),
-            )
-            .unwrap();
-        assert_eq!(resumed.best().cad.to_string(), cold.best().cad.to_string());
-    }
-
-    #[test]
     fn pre_cancelled_token_returns_wellformed_result() {
         let token = CancelToken::new();
         token.cancel();
@@ -1301,26 +1184,6 @@ mod tests {
     }
 
     #[test]
-    fn with_limits_preserves_an_earlier_deadline() {
-        // Both orders must keep the deadline; dropping it silently would
-        // un-bound the exact runs the deadline API exists to bound.
-        let a = RunOptions::new()
-            .with_deadline(Duration::from_millis(1))
-            .with_limits(RunLimits::new().with_iter_limit(40));
-        assert_eq!(a.limits.deadline, Some(Duration::from_millis(1)));
-        assert_eq!(a.limits.iter_limit, Some(40));
-        let b = RunOptions::new()
-            .with_limits(RunLimits::new().with_iter_limit(40))
-            .with_deadline(Duration::from_millis(1));
-        assert_eq!(b.limits.deadline, Some(Duration::from_millis(1)));
-        // A deadline inside the new limits wins over the old one.
-        let c = RunOptions::new()
-            .with_deadline(Duration::from_millis(1))
-            .with_limits(RunLimits::new().with_deadline(Duration::from_millis(7)));
-        assert_eq!(c.limits.deadline, Some(Duration::from_millis(7)));
-    }
-
-    #[test]
     fn extraction_resume_hands_back_the_offered_snapshot_without_reserialization() {
         let flat = row_of_cubes(4, 2.0);
         let session = Synthesizer::new(quick());
@@ -1402,20 +1265,18 @@ mod tests {
     }
 
     #[test]
-    fn run_options_pareto_yields_a_front() {
+    fn pareto_config_yields_a_front() {
         use crate::cost::{AstSizeCost, DepthCost, GeomCount};
         let flat = row_of_cubes(5, 2.0);
-        let session = Synthesizer::new(quick());
         // No pareto requested: the field is None.
-        let plain = session.run(&flat, RunOptions::new()).unwrap();
+        let plain = Synthesizer::new(quick())
+            .run(&flat, RunOptions::new())
+            .unwrap();
         assert!(plain.pareto.is_none());
 
-        let result = session
-            .run(
-                &flat,
-                RunOptions::new().with_pareto(Arc::new(AstSizeCost), Arc::new(GeomCount)),
-            )
-            .unwrap();
+        let session =
+            Synthesizer::new(quick().with_pareto(Arc::new(AstSizeCost), Arc::new(GeomCount)));
+        let result = session.run(&flat, RunOptions::new()).unwrap();
         let front = result.pareto.expect("pareto requested");
         assert!(!front.is_empty());
         // Mutually non-dominating, ascending on the first objective.
@@ -1430,7 +1291,7 @@ mod tests {
             "first objective is the session's ranking cost"
         );
 
-        // Same request via the config, with a different second objective.
+        // A different second objective.
         let configured =
             Synthesizer::new(quick().with_pareto(Arc::new(AstSizeCost), Arc::new(DepthCost)));
         let result = configured.run(&flat, RunOptions::new()).unwrap();
@@ -1441,19 +1302,14 @@ mod tests {
     fn pareto_front_survives_extraction_resume() {
         use crate::cost::{AstSizeCost, GeomCount};
         let flat = row_of_cubes(4, 2.0);
-        let session = Synthesizer::new(quick());
-        let pareto_opts = || {
-            RunOptions::new().with_pareto(
-                Arc::new(AstSizeCost) as Arc<dyn CostModel>,
-                Arc::new(GeomCount) as Arc<dyn CostModel>,
-            )
-        };
+        let session =
+            Synthesizer::new(quick().with_pareto(Arc::new(AstSizeCost), Arc::new(GeomCount)));
         let cold = session
-            .run(&flat, pareto_opts().capture_snapshot(true))
+            .run(&flat, RunOptions::new().capture_snapshot(true))
             .unwrap();
         let snapshot = cold.snapshot.clone().unwrap();
         let resumed = session
-            .run(&flat, pareto_opts().with_snapshot(snapshot))
+            .run(&flat, RunOptions::new().with_snapshot(snapshot))
             .unwrap();
         assert_eq!(resumed.mode, RunMode::ResumedExtraction);
         assert_eq!(resumed.iterations, 0);

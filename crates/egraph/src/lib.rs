@@ -18,14 +18,16 @@
 //!   Szalinski to surface concrete numbers/vectors/lists to its solvers;
 //! * [`Pattern`] / [`Rewrite`] / [`Runner`] — e-matching, rewrite rules
 //!   (syntactic or arbitrary Rust [`FnApplier`]s), and a saturation driver
-//!   with fuel limits and per-rule [`RuleStat`] search/apply profiles.
+//!   with iteration and node limits (its only fuel; a wall-clock
+//!   [`Runner::with_deadline`] stops a run as [`StopReason::Cancelled`])
+//!   and per-rule [`RuleStat`] search/apply profiles.
 //!   E-matching is **compiled**: each pattern becomes a linear
 //!   [`Program`] of Bind/Compare/Lookup instructions executed by a small
 //!   backtracking VM ([`machine`]), with root candidates drawn from the
-//!   e-graph's operator index ([`EGraph::classes_with_op`]). The naive
-//!   AST-walking matcher survives as [`Pattern::search`], the reference
-//!   oracle of the differential suites, and the `naive-ematch` feature
-//!   switches every [`Rewrite`] back to it;
+//!   e-graph's operator index ([`EGraph::classes_with_op`]); every
+//!   [`Rewrite`] holds its [`CompiledPattern`]. The naive AST-walking
+//!   matcher survives only as [`Pattern::search`], the reference oracle of
+//!   the differential suites;
 //! * [`Extractor`] and [`KBestExtractor`] — one-best and **top-k** term
 //!   extraction under a [`CostFunction`], as required by the paper's
 //!   top-k output (§5.1);
@@ -91,7 +93,7 @@ pub use machine::{compile_count, CompiledPattern, InstView, Program, ProgramView
 pub use pattern::{ENodeOrVar, Pattern, SearchMatches};
 pub use recexpr::{RecExpr, RecExprParseError};
 pub use rewrite::{
-    Applier, ConditionalApplier, FnApplier, Rewrite, RewriteError, RewriteErrorKind, Searcher,
+    Applier, ConditionalApplier, FnApplier, Rewrite, RewriteError, RewriteErrorKind,
 };
 pub use runner::{
     CancelToken, Iteration, ProgressObserver, RuleIteration, RuleStat, Runner, StopReason,

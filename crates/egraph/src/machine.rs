@@ -19,30 +19,27 @@
 //!   hash-cons memo instead of structurally re-matched per class.
 //!
 //! A [`CompiledPattern`] pairs the program with its source pattern and is
-//! the default [`Searcher`](crate::Searcher) inside
-//! [`Rewrite`](crate::Rewrite). Root candidates come from the e-graph's
-//! operator index ([`EGraph::classes_with_op`]): a rule only visits classes
-//! that actually contain its root operator, instead of scanning every
-//! class. `add` appends to the index and `rebuild` re-canonicalizes only
-//! the lists a union made stale.
+//! the matcher every [`Rewrite`](crate::Rewrite) holds. Root candidates
+//! come from the e-graph's operator index ([`EGraph::classes_with_op`]): a
+//! rule only visits classes that actually contain its root operator,
+//! instead of scanning every class. `add` appends to the index and
+//! `rebuild` re-canonicalizes only the lists a union made stale.
 //!
 //! A search allocates one register file and one match buffer and reuses
 //! them for every candidate class; [`Subst`]s keep their bindings inline,
 //! so the only per-class allocation is the exactly-sized match list of a
 //! class that matched.
 //!
-//! The naive matcher is retained as the reference implementation (and as
-//! the rewrite searcher under the `naive-ematch` feature); the differential
-//! suites in `crates/egraph/tests/ematch_machine.rs` and the workspace's
+//! The naive matcher ([`Pattern::search`]) is retained only as the
+//! reference implementation: the differential suites in
+//! `crates/egraph/tests/ematch_machine.rs` and the workspace's
 //! `tests/ematch_differential.rs` prove both matchers produce identical
 //! [`SearchMatches`] on every rule.
 
 use std::fmt;
 
 use crate::pattern::ENodeOrVar;
-use crate::{
-    Analysis, EGraph, Id, Language, Pattern, RecExpr, SearchMatches, Searcher, Subst, Var,
-};
+use crate::{Analysis, EGraph, Id, Language, Pattern, RecExpr, SearchMatches, Subst, Var};
 
 /// An index into the VM's register file.
 type Reg = usize;
@@ -323,13 +320,13 @@ pub struct ProgramView {
     pub root_op: Option<String>,
 }
 
-/// A [`Pattern`] together with its compiled [`Program`]: the default
-/// searcher held by [`Rewrite`](crate::Rewrite).
+/// A [`Pattern`] together with its compiled [`Program`]: the matcher held
+/// by [`Rewrite`](crate::Rewrite).
 ///
 /// # Examples
 ///
 /// ```
-/// use sz_egraph::{CompiledPattern, EGraph, Pattern, Searcher, tests_lang::Arith};
+/// use sz_egraph::{CompiledPattern, EGraph, Pattern, tests_lang::Arith};
 /// let mut eg: EGraph<Arith, ()> = EGraph::default();
 /// eg.add_expr(&"(+ 1 (+ 2 3))".parse().unwrap());
 /// eg.rebuild();
@@ -400,17 +397,15 @@ impl<L: Language> CompiledPattern<L> {
             substs: matched,
         })
     }
-}
 
-impl<L: Language, N: Analysis<L>> Searcher<L, N> for CompiledPattern<L> {
     /// Searches the whole e-graph, visiting only the classes the operator
     /// index lists for the pattern's root operator.
     ///
-    /// Same contract as [`Pattern::search`]: the e-graph must be clean
-    /// (checked by a debug assertion; [`Runner::run`](crate::Runner::run)
-    /// rebuilds before every search phase, so runner users cannot violate
-    /// it).
-    fn search(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
+    /// Same contract and output as [`Pattern::search`]: the e-graph must
+    /// be clean (checked by a debug assertion;
+    /// [`Runner::run`](crate::Runner::run) rebuilds before every search
+    /// phase, so runner users cannot violate it).
+    pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
         debug_assert!(
             egraph.is_clean(),
             "searching a dirty e-graph; call rebuild() first"
@@ -433,7 +428,13 @@ impl<L: Language, N: Analysis<L>> Searcher<L, N> for CompiledPattern<L> {
         }
     }
 
-    fn search_eclass(&self, egraph: &EGraph<L, N>, eclass: Id) -> Option<SearchMatches> {
+    /// Searches a single e-class (same output as
+    /// [`Pattern::search_eclass`]).
+    pub fn search_eclass<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        eclass: Id,
+    ) -> Option<SearchMatches> {
         debug_assert!(
             egraph.is_clean(),
             "searching a dirty e-graph; call rebuild() first"
@@ -449,12 +450,10 @@ impl<L: Language, N: Analysis<L>> Searcher<L, N> for CompiledPattern<L> {
         )
     }
 
-    fn vars(&self) -> Vec<Var> {
+    /// The pattern variables this program binds, in first-occurrence
+    /// order.
+    pub fn vars(&self) -> Vec<Var> {
         self.program.vars()
-    }
-
-    fn as_compiled(&self) -> Option<&CompiledPattern<L>> {
-        Some(self)
     }
 }
 
@@ -496,7 +495,8 @@ mod tests {
     fn assert_same(pat: &str, eg: &EGraph<Arith, ()>) {
         let pattern: Pattern<Arith> = pat.parse().unwrap();
         let compiled = CompiledPattern::compile(pattern.clone());
-        let mut naive: Vec<(Id, Vec<Subst>)> = Searcher::<Arith, ()>::search(&pattern, eg)
+        let mut naive: Vec<(Id, Vec<Subst>)> = pattern
+            .search(eg)
             .into_iter()
             .map(|m| (m.eclass, m.substs))
             .collect();
@@ -525,7 +525,7 @@ mod tests {
         let eg = graph(&["(+ 1 2)"]);
         let p: Pattern<Arith> = "?x".parse().unwrap();
         let compiled = CompiledPattern::compile(p);
-        let vm = Searcher::<Arith, ()>::search(&compiled, &eg);
+        let vm = compiled.search(&eg);
         assert_eq!(vm.len(), eg.number_of_classes());
         assert_same("?x", &eg);
     }
@@ -544,7 +544,7 @@ mod tests {
         let eg = graph(&["(+ 1 2)"]);
         let p: Pattern<Arith> = "(+ ?a 99)".parse().unwrap();
         let compiled = CompiledPattern::compile(p);
-        assert!(Searcher::<Arith, ()>::search(&compiled, &eg).is_empty());
+        assert!(compiled.search(&eg).is_empty());
     }
 
     #[test]
@@ -590,8 +590,8 @@ mod tests {
         // the naive matcher's pre-order.
         let eg = graph(&["(* (+ a b) c)"]);
         let p: Pattern<Arith> = "(* (+ ?x ?y) ?z)".parse().unwrap();
-        let naive = Searcher::<Arith, ()>::search(&p, &eg);
-        let vm = Searcher::<Arith, ()>::search(&CompiledPattern::compile(p), &eg);
+        let naive = p.search(&eg);
+        let vm = CompiledPattern::compile(p).search(&eg);
         assert_eq!(naive[0].substs, vm[0].substs);
         let order: Vec<String> = naive[0].substs[0]
             .iter()

@@ -117,11 +117,10 @@ impl<L: Language> Pattern<L> {
     ///
     /// [`Rewrite`](crate::Rewrite) does not use this during saturation: it
     /// holds a [`CompiledPattern`](crate::CompiledPattern) executing a
-    /// compiled e-matching program over the operator index instead (unless
-    /// the crate is built with the `naive-ematch` feature, which restores
-    /// this matcher for differential testing). This implementation is kept
-    /// as the independently-simple oracle those differential suites
-    /// compare against.
+    /// compiled e-matching program over the operator index instead. This
+    /// implementation is kept as the independently-simple oracle the
+    /// differential suites compare every rule's compiled program
+    /// against.
     ///
     /// # Contract
     ///

@@ -1,4 +1,5 @@
-//! Rewrite rules: a searcher [`Pattern`] paired with an [`Applier`].
+//! Rewrite rules: a left-hand [`Pattern`], compiled once into a
+//! [`CompiledPattern`], paired with an [`Applier`].
 //!
 //! Appliers may be plain patterns (purely syntactic rules) or arbitrary Rust
 //! functions (Szalinski's "arithmetic" rules that compute new constant
@@ -8,53 +9,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::{Analysis, CompiledPattern, EGraph, Id, Language, Pattern, SearchMatches, Subst, Var};
-
-/// The left-hand side of a [`Rewrite`]: finds every match of some pattern
-/// in the e-graph.
-///
-/// Two implementations ship with the crate: [`Pattern`] (the naive
-/// reference matcher that re-walks the pattern AST against every e-class)
-/// and [`CompiledPattern`] (the default — a compiled e-matching program
-/// executed over the e-graph's operator index; see
-/// [`machine`](crate::machine)). They are required to produce identical
-/// [`SearchMatches`], which the differential test suites enforce for every
-/// rule.
-pub trait Searcher<L: Language, N: Analysis<L>> {
-    /// Searches the whole (clean) e-graph.
-    fn search(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches>;
-
-    /// Searches a single e-class.
-    fn search_eclass(&self, egraph: &EGraph<L, N>, eclass: Id) -> Option<SearchMatches>;
-
-    /// The pattern variables this searcher binds, in first-occurrence
-    /// order.
-    fn vars(&self) -> Vec<Var>;
-
-    /// Downcast hook: the compiled e-matching program behind this searcher,
-    /// if there is one.
-    ///
-    /// [`CompiledPattern`] returns `Some(self)`; every other implementation
-    /// (including the naive [`Pattern`]) returns `None`. Static analyzers
-    /// (`sz-lint`) use this to inspect a rule's Bind/Compare/Lookup stream
-    /// without recompiling the pattern.
-    fn as_compiled(&self) -> Option<&CompiledPattern<L>> {
-        None
-    }
-}
-
-impl<L: Language, N: Analysis<L>> Searcher<L, N> for Pattern<L> {
-    fn search(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
-        Pattern::search(self, egraph)
-    }
-
-    fn search_eclass(&self, egraph: &EGraph<L, N>, eclass: Id) -> Option<SearchMatches> {
-        Pattern::search_eclass(self, egraph, eclass)
-    }
-
-    fn vars(&self) -> Vec<Var> {
-        Pattern::vars(self)
-    }
-}
 
 /// The right-hand side of a [`Rewrite`]: given a match, mutate the e-graph
 /// and report which classes changed.
@@ -203,16 +157,13 @@ impl std::error::Error for RewriteError {}
 /// ```
 pub struct Rewrite<L: Language, N: Analysis<L>> {
     name: String,
-    /// The source pattern, retained for display, variable checks, and as
-    /// the naive oracle in differential tests.
-    lhs: Pattern<L>,
-    /// The live searcher: a [`CompiledPattern`] by default, or the naive
-    /// [`Pattern`] when built with the `naive-ematch` feature.
+    /// The left-hand side, compiled once; it keeps its source pattern.
     ///
-    /// Both trait objects are `Send + Sync` so a compiled rule set can be
-    /// built once and shared across worker threads (see
-    /// `szalinski::Synthesizer` and `sz-batch`).
-    searcher: Arc<dyn Searcher<L, N> + Send + Sync>,
+    /// Both `Arc`s are `Send + Sync`, so a compiled rule set can be built
+    /// once and shared across worker threads (see
+    /// `szalinski::Synthesizer` and `sz-batch`), and cloning a rule copies
+    /// two pointers.
+    lhs: Arc<CompiledPattern<L>>,
     applier: Arc<dyn Applier<L, N> + Send + Sync>,
 }
 
@@ -220,8 +171,7 @@ impl<L: Language, N: Analysis<L>> Clone for Rewrite<L, N> {
     fn clone(&self) -> Self {
         Rewrite {
             name: self.name.clone(),
-            lhs: self.lhs.clone(),
-            searcher: Arc::clone(&self.searcher),
+            lhs: Arc::clone(&self.lhs),
             applier: Arc::clone(&self.applier),
         }
     }
@@ -242,10 +192,7 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
     ///
     /// The pattern is compiled once into an e-matching
     /// [`Program`](crate::Program) here; saturation then executes the
-    /// program instead of re-walking the pattern AST. Building the crate
-    /// with the `naive-ematch` feature switches every rewrite back to the
-    /// naive reference matcher (for differential testing and debugging —
-    /// results must be identical, only slower).
+    /// program instead of re-walking the pattern AST.
     ///
     /// # Errors
     ///
@@ -285,31 +232,9 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         searcher: Pattern<L>,
         applier: impl Applier<L, N> + Send + Sync + 'static,
     ) -> Self {
-        #[cfg(not(feature = "naive-ematch"))]
-        let live: Arc<dyn Searcher<L, N> + Send + Sync> =
-            Arc::new(CompiledPattern::compile(searcher.clone()));
-        #[cfg(feature = "naive-ematch")]
-        let live: Arc<dyn Searcher<L, N> + Send + Sync> = Arc::new(searcher.clone());
         Rewrite {
             name: name.into(),
-            lhs: searcher,
-            searcher: live,
-            applier: Arc::new(applier),
-        }
-    }
-
-    /// Creates a rewrite with an explicit [`Searcher`] implementation
-    /// (`lhs` documents the pattern it must be equivalent to).
-    pub fn with_searcher(
-        name: impl Into<String>,
-        lhs: Pattern<L>,
-        searcher: impl Searcher<L, N> + Send + Sync + 'static,
-        applier: impl Applier<L, N> + Send + Sync + 'static,
-    ) -> Self {
-        Rewrite {
-            name: name.into(),
-            lhs,
-            searcher: Arc::new(searcher),
+            lhs: Arc::new(CompiledPattern::compile(searcher)),
             applier: Arc::new(applier),
         }
     }
@@ -344,7 +269,7 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
     /// The left-hand-side pattern (also usable as the naive reference
     /// matcher via [`Pattern::search`]).
     pub fn searcher(&self) -> &Pattern<L> {
-        &self.lhs
+        self.lhs.pattern()
     }
 
     /// The applier's statically known variables, or `None` for dynamic
@@ -359,16 +284,14 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         self.applier.rhs_pattern()
     }
 
-    /// The compiled e-matching program driving this rule's searches, or
-    /// `None` under the `naive-ematch` feature (see
-    /// [`Searcher::as_compiled`]).
-    pub fn compiled(&self) -> Option<&CompiledPattern<L>> {
-        self.searcher.as_compiled()
+    /// The compiled e-matching program driving this rule's searches.
+    pub fn compiled(&self) -> &CompiledPattern<L> {
+        &self.lhs
     }
 
-    /// Runs the live searcher (compiled by default) over the e-graph.
+    /// Runs the compiled left-hand side over the e-graph.
     pub fn search(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
-        self.searcher.search(egraph)
+        self.lhs.search(egraph)
     }
 
     /// Applies the rule to previously found matches, returning changed
@@ -432,10 +355,7 @@ mod tests {
         let rule: Rewrite<Arith, ()> = Rewrite::parse("comm", "(+ ?a ?b)", "(+ ?b ?a)").unwrap();
         assert_eq!(rule.rhs_pattern().unwrap().to_string(), "(+ ?b ?a)");
         assert_eq!(rule.applier_vars().unwrap().len(), 2);
-        #[cfg(not(feature = "naive-ematch"))]
-        assert!(rule.compiled().is_some());
-        #[cfg(feature = "naive-ematch")]
-        assert!(rule.compiled().is_none());
+        assert_eq!(rule.compiled().pattern(), rule.searcher());
 
         // Dynamic appliers are opaque.
         let dynamic: Rewrite<Arith, ()> = Rewrite::new(

@@ -20,8 +20,6 @@ pub enum StopReason {
     IterationLimit(usize),
     /// The e-node limit was reached.
     NodeLimit(usize),
-    /// The time limit was reached.
-    TimeLimit(Duration),
     /// A [`CancelToken`] was triggered or a deadline
     /// ([`Runner::with_deadline`]) passed. Checked at iteration
     /// boundaries only: the e-graph is always left clean (rebuilt), so
@@ -194,7 +192,6 @@ pub struct Runner<L: Language, N: Analysis<L>> {
     resumed: bool,
     iter_limit: usize,
     node_limit: usize,
-    time_limit: Duration,
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
     progress: Option<Arc<dyn ProgressObserver>>,
@@ -204,7 +201,9 @@ pub struct Runner<L: Language, N: Analysis<L>> {
 
 impl<L: Language, N: Analysis<L>> Runner<L, N> {
     /// Creates a runner with an empty e-graph and default limits
-    /// (30 iterations, 100 000 nodes, 30 seconds).
+    /// (30 iterations, 100 000 nodes). Only these limits decide where a
+    /// run stops; the one wall-clock bound, [`Runner::with_deadline`], is
+    /// opt-in and reports [`StopReason::Cancelled`].
     pub fn new(analysis: N) -> Self {
         Runner {
             egraph: EGraph::new(analysis),
@@ -215,7 +214,6 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             resumed: false,
             iter_limit: 30,
             node_limit: 100_000,
-            time_limit: Duration::from_secs(30),
             deadline: None,
             cancel: None,
             progress: None,
@@ -312,18 +310,12 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
         self
     }
 
-    /// Sets the wall-clock time limit.
-    pub fn with_time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = limit;
-        self
-    }
-
-    /// Sets an absolute wall-clock deadline. Unlike the relative
-    /// [`Runner::with_time_limit`] (which reports
-    /// [`StopReason::TimeLimit`]), passing a deadline reports
-    /// [`StopReason::Cancelled`] — it models an *external* bound (a
-    /// serving deadline) rather than this run's own fuel. Checked at
-    /// iteration boundaries; the e-graph is left clean.
+    /// Sets an absolute wall-clock deadline, the runner's only
+    /// wall-clock bound. Passing it reports [`StopReason::Cancelled`]: it
+    /// models an *external* bound (a serving deadline), not this run's
+    /// fuel, so a run it stops is not the deterministic product of the
+    /// limits. Checked at iteration boundaries; the e-graph is left
+    /// clean.
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
@@ -417,7 +409,6 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
     /// checks happen at iteration boundaries; nothing interrupts an
     /// iteration mid-flight.
     pub fn run(mut self, rules: &[Rewrite<L, N>]) -> Self {
-        let start = Instant::now();
         self.egraph.rebuild();
         self.scheduler.ensure_rules(rules.len());
         loop {
@@ -429,10 +420,6 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             }
             if self.iterations.len() >= self.iter_limit {
                 self.stop_reason = Some(StopReason::IterationLimit(self.iter_limit));
-                break;
-            }
-            if start.elapsed() > self.time_limit {
-                self.stop_reason = Some(StopReason::TimeLimit(self.time_limit));
                 break;
             }
             // A *resumed* graph already over the node limit (the

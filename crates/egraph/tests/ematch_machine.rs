@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use sz_egraph::tests_lang::{Arith, ConstFold};
 use sz_egraph::{
     Analysis, CompiledPattern, EGraph, ENodeOrVar, Id, Language, Pattern, RecExpr, Rewrite, Runner,
-    Searcher, Subst,
+    Subst,
 };
 
 /// Patterns exercising every instruction: linear, non-linear, ground
@@ -37,7 +37,8 @@ fn assert_matchers_agree<N: Analysis<Arith>>(egraph: &EGraph<Arith, N>, context:
             .into_iter()
             .map(|m| (m.eclass, m.substs))
             .collect();
-        let mut vm: Vec<(Id, Vec<Subst>)> = Searcher::<Arith, N>::search(&compiled, egraph)
+        let mut vm: Vec<(Id, Vec<Subst>)> = compiled
+            .search(egraph)
             .into_iter()
             .map(|m| (m.eclass, m.substs))
             .collect();
@@ -139,7 +140,7 @@ proptest! {
         let pattern: Pattern<Arith> = pat.parse().unwrap();
         let compiled = CompiledPattern::compile(pattern.clone());
         prop_assert_eq!(
-            Searcher::<Arith, ()>::vars(&compiled),
+            compiled.vars(),
             pattern.vars(),
             "vars diverge for `{}`", pat
         );
@@ -182,11 +183,7 @@ fn compiled_searcher_vars_match_pattern_vars() {
     for pat in PATTERNS {
         let pattern: Pattern<Arith> = pat.parse().unwrap();
         let compiled = CompiledPattern::compile(pattern.clone());
-        assert_eq!(
-            Searcher::<Arith, ()>::vars(&compiled),
-            pattern.vars(),
-            "vars diverge for `{pat}`"
-        );
+        assert_eq!(compiled.vars(), pattern.vars(), "vars diverge for `{pat}`");
     }
 }
 
@@ -199,7 +196,7 @@ fn search_eclass_agrees_per_class() {
     let compiled = CompiledPattern::compile(pattern.clone());
     for id in eg.class_ids() {
         let naive = pattern.search_eclass(&eg, id).map(|m| m.substs);
-        let vm = Searcher::<Arith, ()>::search_eclass(&compiled, &eg, id).map(|m| m.substs);
+        let vm = compiled.search_eclass(&eg, id).map(|m| m.substs);
         assert_eq!(naive, vm, "class {id}");
     }
 }

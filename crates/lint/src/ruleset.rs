@@ -62,8 +62,8 @@ fn canon_pair<L: Language>(lhs: &Pattern<L>, rhs: &Pattern<L>) -> String {
 /// `new_unchecked`; **SZL002** (warn) LHS variable the RHS never reads;
 /// **SZL006** (info) expansive rule (RHS strictly larger than LHS, so
 /// growth is throttled only by the backoff scheduler); plus the full VM
-/// program verification of [`verify_program`] when the rule carries a
-/// compiled program. Across rules: **SZL003** (warn) exact duplicates,
+/// program verification of [`verify_program`] on the rule's compiled
+/// program. Across rules: **SZL003** (warn) exact duplicates,
 /// **SZL004** (warn) α-renamed duplicates, **SZL005** (info) inverse pairs
 /// `A.lhs ≡ B.rhs ∧ A.rhs ≡ B.lhs` modulo renaming (a self-inverse rule —
 /// commutativity — pairs with itself).
@@ -112,14 +112,13 @@ pub fn lint_ruleset<L: Language, N: Analysis<L>>(rules: &[Rewrite<L, N>]) -> Rep
                 ));
             }
         }
-        if let Some(compiled) = rule.compiled() {
-            let shape = PatternShape::of(compiled.pattern());
-            report.extend(verify_program(
-                rule.name(),
-                &compiled.program().view(),
-                Some(&shape),
-            ));
-        }
+        let compiled = rule.compiled();
+        let shape = PatternShape::of(compiled.pattern());
+        report.extend(verify_program(
+            rule.name(),
+            &compiled.program().view(),
+            Some(&shape),
+        ));
     }
 
     // Cross-rule checks over the syntactic subset.

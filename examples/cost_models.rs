@@ -87,13 +87,13 @@ fn main() {
 
     // 2. The Pareto front under size × geometry-node-count: every point
     //    is a different size-vs-geometry trade-off; nothing dominates.
-    let result = session
-        .run(
-            &flat,
-            RunOptions::new()
-                .with_snapshot(snapshot)
-                .with_pareto(Arc::new(AstSizeCost), Arc::new(GeomCount)),
-        )
+    //    The objectives are extraction-only config fields too, so the
+    //    same snapshot serves this session.
+    let pareto = Synthesizer::new(
+        SynthConfig::new().with_pareto(Arc::new(AstSizeCost), Arc::new(GeomCount)),
+    );
+    let result = pareto
+        .run(&flat, RunOptions::new().with_snapshot(snapshot))
         .unwrap();
     println!("\npareto(size, geom) front:");
     for point in result.pareto.as_deref().unwrap_or_default() {

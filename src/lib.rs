@@ -83,13 +83,14 @@
 //!   operator index maintained on the e-graph
 //!   ([`sz_egraph::EGraph::classes_with_op`]) so a rule only visits
 //!   classes containing its root operator. The naive AST-walking
-//!   matcher survives as [`sz_egraph::Pattern::search`] — the oracle of
-//!   the VM-vs-naive differential suites (`tests/ematch_differential.rs`
-//!   and the engine-level proptests), and what every rewrite falls back
-//!   to under the `sz-egraph/naive-ematch` feature. The op index is
-//!   derived state: snapshots never store it (format unchanged, no
-//!   version bump), a restored graph builds it on first use, and
-//!   `rebuild` re-canonicalizes only the lists a union made stale.
+//!   matcher survives only as [`sz_egraph::Pattern::search`] — the
+//!   oracle of the VM-vs-naive differential suites
+//!   (`tests/ematch_differential.rs` and the engine-level proptests),
+//!   which compare every rule's compiled program against it. The op
+//!   index is derived state: snapshots never store it (format
+//!   unchanged, no version bump), a restored graph builds it on first
+//!   use, and `rebuild` re-canonicalizes only the lists a union made
+//!   stale.
 //! * **`szalinski`** (core) composes them into the paper's pipeline:
 //!   saturate → determinize → list-manipulate → infer → extract. The
 //!   entry point is the **session API**: build a
@@ -111,13 +112,16 @@
 //!                                                              CONTINUE saturating
 //!   ```
 //!
-//!   Runs are bounded and observable: [`szalinski::RunLimits`] overrides
-//!   iteration/node fuel per run and sets a wall-clock **deadline**;
-//!   a cooperative [`szalinski::CancelToken`] and the deadline are
-//!   polled at saturation **iteration boundaries**, stopping with
-//!   [`sz_egraph::StopReason::Cancelled`] while the e-graph is clean —
-//!   the partial `Synthesis` is still extracted, so serving callers
-//!   always get a well-formed answer. A
+//!   **The config decides the result; the run options only run it.**
+//!   Fuel (iteration and node limits, no wall-clock limit) and
+//!   extraction live in the `SynthConfig`; [`szalinski::RunOptions`]
+//!   only picks the snapshot offer, capture, a wall-clock **deadline**,
+//!   a cooperative [`szalinski::CancelToken`], progress and telemetry.
+//!   The token and the deadline are polled at saturation **iteration
+//!   boundaries**, stopping with [`sz_egraph::StopReason::Cancelled`]
+//!   while the e-graph is clean — the partial `Synthesis` is still
+//!   extracted, so serving callers always get a well-formed answer, and
+//!   only such a run depends on the wall clock. A
 //!   [`szalinski::ProgressObserver`] hook sees every iteration.
 //!   `Synthesizer::run` is the only synthesis entry point, and every
 //!   cold run saturates once before inference and extraction (the

@@ -18,8 +18,9 @@
 //!    byte-identical with **zero format-version bump**: `NodeId`s are
 //!    per-instance derived state and never leak into the text format.
 //!
-//! CI runs this suite in the `egraph-core` job alongside the
-//! naive-ematch differentials and the bench regression gate.
+//! CI runs this suite in the `egraph-core` job alongside the bench
+//! regression gate; the VM-vs-naive e-matching differentials run in
+//! tier-1 and the `ematch-differential` job.
 
 use proptest::prelude::*;
 use sz_cad::{AffineKind, Cad};

@@ -9,8 +9,10 @@
 //! This is the workspace-level guarantee behind the compiled-e-matching
 //! refactor: any divergence between the two matchers is a bug in the VM,
 //! the operator index, or the naive oracle, and shows up here as a
-//! failing rule name. CI runs this suite in the `ematch-differential`
-//! job (alongside an engine-level run with `sz-egraph/naive-ematch`).
+//! failing rule name. A rewrite can only hold its compiled program, so
+//! this suite and `crates/egraph/tests/ematch_machine.rs` are where the
+//! naive oracle is used; tier-1 and CI's `ematch-differential` job run
+//! both.
 
 use proptest::prelude::*;
 use sz_cad::{AffineKind, Cad};

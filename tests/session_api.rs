@@ -1,30 +1,19 @@
 //! Integration smoke tests for the session API on real suite16 models:
 //! deadlines and cancel tokens stop *promptly* with well-formed results
-//! (`StopReason::Cancelled`, extractable partial programs), per-run
-//! limits match a session configured that way, and progress hooks
-//! observe every iteration.
+//! (`StopReason::Cancelled`, extractable partial programs) and progress
+//! hooks observe every iteration.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use szalinski::{
-    CancelToken, ProgressObserver, RunLimits, RunOptions, StopReason, SynthConfig, Synthesis,
-    Synthesizer,
-};
-
-fn programs(s: &Synthesis) -> Vec<(usize, String)> {
-    s.top_k
-        .iter()
-        .map(|p| (p.cost, p.cad.to_string()))
-        .collect()
-}
+use szalinski::{CancelToken, ProgressObserver, RunOptions, StopReason, SynthConfig, Synthesizer};
 
 #[test]
 fn one_millisecond_deadline_cancels_a_suite16_model_promptly() {
     // The cancellation smoke the CI job mirrors: a 1 ms deadline on a
     // real model must return Cancelled quickly instead of hanging for
-    // the full 150-iteration / 60 s default budget.
+    // the full 150-iteration default budget.
     let model = sz_models::all_models()
         .into_iter()
         .find(|m| m.name.contains("gear"))
@@ -86,22 +75,4 @@ fn cancel_token_fired_mid_run_stops_at_a_boundary() {
     assert_eq!(result.iterations, observer.seen.load(Ordering::Relaxed));
     assert_eq!(result.iterations, 2, "cancelled at the requested boundary");
     assert!(!result.top_k.is_empty());
-}
-
-#[test]
-fn run_limits_override_the_session_fuel() {
-    let model = sz_models::all_models().remove(0);
-    let session = Synthesizer::new(SynthConfig::new());
-    let tight = session
-        .run(
-            &model.flat,
-            RunOptions::new().with_limits(RunLimits::new().with_iter_limit(2)),
-        )
-        .unwrap();
-    assert!(tight.iterations <= 2);
-    // The override is equivalent to a session configured that way.
-    let cold = Synthesizer::new(SynthConfig::new().with_iter_limit(2))
-        .run(&model.flat, RunOptions::new())
-        .unwrap();
-    assert_eq!(programs(&tight), programs(&cold));
 }

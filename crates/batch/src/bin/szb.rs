@@ -49,8 +49,8 @@ INPUT:
                            (empty SPEC = the generator defaults)
 
 EXECUTION:
-    --workers <N>          worker threads (default: available cores)
-    --sequential           plain in-order loop, no thread pool (baseline)
+    --workers <N>          worker threads (default: available cores); with 1,
+                           jobs run and stream their report rows in input order
     --shard <i/N>          run only the i-th of N shards (1-based). Membership
                            is a stable hash of the job NAME — never directory
                            order — so all N processes agree on the partition
@@ -66,12 +66,14 @@ EXECUTION:
                            partial (less saturated) programs
 
 CACHE & OUTPUT:
-    --cache <FILE>         persistent result cache (loaded before, saved after).
-                           Saving MERGES with whatever is on disk (newest
-                           wins), via a unique per-process temp file, so
-                           concurrent shards can share one cache file
-    --snapshots <DIR>      persistent e-graph snapshot tier: cold runs store a
-                           snapshot per (input, saturation-config); later runs
+    --cache <FILE>         persistent program cache (loaded before, saved after):
+                           the top-k programs per (input, config), never
+                           snapshots. Saving MERGES with whatever is on disk
+                           (newest wins), via a unique per-process temp file,
+                           so concurrent shards can share one cache file
+    --snapshots <DIR>      persistent e-graph snapshot tier, the only place
+                           snapshots are kept: cold runs store one <key>.snap
+                           per (input, saturation-config); later runs
                            whose config differs only in extraction fields
                            (--k, any --cost model) resume from it, skipping
                            saturation entirely, and fuel-RAISED reruns resume
@@ -123,8 +125,8 @@ MERGE (fleet runs):
                                      wins) and sort; the summary is recomputed
                                      from the kept rows (workers summed,
                                      wall_time_s = max over shards)
-    szb merge --cache <OUT> <IN>...  fold per-shard cache files (both tiers,
-                                     duplicate keys newest-wins)
+    szb merge --cache <OUT> <IN>...  fold per-shard program cache files
+                                     (duplicate keys newest-wins)
 
 LINT (static analysis; no synthesis runs):
     szb lint [<DIR>...]              lint a corpus dir (.scad/.csexp); with no
@@ -152,12 +154,7 @@ MISC:
 /// match count descending (rules that never matched are elided).
 fn print_rule_table<'a>(stats: impl IntoIterator<Item = &'a RuleStat>) {
     let mut totals: Vec<RuleStat> = Vec::new();
-    for stat in stats {
-        match totals.iter_mut().find(|t| t.name == stat.name) {
-            Some(total) => total.absorb(stat),
-            None => totals.push(stat.clone()),
-        }
-    }
+    RuleStat::fold_by_name(&mut totals, stats.into_iter().cloned());
     totals.retain(|s| s.matches > 0);
     totals.sort_by(|a, b| b.matches.cmp(&a.matches).then(a.name.cmp(&b.name)));
     if totals.is_empty() {
@@ -202,7 +199,6 @@ struct Options {
     gen: Option<GenSpec>,
     shard: Option<ShardSpec>,
     workers: Option<usize>,
-    sequential: bool,
     per_job_timeout: Option<Duration>,
     deadline: Option<Duration>,
     cache: Option<PathBuf>,
@@ -233,7 +229,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         gen: None,
         shard: None,
         workers: None,
-        sequential: false,
         per_job_timeout: None,
         deadline: None,
         cache: None,
@@ -256,7 +251,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--gen" => {
                 opts.gen = Some(value()?.parse().map_err(|e| format!("--gen: {e}"))?);
             }
-            "--sequential" => opts.sequential = true,
             "--structural-rules" => opts.config = opts.config.clone().with_structural_rules(true),
             "--backoff" => opts.config = opts.config.clone().with_backoff(true),
             // The last --cost wins outright, including clearing a
@@ -338,7 +332,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 }
 
 /// `szb merge <OUT> <IN>...` (JSONL reports) and
-/// `szb merge --cache <OUT> <IN>...` (cache files, both tiers).
+/// `szb merge --cache <OUT> <IN>...` (program cache files).
 fn run_merge(args: &[String]) -> ExitCode {
     let (cache_mode, rest) = match args.first().map(String::as_str) {
         Some("--cache") => (true, &args[1..]),
@@ -351,7 +345,7 @@ fn run_merge(args: &[String]) -> ExitCode {
     };
     if cache_mode {
         // Fold cache files in the order given: later inputs win on
-        // duplicate keys in both tiers.
+        // duplicate keys.
         let mut merged = ResultCache::new();
         for path in inputs {
             match ResultCache::load(Path::new(path)) {
@@ -367,10 +361,9 @@ fn run_merge(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!(
-            "szb: merged {} cache file(s) into {out} ({} programs, {} snapshots)",
+            "szb: merged {} cache file(s) into {out} ({} programs)",
             inputs.len(),
             merged.len(),
-            merged.snapshot_count(),
         );
     } else {
         let mut texts = Vec::with_capacity(inputs.len());
@@ -568,23 +561,14 @@ fn main() -> ExitCode {
     let n_jobs = jobs.len();
     if !opts.quiet {
         println!(
-            "szb: {n_jobs} jobs, {} ({} mode)",
+            "szb: {n_jobs} jobs, {}",
             match opts.workers {
                 Some(w) => format!("{w} workers"),
                 None => "auto workers".to_owned(),
             },
-            if opts.sequential {
-                "sequential"
-            } else {
-                "parallel"
-            },
         );
     }
-    let report = if opts.sequential {
-        engine.run_sequential(jobs)
-    } else {
-        engine.run(jobs)
-    };
+    let report = engine.run(jobs);
 
     // Per-job table.
     if !opts.quiet {
@@ -701,15 +685,7 @@ fn main() -> ExitCode {
     }
     if let (Some(path), Some(cache)) = (&opts.cache, &cache) {
         let cache = cache.lock().unwrap();
-        // With a --snapshots dir, the dir is the snapshot tier's home;
-        // embedding every snapshot in the cache file too would double
-        // the bytes written and reloaded.
-        let saved = if opts.snapshots.is_some() {
-            cache.save_programs_only(path)
-        } else {
-            cache.save(path)
-        };
-        if let Err(e) = saved {
+        if let Err(e) = cache.save(path) {
             eprintln!("szb: cannot save cache {}: {e}", path.display());
             persist_failed = true;
         } else if !opts.quiet {

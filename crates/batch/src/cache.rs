@@ -22,14 +22,13 @@
 //! snapshot via [`ResultCache::best_core_snapshot`] and continues
 //! saturating (partial resume) instead of starting cold.
 //!
-//! Both tiers persist to disk as one s-expression per line (the repo's
-//! native interchange format) — `(entry …)` for programs, `(snap …)` for
-//! snapshots with the multi-line snapshot text percent-escaped into a
-//! single atom — so a second `szb` invocation starts warm. Snapshots can
-//! alternatively persist as individual `<key>.snap` files in a directory
-//! ([`load_snapshot_dir`] / [`save_snapshot_dir`], the `szb --snapshots`
-//! flow), which keeps the line cache small and the snapshots
-//! human-inspectable.
+//! Each tier has one on-disk form, so a second `szb` invocation starts
+//! warm. The program tier persists as one `(entry …)` s-expression per
+//! line (the repo's native interchange format; [`ResultCache::save`],
+//! `szb --cache`). The snapshot tier persists as one `<key>.snap` file
+//! per snapshot in a directory ([`load_snapshot_dir`] /
+//! [`save_snapshot_dir`], `szb --snapshots`), which keeps the snapshots
+//! human-inspectable; a cache file never holds snapshots.
 //!
 //! ## Shared-state safety (fleet runs)
 //!
@@ -42,11 +41,10 @@
 //! * [`save_snapshot_dir`] prunes only keys **this cache itself
 //!   evicted** — never `.snap` files it merely doesn't hold, which
 //!   belong to other shards;
-//! * [`ResultCache::save`] / [`ResultCache::save_programs_only`] are
-//!   **merge-on-save**: entries already on disk are folded under the
-//!   in-memory ones (in-memory wins on duplicate keys) before the
-//!   atomic replace, so concurrent savers extend rather than overwrite
-//!   each other.
+//! * [`ResultCache::save`] is **merge-on-save**: entries already on
+//!   disk are folded under the in-memory ones (in-memory wins on
+//!   duplicate keys) before the atomic replace, so concurrent savers
+//!   extend rather than overwrite each other.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -193,8 +191,8 @@ pub struct CachedRun {
     pub time_s: f64,
 }
 
-/// In-memory two-tier content-addressed store with s-expression
-/// persistence (see the [module docs](self)).
+/// In-memory two-tier content-addressed store (see the
+/// [module docs](self)).
 #[derive(Debug, Default, Clone)]
 pub struct ResultCache {
     map: HashMap<u64, CachedRun>,
@@ -336,11 +334,9 @@ impl ResultCache {
         self.evict_snapshots();
     }
 
-    /// The budget-bypassing insert shared by lookups' feeding paths
-    /// ([`ResultCache::from_lines`], [`load_snapshot_dir`],
-    /// [`ResultCache::absorb`]) and [`ResultCache::insert_snapshot`]:
-    /// stores the text and keeps the core-key index and the evicted set
-    /// in sync.
+    /// The budget-bypassing insert shared by [`load_snapshot_dir`] and
+    /// [`ResultCache::insert_snapshot`]: stores the text and keeps the
+    /// core-key index and the evicted set in sync.
     fn insert_snapshot_raw(&mut self, key: u64, text: String) {
         self.remove_snapshot(key);
         if let Some(header) = SynthSnapshot::probe_header(&text) {
@@ -417,20 +413,12 @@ impl ResultCache {
         Some((SnapshotKey(best.key), self.snaps[&best.key].as_str()))
     }
 
-    /// Folds `newer` into `self`: every entry of `newer` (both tiers)
-    /// is inserted, overwriting on duplicate keys — **newest wins**.
-    /// Absorbed snapshots bypass the byte budget like loaded ones
-    /// (re-grant the budget afterwards to enforce it); `newer`'s
-    /// eviction history is discarded (eviction ownership is
-    /// per-instance). This is the fold behind `szb merge --cache` and
-    /// the merge-on-save path of [`ResultCache::save`].
+    /// Folds `newer`'s program tier into `self`, overwriting on
+    /// duplicate keys — **newest wins**. This is the fold behind
+    /// `szb merge --cache`, over caches loaded from files, which hold
+    /// programs only; `newer`'s snapshot tier is not read.
     pub fn absorb(&mut self, newer: ResultCache) {
-        for (key, run) in newer.map {
-            self.map.insert(key, run);
-        }
-        for (key, text) in newer.snaps {
-            self.insert_snapshot_raw(key, text);
-        }
+        self.map.extend(newer.map);
     }
 
     /// Iterates `(key, text)` over stored snapshots in key order.
@@ -466,22 +454,11 @@ impl ResultCache {
         self.evictions
     }
 
-    /// [`ResultCache::to_lines`] without the snapshot tier — for
-    /// callers that persist snapshots elsewhere (a
-    /// [`save_snapshot_dir`] directory) and want the line cache to stay
-    /// small instead of embedding every snapshot twice.
-    pub fn to_lines_programs_only(&self) -> String {
-        self.render_lines(false)
-    }
-
-    /// Serializes to the line-oriented s-expression format, sorted by
-    /// key so saves are byte-stable. Snapshot-tier entries follow the
-    /// program entries as `(snap <key> <escaped-text>)` lines.
+    /// Serializes the program tier to the line-oriented s-expression
+    /// format, one `(entry …)` line per run, sorted by key so saves are
+    /// byte-stable. The snapshot tier is not written: its one on-disk
+    /// form is a [`save_snapshot_dir`] directory.
     pub fn to_lines(&self) -> String {
-        self.render_lines(true)
-    }
-
-    fn render_lines(&self, include_snapshots: bool) -> String {
         let mut keys: Vec<&u64> = self.map.keys().collect();
         keys.sort();
         let mut out = String::new();
@@ -509,21 +486,12 @@ impl ResultCache {
             out.push_str(&entry.to_string());
             out.push('\n');
         }
-        if include_snapshots {
-            for (key, text) in self.snapshots() {
-                let entry = Sexp::list(vec![
-                    Sexp::atom("snap"),
-                    Sexp::atom(key.to_string()),
-                    Sexp::atom(sz_egraph::escape_token(text)),
-                ]);
-                out.push_str(&entry.to_string());
-                out.push('\n');
-            }
-        }
         out
     }
 
-    /// Parses the format written by [`ResultCache::to_lines`].
+    /// Parses the format written by [`ResultCache::to_lines`]. Any other
+    /// line, a `(snap …)` line included, is
+    /// [`CacheLoadError::Malformed`] with its line number.
     pub fn from_lines(text: &str) -> Result<Self, CacheLoadError> {
         let mut cache = ResultCache::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -572,23 +540,7 @@ impl ResultCache {
                     }
                     cache.insert(JobKey(key), CachedRun { programs, time_s });
                 }
-                [tag, key, text] if tag.as_atom() == Some("snap") => {
-                    let key = key
-                        .as_atom()
-                        .and_then(|k| u64::from_str_radix(k, 16).ok())
-                        .ok_or_else(|| malformed("bad snapshot key"))?;
-                    let text = text
-                        .as_atom()
-                        .ok_or_else(|| malformed("snapshot text must be an atom"))
-                        .and_then(|t| {
-                            sz_egraph::unescape_token(t)
-                                .map_err(|e| malformed(&format!("bad snapshot text: {e}")))
-                        })?;
-                    // Loaded snapshots bypass the budget (which may be
-                    // granted later, re-evicting); insert directly.
-                    cache.insert_snapshot_raw(key, text);
-                }
-                _ => return Err(malformed("not an (entry ...) or (snap ...) form")),
+                _ => return Err(malformed("not an (entry ...) form")),
             }
         }
         Ok(cache)
@@ -608,39 +560,23 @@ impl ResultCache {
         Self::from_lines(&text)
     }
 
-    /// Writes the cache to `path` (atomically via a unique sibling temp
-    /// file), **merging** with whatever is already there: entries on
-    /// disk survive unless this cache holds a newer value for their key
-    /// (in-memory wins) or evicted them itself. Two shards sharing a
-    /// cache path therefore extend the file instead of dropping each
-    /// other's work; a malformed or unreadable existing file is
-    /// overwritten rather than blocking the save.
+    /// Writes the program tier to `path` (atomically via a unique
+    /// sibling temp file), **merging** with whatever is already there:
+    /// entries on disk survive unless this cache holds a newer value for
+    /// their key (in-memory wins). Two shards sharing a cache path
+    /// therefore extend the file instead of dropping each other's work;
+    /// a malformed or unreadable existing file is overwritten rather
+    /// than blocking the save.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        save_text(path, &self.merged_with_disk(path).to_lines())
-    }
-
-    /// [`ResultCache::save`] without the snapshot tier (see
-    /// [`ResultCache::to_lines_programs_only`]); the same merge-on-save
-    /// semantics apply to the program tier.
-    pub fn save_programs_only(&self, path: &Path) -> io::Result<()> {
-        save_text(path, &self.merged_with_disk(path).to_lines_programs_only())
-    }
-
-    /// The merge-on-save fold: disk entries first, ours on top
-    /// (newest-wins), minus the snapshot keys we ourselves evicted
-    /// (honoring the byte budget without pruning other processes' work
-    /// — same ownership rule as [`save_snapshot_dir`]).
-    fn merged_with_disk(&self, path: &Path) -> ResultCache {
         let mut merged = Self::load(path).unwrap_or_default();
-        merged.absorb(self.clone());
-        for &key in &self.evicted {
-            merged.remove_snapshot(key);
-        }
         merged
+            .map
+            .extend(self.map.iter().map(|(key, run)| (*key, run.clone())));
+        save_text(path, &merged.to_lines())
     }
 }
 
-/// Atomic text write shared by the cache-file savers: a **unique
+/// Atomic text write behind [`ResultCache::save`]: a **unique
 /// per-process** sibling temp (two concurrent savers must never tear
 /// each other's temp file), fsynced before the rename so a crash right
 /// after the rename cannot leave an empty file.
@@ -667,8 +603,7 @@ pub fn attach_snapshot_dir(cache: &mut ResultCache, dir: &Path) -> io::Result<us
 }
 
 /// Loads every `<key16>.snap` file in `dir` into `cache`'s snapshot tier
-/// (bypassing the budget like [`ResultCache::from_lines`]; grant the
-/// budget afterwards to enforce it). Files whose stem is not a 16-digit
+/// (bypassing the budget; grant the budget afterwards to enforce it). Files whose stem is not a 16-digit
 /// hex key are ignored. Returns the number of snapshots loaded; a
 /// missing directory loads zero (cold start).
 pub fn load_snapshot_dir(cache: &mut ResultCache, dir: &Path) -> io::Result<usize> {
@@ -813,17 +748,18 @@ mod tests {
 
     #[test]
     fn malformed_line_numbers_survive_leading_good_entries() {
-        // A valid entry, a valid snapshot, then garbage on line 4: the
-        // error must name line 4, not lose the position.
-        let mut cache = ResultCache::new().with_snapshot_budget(1 << 20);
-        cache.insert(
-            JobKey(7),
-            CachedRun {
-                programs: vec![(1, Cad::Unit)],
-                time_s: 0.1,
-            },
-        );
-        cache.insert_snapshot(SnapshotKey(9), "szsynth v1\nfake".to_owned());
+        // Two valid entries, then garbage on line 4: the error must name
+        // line 4, not lose the position.
+        let mut cache = ResultCache::new();
+        for key in [7, 8] {
+            cache.insert(
+                JobKey(key),
+                CachedRun {
+                    programs: vec![(1, Cad::Unit)],
+                    time_s: 0.1,
+                },
+            );
+        }
         let mut text = cache.to_lines();
         text.push_str("\n(entry broken)\n");
         let err = ResultCache::from_lines(&text).unwrap_err();
@@ -832,34 +768,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_program_and_snapshot_file_roundtrips() {
-        let mut cache = ResultCache::new().with_snapshot_budget(1 << 20);
-        let key = JobKey::of(&sample_cad(3), &SynthConfig::new());
-        cache.insert(
-            key,
-            CachedRun {
-                programs: vec![(5, sample_cad(3))],
-                time_s: 0.25,
-            },
-        );
-        let skey = SnapshotKey::of(&sample_cad(3), &SynthConfig::new());
-        let snap_text = "szsynth v1\ninput (Union Unit Unit)\nsatfp x\nszsnap v1\nuf 0\nroots\niterations 2\nscheduler simple\nend\n";
-        cache.insert_snapshot(skey, snap_text.to_owned());
-
-        let lines = cache.to_lines();
-        assert!(lines.contains("(entry "));
-        assert!(lines.contains("(snap "));
-        let back = ResultCache::from_lines(&lines).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back.snapshot_count(), 1);
-        assert_eq!(back.get_snapshot(skey), Some(snap_text));
-        assert_eq!(back.get(key).unwrap().programs.len(), 1);
-        // Byte-stable reserialization.
-        assert_eq!(back.to_lines(), lines);
-    }
-
-    #[test]
-    fn programs_only_serialization_omits_snapshots() {
+    fn cache_file_holds_programs_only() {
         let mut cache = ResultCache::new().with_snapshot_budget(1 << 20);
         cache.insert(
             JobKey(7),
@@ -869,13 +778,17 @@ mod tests {
             },
         );
         cache.insert_snapshot(SnapshotKey(9), "szsynth v1\nbig".to_owned());
-        let slim = cache.to_lines_programs_only();
-        assert!(slim.contains("(entry "));
-        assert!(!slim.contains("(snap "));
-        // Loading the slim form keeps programs, drops snapshots.
-        let back = ResultCache::from_lines(&slim).unwrap();
+        let text = cache.to_lines();
+        assert!(text.contains("(entry "));
+        assert!(!text.contains("(snap"), "{text}");
+        let back = ResultCache::from_lines(&text).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back.snapshot_count(), 0);
+
+        // A `(snap …)` line is a malformed entry, reported by line.
+        let snap = format!("{text}(snap 0000000000000009 szsynth%20v1)\n");
+        let err = ResultCache::from_lines(&snap).unwrap_err();
+        assert_eq!(err.line(), Some(2), "{err}");
     }
 
     #[test]
@@ -1039,7 +952,7 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert!(back.get(JobKey(1)).is_some());
         assert!(back.get(JobKey(2)).is_some());
-        assert_eq!(back.snapshot_count(), 1);
+        assert_eq!(back.snapshot_count(), 0, "snapshots live in .snap dirs");
 
         // Duplicate keys: the in-memory (newer) value wins.
         let mut c = ResultCache::new();
@@ -1063,8 +976,8 @@ mod tests {
     }
 
     #[test]
-    fn absorb_folds_both_tiers_newest_wins() {
-        let mut old = ResultCache::new().with_snapshot_budget(1 << 20);
+    fn absorb_folds_programs_newest_wins() {
+        let mut old = ResultCache::new();
         old.insert(
             JobKey(1),
             CachedRun {
@@ -1072,9 +985,8 @@ mod tests {
                 time_s: 1.0,
             },
         );
-        old.insert_snapshot(SnapshotKey(5), "szsynth v1\nold".to_owned());
 
-        let mut newer = ResultCache::new().with_snapshot_budget(1 << 20);
+        let mut newer = ResultCache::new();
         newer.insert(
             JobKey(1),
             CachedRun {
@@ -1089,12 +1001,10 @@ mod tests {
                 time_s: 0.5,
             },
         );
-        newer.insert_snapshot(SnapshotKey(5), "szsynth v1\nnew".to_owned());
 
         old.absorb(newer);
         assert_eq!(old.len(), 2);
         assert_eq!(old.get(JobKey(1)).unwrap().programs[0].0, 4);
-        assert_eq!(old.get_snapshot(SnapshotKey(5)), Some("szsynth v1\nnew"));
     }
 
     /// Continuable snapshot text with a hand-written header: the core
@@ -1167,7 +1077,9 @@ mod tests {
     }
 
     #[test]
-    fn core_index_survives_the_line_roundtrip() {
+    fn core_index_survives_the_snap_dir_roundtrip() {
+        let dir = std::env::temp_dir().join(format!("sz_batch_core_dir_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let input = sample_cad(3);
         let low = SynthConfig::new().with_iter_limit(2);
         let high = SynthConfig::new().with_iter_limit(40);
@@ -1176,12 +1088,15 @@ mod tests {
             SnapshotKey::of(&input, &low),
             fake_continuable(&input, &low),
         );
+        save_snapshot_dir(&cache, &dir).unwrap();
 
-        let back = ResultCache::from_lines(&cache.to_lines()).unwrap();
+        let mut back = ResultCache::new();
+        assert_eq!(load_snapshot_dir(&mut back, &dir).unwrap(), 1);
         let (key, _) = back
             .best_core_snapshot(CoreKey::of(&input, &high), &high)
             .expect("index rebuilt on load");
         assert_eq!(key, SnapshotKey::of(&input, &low));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1231,45 +1146,24 @@ mod tests {
         let summed =
             |cache: &ResultCache| -> usize { cache.snapshots().map(|(_, text)| text.len()).sum() };
         let dir = std::env::temp_dir().join(format!("sz_batch_snap_bytes_{}", std::process::id()));
-        let path = dir.join("cache.sexp");
         for seed in 0..25 {
             let mut mix = Mix(seed);
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).unwrap();
             let mut cache = ResultCache::new().with_snapshot_budget(1 + mix.below(2000) as usize);
             for _ in 0..60 {
-                match mix.below(7) {
+                match mix.below(5) {
                     0..=2 => {
                         let (key, text) = (mix.key(), mix.text());
                         cache.insert_snapshot(key, text);
                     }
                     3 => cache.set_snapshot_budget(mix.below(2000) as usize),
-                    4 => {
-                        let mut newer = ResultCache::new().with_snapshot_budget(1 << 20);
-                        for _ in 0..mix.below(4) {
-                            let (key, text) = (mix.key(), mix.text());
-                            newer.insert_snapshot(key, text);
-                        }
-                        cache.absorb(newer);
-                    }
-                    5 => {
+                    _ => {
                         let mut other = ResultCache::new().with_snapshot_budget(1 << 20);
                         let (key, text) = (mix.key(), mix.text());
                         other.insert_snapshot(key, text);
                         save_snapshot_dir(&other, &dir).unwrap();
                         load_snapshot_dir(&mut cache, &dir).unwrap();
-                    }
-                    _ => {
-                        // A cache file on disk merged under this cache,
-                        // minus the keys this cache evicted.
-                        let mut disk = ResultCache::new().with_snapshot_budget(1 << 20);
-                        let (key, text) = (mix.key(), mix.text());
-                        disk.insert_snapshot(key, text);
-                        std::fs::write(&path, disk.to_lines()).unwrap();
-                        let merged = cache.merged_with_disk(&path);
-                        assert_eq!(merged.snapshot_bytes(), summed(&merged));
-                        let reloaded = ResultCache::from_lines(&merged.to_lines()).unwrap();
-                        assert_eq!(reloaded.snapshot_bytes(), summed(&reloaded));
                     }
                 }
                 assert_eq!(cache.snapshot_bytes(), summed(&cache), "seed {seed}");

@@ -28,10 +28,10 @@
 //! job's config or its cache keys, so a run under `--per-job-timeout`
 //! hits the same program and snapshot entries as a run without one.
 //!
-//! Parallel and sequential execution share one per-job code path
-//! ([`BatchEngine::run`] vs [`BatchEngine::run_sequential`]), so the
-//! batch output is byte-identical to a plain sequential loop — verified
-//! by the crate's determinism tests.
+//! [`BatchEngine::run`] is the one run path at every worker count: one
+//! worker takes the jobs in submission order (and streams their rows in
+//! that order), more workers steal them, and the programs are the same
+//! either way — verified by the crate's determinism tests.
 
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -231,7 +231,7 @@ pub struct BatchReport {
     pub outcomes: Vec<JobOutcome>,
     /// Wall-clock time of the whole batch.
     pub wall_time: Duration,
-    /// Worker threads used (1 for sequential runs).
+    /// Worker threads used.
     pub workers: usize,
 }
 
@@ -436,7 +436,11 @@ impl BatchEngine {
         self
     }
 
-    /// Runs the batch across the work-stealing pool.
+    /// Runs the batch across the work-stealing pool. With one worker
+    /// the jobs run in submission order, so a streaming sink receives
+    /// their rows in that order; at any worker count a panicking job
+    /// becomes one [`JobStatus::Panicked`] outcome, whose row is
+    /// streamed once the pool has finished.
     pub fn run(&self, jobs: Vec<BatchJob>) -> BatchReport {
         let start = Instant::now();
         let deadline = self.deadline;
@@ -510,44 +514,12 @@ impl BatchEngine {
             workers: self.workers,
         }
     }
-
-    /// Runs the batch as a plain sequential loop on the calling thread
-    /// (no pool). Used as the determinism/throughput baseline; the
-    /// per-job code path is identical to [`BatchEngine::run`].
-    pub fn run_sequential(&self, jobs: Vec<BatchJob>) -> BatchReport {
-        let start = Instant::now();
-        let batch_end = self.batch_deadline.map(|d| start + d);
-        let pending = AtomicI64::new(jobs.len() as i64);
-        let outcomes = jobs
-            .into_iter()
-            .map(|job| {
-                let outcome = execute_job(
-                    job,
-                    self.cache.as_ref(),
-                    self.deadline,
-                    batch_end,
-                    self.cancel.as_ref(),
-                    &self.telemetry,
-                    &pending,
-                );
-                if let Some(stream) = &self.stream {
-                    stream.write_record(&outcome);
-                }
-                outcome
-            })
-            .collect();
-        BatchReport {
-            outcomes,
-            wall_time: start.elapsed(),
-            workers: 1,
-        }
-    }
 }
 
-/// The single per-job code path shared by parallel and sequential runs,
-/// wrapped in the job-level telemetry: a `batch/job` span (with the job
-/// name and terminal status as args), the cache-tier counters, the
-/// `job.latency_us` histogram, and the `pool.queue_depth` gauge.
+/// The per-job code path of every run, wrapped in the job-level
+/// telemetry: a `batch/job` span (with the job name and terminal status
+/// as args), the cache-tier counters, the `job.latency_us` histogram,
+/// and the `pool.queue_depth` gauge.
 fn execute_job(
     job: BatchJob,
     cache: Option<&Arc<Mutex<ResultCache>>>,
@@ -857,7 +829,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let par = BatchEngine::new().with_workers(4).run(jobs());
-        let seq = BatchEngine::new().run_sequential(jobs());
+        let seq = BatchEngine::new().with_workers(1).run(jobs());
         assert_eq!(par.outcomes.len(), seq.outcomes.len());
         for (a, b) in par.outcomes.iter().zip(&seq.outcomes) {
             assert_eq!(a.name, b.name);
@@ -927,8 +899,9 @@ mod tests {
     fn generous_deadline_flags_nothing() {
         // A generous deadline changes nothing for these tiny jobs.
         let report = BatchEngine::new()
+            .with_workers(1)
             .with_deadline(Duration::from_secs(60))
-            .run_sequential(jobs());
+            .run(jobs());
         assert_eq!(report.ok_count(), 4);
         assert!(report.outcomes.iter().all(|o| !o.hit_deadline));
     }
@@ -944,7 +917,7 @@ mod tests {
 
     #[test]
     fn fresh_jobs_record_their_stop_reason() {
-        let report = BatchEngine::new().run_sequential(jobs());
+        let report = BatchEngine::new().with_workers(1).run(jobs());
         for outcome in &report.outcomes {
             assert!(
                 outcome.stop_reason.is_some(),
@@ -985,8 +958,9 @@ mod tests {
     #[test]
     fn expired_batch_deadline_cancels_remaining_jobs() {
         let report = BatchEngine::new()
+            .with_workers(1)
             .with_batch_deadline(Duration::ZERO)
-            .run_sequential(jobs());
+            .run(jobs());
         assert_eq!(report.ok_count(), 4);
         assert_eq!(report.cancelled_count(), 4);
     }
@@ -999,13 +973,15 @@ mod tests {
         let cache = Arc::new(Mutex::new(
             ResultCache::new().with_snapshot_budget(64 << 20),
         ));
-        let engine = BatchEngine::new().with_cache(Arc::clone(&cache));
+        let engine = BatchEngine::new()
+            .with_workers(1)
+            .with_cache(Arc::clone(&cache));
         let limited = vec![BatchJob::new(
             "row6",
             row(6),
             quick().with_iter_limit(2), // binds well before saturation
         )];
-        let report = engine.run_sequential(limited);
+        let report = engine.run(limited);
         assert!(
             report.outcomes[0].stop_reason != Some(StopReason::Saturated),
             "precondition: the iteration limit must bind"
@@ -1027,8 +1003,10 @@ mod tests {
         let cache = Arc::new(Mutex::new(
             ResultCache::new().with_snapshot_budget(64 << 20),
         ));
-        let engine = BatchEngine::new().with_cache(Arc::clone(&cache));
-        let report = engine.run_sequential(vec![BatchJob::new("row3", row(3), quick())]);
+        let engine = BatchEngine::new()
+            .with_workers(1)
+            .with_cache(Arc::clone(&cache));
+        let report = engine.run(vec![BatchJob::new("row3", row(3), quick())]);
         assert_eq!(
             report.outcomes[0].stop_reason,
             Some(StopReason::Saturated),
@@ -1057,9 +1035,11 @@ mod tests {
         let cache = Arc::new(Mutex::new(
             ResultCache::new().with_snapshot_budget(64 << 20),
         ));
-        let engine = BatchEngine::new().with_cache(Arc::clone(&cache));
+        let engine = BatchEngine::new()
+            .with_workers(1)
+            .with_cache(Arc::clone(&cache));
         let job = || vec![BatchJob::new("row5", row(5), pareto_config())];
-        let cold = engine.run_sequential(job());
+        let cold = engine.run(job());
         let outcome = &cold.outcomes[0];
         assert_eq!(outcome.status, JobStatus::Ok);
         assert!(
@@ -1081,7 +1061,7 @@ mod tests {
 
         // The rerun resumes from the snapshot tier — no saturation —
         // and still recomputes an identical front.
-        let warm = engine.run_sequential(job());
+        let warm = engine.run(job());
         let rerun = &warm.outcomes[0];
         assert!(rerun.snapshot_hit);
         assert_eq!(rerun.iterations, 0);
@@ -1175,14 +1155,53 @@ mod tests {
     }
 
     #[test]
+    fn one_worker_streams_rows_in_submission_order() {
+        let buf = SharedBuf::default();
+        let report = BatchEngine::new()
+            .with_workers(1)
+            .with_stream(StreamSink::new(buf.clone()))
+            .run(jobs());
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let expected: Vec<String> = report.outcomes.iter().map(job_record).collect();
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected);
+
+        // The first job's row write panics: that job becomes one
+        // `panicked` outcome, the others stream in order, and its
+        // placeholder row follows them.
+        let buf = SharedBuf::default();
+        let sink = StreamSink::new(PoisonOnce {
+            buf: buf.clone(),
+            armed: Arc::new(std::sync::atomic::AtomicBool::new(true)),
+        });
+        let report = BatchEngine::new()
+            .with_workers(1)
+            .with_stream(sink)
+            .run(jobs());
+        assert_eq!(
+            report.outcomes[0].status,
+            JobStatus::Panicked("sink write blew up".to_owned())
+        );
+        assert_eq!(report.ok_count(), 3);
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let expected: Vec<String> = report.outcomes[1..]
+            .iter()
+            .chain(&report.outcomes[..1])
+            .map(job_record)
+            .collect();
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
     fn core_key_index_serves_lower_fuel_snapshots_to_higher_fuel_jobs() {
         let cache = Arc::new(Mutex::new(
             ResultCache::new().with_snapshot_budget(64 << 20),
         ));
-        let engine = BatchEngine::new().with_cache(Arc::clone(&cache));
+        let engine = BatchEngine::new()
+            .with_workers(1)
+            .with_cache(Arc::clone(&cache));
         // Populate at low fuel: the iteration limit binds, so the
         // stored snapshot keeps its sat-phase section (continuable).
-        let low = engine.run_sequential(vec![BatchJob::new(
+        let low = engine.run(vec![BatchJob::new(
             "row6",
             row(6),
             quick().with_iter_limit(2),
@@ -1196,7 +1215,7 @@ mod tests {
         // (different fingerprint) and the exact snapshot key; the
         // core-key index serves the low-fuel snapshot and saturation
         // CONTINUES rather than starting cold.
-        let high = engine.run_sequential(vec![BatchJob::new("row6", row(6), quick())]);
+        let high = engine.run(vec![BatchJob::new("row6", row(6), quick())]);
         let outcome = &high.outcomes[0];
         assert!(!outcome.cached);
         assert!(
@@ -1205,7 +1224,10 @@ mod tests {
         );
 
         // Landing point identical to a cold run at the same fuel.
-        let cold = BatchEngine::new().run_sequential(vec![BatchJob::new("row6", row(6), quick())]);
+        let cold =
+            BatchEngine::new()
+                .with_workers(1)
+                .run(vec![BatchJob::new("row6", row(6), quick())]);
         assert_eq!(outcome.programs, cold.outcomes[0].programs);
         assert_eq!(outcome.stop_reason, cold.outcomes[0].stop_reason);
     }
@@ -1215,14 +1237,15 @@ mod tests {
         let cache = Arc::new(Mutex::new(ResultCache::new()));
         let telemetry = Telemetry::enabled();
         let engine = BatchEngine::new()
+            .with_workers(1)
             .with_cache(Arc::clone(&cache))
             .with_telemetry(telemetry.clone());
-        let cold = engine.run_sequential(jobs());
+        let cold = engine.run(jobs());
         assert_eq!(cold.cache_hits(), 0);
         assert_eq!(telemetry.metrics.counter("cache.miss"), 4);
         assert_eq!(telemetry.metrics.counter("cache.program_hit"), 0);
 
-        let warm = engine.run_sequential(jobs());
+        let warm = engine.run(jobs());
         assert_eq!(warm.cache_hits(), 4);
         assert_eq!(telemetry.metrics.counter("cache.program_hit"), 4);
         assert_eq!(telemetry.metrics.counter("cache.miss"), 4, "unchanged");
@@ -1256,7 +1279,7 @@ mod tests {
             row(3),
             quick().with_cost_model(Arc::new(szalinski::RewardLoopsCost)),
         ));
-        let report = BatchEngine::new().run_sequential(js);
+        let report = BatchEngine::new().with_workers(1).run(js);
         assert!(report.outcomes[..4]
             .iter()
             .all(|o| o.cost_fingerprint == "ast-size"));
@@ -1268,8 +1291,10 @@ mod tests {
         let cache = Arc::new(Mutex::new(
             ResultCache::new().with_snapshot_budget(64 << 20),
         ));
-        let engine = BatchEngine::new().with_cache(Arc::clone(&cache));
-        let cold = engine.run_sequential(jobs());
+        let engine = BatchEngine::new()
+            .with_workers(1)
+            .with_cache(Arc::clone(&cache));
+        let cold = engine.run(jobs());
         assert_eq!(cold.snapshot_hits(), 0);
 
         // A cost-only change misses the program tier but resumes from
@@ -1284,7 +1309,7 @@ mod tests {
                 )
             })
             .collect();
-        let resumed = engine.run_sequential(reward);
+        let resumed = engine.run(reward);
         assert_eq!(resumed.snapshot_hits(), 4);
         for outcome in &resumed.outcomes {
             assert!(outcome.snapshot_hit);

@@ -17,16 +17,17 @@
 //!   ([`szalinski::SynthSnapshot`]) so extraction-only config changes
 //!   resume instead of re-saturating, plus a *core-key* secondary index
 //!   ([`ResultCache::best_core_snapshot`]) that serves lower-fuel
-//!   snapshots to higher-fuel jobs as partial-saturation resumes; both
-//!   tiers persist via line-oriented s-expressions, snapshots
-//!   alternatively as a directory of `.snap` files
-//!   ([`load_snapshot_dir`] / [`save_snapshot_dir`]). Persistence is
-//!   **fleet-safe**: unique per-process temp files, merge-on-save, and
-//!   pruning restricted to self-evicted keys, so many processes can
-//!   share one cache file or snapshot dir without destroying each
-//!   other's work;
+//!   snapshots to higher-fuel jobs as partial-saturation resumes. Each
+//!   tier has one on-disk form: programs a line-oriented s-expression
+//!   cache file ([`ResultCache::save`]), snapshots a directory of
+//!   `.snap` files ([`load_snapshot_dir`] / [`save_snapshot_dir`]).
+//!   Persistence is **fleet-safe**: unique per-process temp files,
+//!   merge-on-save, and pruning restricted to self-evicted keys, so many
+//!   processes can share one cache file or snapshot dir without
+//!   destroying each other's work;
 //! * [`engine`] — [`BatchEngine`]: fans [`BatchJob`]s across the pool
-//!   under per-job and whole-batch wall-clock deadlines plus a shared
+//!   (one run method at every worker count; one worker is the in-order
+//!   run) under per-job and whole-batch wall-clock deadlines plus a shared
 //!   [`szalinski::CancelToken`] (cooperative stops surface as
 //!   [`szalinski::StopReason::Cancelled`] in
 //!   [`JobOutcome::stop_reason`]), consults both cache tiers (program
@@ -55,15 +56,15 @@
 //! szb models/ --shard 2/4 --snapshots snaps/ --report shard2.jsonl
 //! szb --gen "count=10000,seed=42" --shard 1/8 --snapshots snaps/
 //! szb merge merged.jsonl shard*.jsonl         # fold shard reports
-//! szb merge --cache merged.sexp shard*.sexp   # fold shard caches
+//! szb merge --cache merged.sexp shard*.sexp   # fold shard program caches
 //! ```
 //!
 //! ## Determinism
 //!
-//! Parallel and sequential execution share one per-job code path, so a
-//! batch run is byte-identical to a sequential loop, and a warm-cache
-//! rerun reproduces the cold run's programs with zero saturation
-//! iterations (see `tests/batch_determinism.rs`).
+//! Every worker count runs the same per-job code path, so a batch run's
+//! programs do not depend on it, and a warm-cache rerun reproduces the
+//! cold run's programs with zero saturation iterations (see
+//! `tests/batch_determinism.rs`).
 //!
 //! ## Example
 //!
@@ -99,6 +100,4 @@ pub use corpus::{dir_jobs, gen_jobs, sanitize_name, suite16_jobs, CorpusSkip, Sh
 pub use engine::{BatchEngine, BatchJob, BatchReport, JobOutcome, JobStatus, StreamSink};
 pub use lint::{lint_dir, lint_rules, lint_suite16, run_lint_cli};
 pub use pool::{run_tasks, TaskPanic};
-pub use report::{
-    job_record, json_string, merge_reports, stop_reason_tag, summary_record, write_report,
-};
+pub use report::{job_record, json_string, merge_reports, stop_reason_tag, summary_record};

@@ -9,7 +9,6 @@
 //! and one merged summary is recomputed from the kept rows.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write};
 
 use szalinski::StopReason;
 
@@ -151,49 +150,119 @@ pub fn job_record(o: &JobOutcome) -> String {
 
 /// Renders the aggregate summary as a single JSON object.
 pub fn summary_record(report: &BatchReport) -> String {
-    let fields = vec![
-        ("type".to_owned(), "\"summary\"".to_owned()),
-        ("jobs".to_owned(), report.outcomes.len().to_string()),
-        ("ok".to_owned(), report.ok_count().to_string()),
-        ("workers".to_owned(), report.workers.to_string()),
-        ("cache_hits".to_owned(), report.cache_hits().to_string()),
-        ("cache_misses".to_owned(), report.cache_misses().to_string()),
-        (
-            "cache_hit_rate".to_owned(),
-            json_f64(report.cache_hit_rate()),
-        ),
-        (
-            "snapshot_hits".to_owned(),
-            report.snapshot_hits().to_string(),
-        ),
-        (
-            "snapshot_hit_rate".to_owned(),
-            json_f64(report.snapshot_hit_rate()),
-        ),
-        ("cancelled".to_owned(), report.cancelled_count().to_string()),
-        (
-            "wall_time_s".to_owned(),
-            json_f64(report.wall_time.as_secs_f64()),
-        ),
-        (
-            "search_time_s".to_owned(),
-            json_f64(report.outcomes.iter().map(JobOutcome::search_time_s).sum()),
-        ),
-        (
-            "apply_time_s".to_owned(),
-            json_f64(report.outcomes.iter().map(JobOutcome::apply_time_s).sum()),
-        ),
-        ("jobs_per_s".to_owned(), json_f64(report.throughput())),
-        (
-            "mean_size_reduction".to_owned(),
-            json_f64(report.mean_size_reduction()),
-        ),
-        (
-            "structure_fraction".to_owned(),
-            json_f64(report.structure_fraction()),
-        ),
-    ];
-    render_object(&fields)
+    let mut summary = Summary {
+        workers: report.workers,
+        wall_time_s: report.wall_time.as_secs_f64(),
+        ..Summary::default()
+    };
+    for o in &report.outcomes {
+        summary.add_job(
+            o.status == JobStatus::Ok,
+            o.cached,
+            o.snapshot_hit,
+            o.cancelled(),
+            o.search_time_s(),
+            o.apply_time_s(),
+            o.row
+                .as_ref()
+                .map(|r| (r.size_reduction(), r.rank.is_some())),
+        );
+    }
+    summary.render()
+}
+
+/// The running totals behind a summary row, shared by
+/// [`summary_record`] (over a [`BatchReport`]) and [`merge_reports`]
+/// (over parsed job rows). Each caller adds its jobs in its own order,
+/// which fixes the float sums' summation order.
+#[derive(Default)]
+struct Summary {
+    jobs: usize,
+    ok: usize,
+    workers: usize,
+    cache_hits: usize,
+    snapshot_hits: usize,
+    cancelled: usize,
+    wall_time_s: f64,
+    search_time_s: f64,
+    apply_time_s: f64,
+    /// Jobs with a table row, and how many of those ranked a structured
+    /// program.
+    rows: usize,
+    ranked: usize,
+    size_reduction: f64,
+}
+
+impl Summary {
+    /// Counts one job; `row` is its table row's size reduction and
+    /// whether it ranked a structured program.
+    #[allow(clippy::too_many_arguments)]
+    fn add_job(
+        &mut self,
+        ok: bool,
+        cached: bool,
+        snapshot_hit: bool,
+        cancelled: bool,
+        search_time_s: f64,
+        apply_time_s: f64,
+        row: Option<(f64, bool)>,
+    ) {
+        self.jobs += 1;
+        self.ok += usize::from(ok);
+        self.cache_hits += usize::from(cached);
+        self.snapshot_hits += usize::from(snapshot_hit);
+        self.cancelled += usize::from(cancelled);
+        self.search_time_s += search_time_s;
+        self.apply_time_s += apply_time_s;
+        if let Some((size_reduction, ranked)) = row {
+            self.rows += 1;
+            self.size_reduction += size_reduction;
+            self.ranked += usize::from(ranked);
+        }
+    }
+
+    fn render(&self) -> String {
+        let n = self.jobs;
+        let rate = |hits: usize| if n == 0 { 0.0 } else { hits as f64 / n as f64 };
+        let per_row = |x: f64| {
+            if self.rows == 0 {
+                0.0
+            } else {
+                x / self.rows as f64
+            }
+        };
+        let wall = self.wall_time_s;
+        render_object(&[
+            ("type".to_owned(), "\"summary\"".to_owned()),
+            ("jobs".to_owned(), n.to_string()),
+            ("ok".to_owned(), self.ok.to_string()),
+            ("workers".to_owned(), self.workers.to_string()),
+            ("cache_hits".to_owned(), self.cache_hits.to_string()),
+            ("cache_misses".to_owned(), (n - self.cache_hits).to_string()),
+            ("cache_hit_rate".to_owned(), json_f64(rate(self.cache_hits))),
+            ("snapshot_hits".to_owned(), self.snapshot_hits.to_string()),
+            (
+                "snapshot_hit_rate".to_owned(),
+                json_f64(rate(self.snapshot_hits)),
+            ),
+            ("cancelled".to_owned(), self.cancelled.to_string()),
+            ("wall_time_s".to_owned(), json_f64(wall)),
+            ("search_time_s".to_owned(), json_f64(self.search_time_s)),
+            ("apply_time_s".to_owned(), json_f64(self.apply_time_s)),
+            (
+                "jobs_per_s".to_owned(),
+                json_f64(if wall > 0.0 { n as f64 / wall } else { 0.0 }),
+            ),
+            (
+                "mean_size_reduction".to_owned(),
+                json_f64(per_row(self.size_reduction)),
+            ),
+            (
+                "structure_fraction".to_owned(),
+                json_f64(per_row(self.ranked as f64)),
+            ),
+        ])
+    }
 }
 
 /// Extracts the raw JSON text of the **first** occurrence of `"key":`
@@ -236,8 +305,7 @@ fn scan_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 /// other field from the kept job rows.
 pub fn merge_reports(inputs: &[String]) -> Result<String, String> {
     let mut jobs: BTreeMap<String, String> = BTreeMap::new();
-    let mut wall = 0.0_f64;
-    let mut workers: u64 = 0;
+    let mut summary = Summary::default();
     for text in inputs {
         for line in text.lines() {
             let line = line.trim();
@@ -254,10 +322,10 @@ pub fn merge_reports(inputs: &[String]) -> Result<String, String> {
                     if let Some(w) =
                         scan_field(line, "wall_time_s").and_then(|v| v.parse::<f64>().ok())
                     {
-                        wall = wall.max(w);
+                        summary.wall_time_s = summary.wall_time_s.max(w);
                     }
-                    workers += scan_field(line, "workers")
-                        .and_then(|v| v.parse::<u64>().ok())
+                    summary.workers += scan_field(line, "workers")
+                        .and_then(|v| v.parse::<usize>().ok())
                         .unwrap_or(0);
                 }
                 _ => return Err(format!("unrecognized record: {line}")),
@@ -265,80 +333,31 @@ pub fn merge_reports(inputs: &[String]) -> Result<String, String> {
         }
     }
 
-    let n = jobs.len();
-    let mut ok = 0usize;
-    let mut cache_hits = 0usize;
-    let mut snapshot_hits = 0usize;
-    let mut cancelled = 0usize;
-    let mut search = 0.0_f64;
-    let mut apply = 0.0_f64;
-    let mut rows = 0usize;
-    let mut ranked = 0usize;
-    let mut size_reduction = 0.0_f64;
-    for line in jobs.values() {
-        let line = line.as_str();
-        ok += usize::from(scan_field(line, "status") == Some("\"ok\""));
-        cache_hits += usize::from(scan_field(line, "cached") == Some("true"));
-        snapshot_hits += usize::from(scan_field(line, "snapshot_hit") == Some("true"));
-        cancelled += usize::from(scan_field(line, "stop_reason") == Some("\"cancelled\""));
-        search += scan_field(line, "search_time_s")
+    let seconds = |line: &str, key: &str| {
+        scan_field(line, key)
             .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.0);
-        apply += scan_field(line, "apply_time_s")
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.0);
-        if let Some(v) = scan_field(line, "size_reduction") {
-            rows += 1;
-            size_reduction += v.parse::<f64>().unwrap_or(0.0);
-            ranked += usize::from(matches!(scan_field(line, "rank"), Some(r) if r != "null"));
-        }
-    }
-    let rate = |hits: usize| if n == 0 { 0.0 } else { hits as f64 / n as f64 };
-    let summary = render_object(&[
-        ("type".to_owned(), "\"summary\"".to_owned()),
-        ("jobs".to_owned(), n.to_string()),
-        ("ok".to_owned(), ok.to_string()),
-        ("workers".to_owned(), workers.to_string()),
-        ("cache_hits".to_owned(), cache_hits.to_string()),
-        ("cache_misses".to_owned(), (n - cache_hits).to_string()),
-        ("cache_hit_rate".to_owned(), json_f64(rate(cache_hits))),
-        ("snapshot_hits".to_owned(), snapshot_hits.to_string()),
-        (
-            "snapshot_hit_rate".to_owned(),
-            json_f64(rate(snapshot_hits)),
-        ),
-        ("cancelled".to_owned(), cancelled.to_string()),
-        ("wall_time_s".to_owned(), json_f64(wall)),
-        ("search_time_s".to_owned(), json_f64(search)),
-        ("apply_time_s".to_owned(), json_f64(apply)),
-        (
-            "jobs_per_s".to_owned(),
-            json_f64(if wall > 0.0 { n as f64 / wall } else { 0.0 }),
-        ),
-        (
-            "mean_size_reduction".to_owned(),
-            json_f64(if rows == 0 {
-                0.0
-            } else {
-                size_reduction / rows as f64
-            }),
-        ),
-        (
-            "structure_fraction".to_owned(),
-            json_f64(if rows == 0 {
-                0.0
-            } else {
-                ranked as f64 / rows as f64
-            }),
-        ),
-    ]);
-
+            .unwrap_or(0.0)
+    };
     let mut out = String::new();
     for line in jobs.values() {
+        summary.add_job(
+            scan_field(line, "status") == Some("\"ok\""),
+            scan_field(line, "cached") == Some("true"),
+            scan_field(line, "snapshot_hit") == Some("true"),
+            scan_field(line, "stop_reason") == Some("\"cancelled\""),
+            seconds(line, "search_time_s"),
+            seconds(line, "apply_time_s"),
+            scan_field(line, "size_reduction").map(|v| {
+                (
+                    v.parse::<f64>().unwrap_or(0.0),
+                    matches!(scan_field(line, "rank"), Some(r) if r != "null"),
+                )
+            }),
+        );
         out.push_str(line);
         out.push('\n');
     }
-    out.push_str(&summary);
+    out.push_str(&summary.render());
     out.push('\n');
     Ok(out)
 }
@@ -349,14 +368,6 @@ fn render_object(fields: &[(String, String)]) -> String {
         .map(|(k, v)| format!("{}:{}", json_string(k), v))
         .collect();
     format!("{{{}}}", body.join(","))
-}
-
-/// Writes the full JSONL report: one line per job, then the summary.
-pub fn write_report<W: Write>(mut w: W, report: &BatchReport) -> io::Result<()> {
-    for outcome in &report.outcomes {
-        writeln!(w, "{}", job_record(outcome))?;
-    }
-    writeln!(w, "{}", summary_record(report))
 }
 
 #[cfg(test)]
@@ -498,6 +509,19 @@ mod tests {
         assert_eq!(scan_field(tricky, "status"), Some("\"ok\""));
     }
 
+    /// A whole JSONL report as `szb` streams it: one row per job, then
+    /// the summary.
+    fn jsonl(report: &BatchReport) -> String {
+        let mut text: String = report
+            .outcomes
+            .iter()
+            .map(|o| job_record(o) + "\n")
+            .collect();
+        text.push_str(&summary_record(report));
+        text.push('\n');
+        text
+    }
+
     #[test]
     fn merge_dedupes_by_name_sorts_and_recomputes_the_summary() {
         let shard_a = BatchReport {
@@ -510,15 +534,10 @@ mod tests {
             wall_time: Duration::from_secs(6),
             workers: 3,
         };
-        let render = |r: &BatchReport| {
-            let mut buf = Vec::new();
-            write_report(&mut buf, r).unwrap();
-            String::from_utf8(buf).unwrap()
-        };
         // shard_b re-ran "zeta" fresh (a resumed shard): newest wins.
-        let mut b_text = render(&shard_b);
+        let mut b_text = jsonl(&shard_b);
         b_text.insert_str(0, &format!("{}\n", job_record(&outcome("zeta", true))));
-        let merged = merge_reports(&[render(&shard_a), b_text]).unwrap();
+        let merged = merge_reports(&[jsonl(&shard_a), b_text]).unwrap();
         let lines: Vec<&str> = merged.lines().collect();
         assert_eq!(lines.len(), 4, "3 unique jobs + 1 summary: {merged}");
         assert_eq!(scan_field(lines[0], "name"), Some("\"alpha\""));
@@ -546,9 +565,7 @@ mod tests {
             wall_time: Duration::from_secs(2),
             workers: 4,
         };
-        let mut buf = Vec::new();
-        write_report(&mut buf, &report).unwrap();
-        let merged = merge_reports(&[String::from_utf8(buf).unwrap()]).unwrap();
+        let merged = merge_reports(&[jsonl(&report)]).unwrap();
         for o in &report.outcomes {
             assert!(merged.contains(&job_record(o)), "row for {} kept", o.name);
         }
@@ -561,23 +578,63 @@ mod tests {
         assert!(merge_reports(&["not json\n".to_owned()]).is_err());
     }
 
-    #[test]
-    fn full_report_is_one_object_per_line() {
-        let report = BatchReport {
-            outcomes: vec![outcome("a", false), outcome("b", true)],
-            wall_time: Duration::from_secs(1),
-            workers: 4,
+    /// Name-sorted outcomes that set every summary field: table rows with
+    /// and without a ranked structured program, a program-cache hit, a
+    /// snapshot resume, a cancelled and a rejected job.
+    fn fixed_report() -> BatchReport {
+        let row = |i_ns: usize, o_ns: usize, rank: Option<usize>| szalinski::TableRow {
+            name: String::new(),
+            i_ns,
+            o_ns,
+            i_p: 3,
+            o_p: 1,
+            i_d: 4,
+            o_d: 5,
+            n_l: "1".to_owned(),
+            f: "-".to_owned(),
+            time_s: 0.1,
+            rank,
         };
-        let mut buf = Vec::new();
-        write_report(&mut buf, &report).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[2].contains(r#""type":"summary""#));
-        assert!(lines[2].contains(r#""cache_hits":1"#));
-        assert!(lines[2].contains(r#""workers":4"#));
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
+        let mut fresh = outcome("a-fresh", false);
+        fresh.row = Some(row(30, 12, Some(1)));
+        let mut cached = outcome("b-cached", true);
+        cached.row = Some(row(20, 20, None));
+        let mut resumed = outcome("c-resumed", false);
+        resumed.snapshot_hit = true;
+        resumed.stop_reason = None;
+        resumed.rule_stats = vec![
+            sz_egraph_rule_stat("r", 1, 1, 0.1),
+            sz_egraph_rule_stat("s", 2, 1, 0.2),
+        ];
+        resumed.row = Some(row(7, 3, Some(2)));
+        let mut cancelled = outcome("d-cancelled", false);
+        cancelled.stop_reason = Some(StopReason::Cancelled);
+        cancelled.row = Some(row(9, 9, None));
+        let mut rejected = outcome("e-rejected", false);
+        rejected.status = JobStatus::Rejected(szalinski::SynthError::NotFlat);
+        rejected.stop_reason = None;
+        rejected.programs.clear();
+        rejected.rule_stats.clear();
+        BatchReport {
+            outcomes: vec![fresh, cached, resumed, cancelled, rejected],
+            wall_time: Duration::from_millis(2500),
+            workers: 3,
         }
+    }
+
+    #[test]
+    fn summary_row_is_pinned_and_merge_recomputes_it() {
+        let report = fixed_report();
+        let pinned = concat!(
+            r#"{"type":"summary","jobs":5,"ok":4,"workers":3,"cache_hits":1,"cache_misses":4,"#,
+            r#""cache_hit_rate":0.2,"snapshot_hits":1,"snapshot_hit_rate":0.2,"cancelled":1,"#,
+            r#""wall_time_s":2.5,"search_time_s":1.8,"apply_time_s":0.06,"jobs_per_s":2,"#,
+            r#""mean_size_reduction":0.2928571428571428,"structure_fraction":0.5}"#,
+        );
+        assert_eq!(summary_record(&report), pinned);
+        // One name-sorted report: the merge adds up the same rows in the
+        // same order, so its recomputed summary is the same line.
+        let merged = merge_reports(&[jsonl(&report)]).unwrap();
+        assert_eq!(merged.lines().last(), Some(pinned));
     }
 }

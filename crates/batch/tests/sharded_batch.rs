@@ -8,8 +8,8 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
 use sz_batch::{
-    attach_snapshot_dir, merge_reports, save_snapshot_dir, write_report, BatchEngine, BatchJob,
-    ResultCache, ShardSpec, StreamSink,
+    attach_snapshot_dir, job_record, merge_reports, save_snapshot_dir, summary_record, BatchEngine,
+    BatchJob, ResultCache, ShardSpec, StreamSink,
 };
 use sz_cad::Cad;
 use szalinski::{CancelToken, StopReason, SynthConfig};
@@ -54,9 +54,13 @@ fn shards_run_independently_and_merge_to_the_unsharded_result() {
             let previous = merged.insert(o.name.clone(), o.programs.clone());
             assert!(previous.is_none(), "{}: shards must be disjoint", o.name);
         }
-        let mut buf = Vec::new();
-        write_report(&mut buf, &report).unwrap();
-        shard_reports.push(String::from_utf8(buf).unwrap());
+        let mut text: String = report
+            .outcomes
+            .iter()
+            .map(|o| job_record(o) + "\n")
+            .collect();
+        text.push_str(&summary_record(&report));
+        shard_reports.push(text);
     }
 
     // The shards covered the corpus, and job-for-job their programs are
@@ -109,7 +113,7 @@ fn killed_run_resumes_with_zero_recomputation_of_completed_jobs() {
     let cache_path = dir.join("cache.sexp");
     let snap_dir = dir.join("snaps");
 
-    // First leg: sequential (deterministic completion order), killed
+    // First leg: one worker (deterministic completion order), killed
     // after exactly KILL_AFTER finished rows.
     const KILL_AFTER: usize = 3;
     let token = CancelToken::new();
@@ -117,13 +121,14 @@ fn killed_run_resumes_with_zero_recomputation_of_completed_jobs() {
         ResultCache::new().with_snapshot_budget(64 << 20),
     ));
     let first = BatchEngine::new()
+        .with_workers(1)
         .with_cancel_token(token.clone())
         .with_cache(Arc::clone(&cache))
         .with_stream(StreamSink::new(KillAfter {
             rows_left: KILL_AFTER,
             token,
         }))
-        .run_sequential(corpus());
+        .run(corpus());
     let completed: Vec<String> = first
         .outcomes
         .iter()
@@ -138,7 +143,7 @@ fn killed_run_resumes_with_zero_recomputation_of_completed_jobs() {
         let cache = cache.lock().unwrap();
         assert_eq!(cache.len(), KILL_AFTER, "cancelled jobs never cache");
         save_snapshot_dir(&cache, &snap_dir).unwrap();
-        cache.save_programs_only(&cache_path).unwrap();
+        cache.save(&cache_path).unwrap();
     }
 
     // Second leg: a fresh "process" loads the shared cache + snapshot
@@ -146,8 +151,9 @@ fn killed_run_resumes_with_zero_recomputation_of_completed_jobs() {
     let mut reloaded = ResultCache::load(&cache_path).unwrap();
     attach_snapshot_dir(&mut reloaded, &snap_dir).unwrap();
     let resumed = BatchEngine::new()
+        .with_workers(1)
         .with_cache(Arc::new(Mutex::new(reloaded)))
-        .run_sequential(corpus());
+        .run(corpus());
     assert_eq!(resumed.cancelled_count(), 0);
     assert_eq!(resumed.ok_count(), corpus().len());
     // Zero recomputation: every job that completed before the kill is a
@@ -162,7 +168,7 @@ fn killed_run_resumes_with_zero_recomputation_of_completed_jobs() {
 
     // The resumed fleet's final outputs are identical to one cold
     // uninterrupted run.
-    let cold = BatchEngine::new().run_sequential(corpus());
+    let cold = BatchEngine::new().with_workers(1).run(corpus());
     for (a, b) in resumed.outcomes.iter().zip(&cold.outcomes) {
         assert_eq!(a.name, b.name);
         assert_eq!(a.programs, b.programs, "{}", a.name);
@@ -184,8 +190,9 @@ fn fuel_raised_rerun_resumes_every_job_from_the_core_key_index() {
         ResultCache::new().with_snapshot_budget(64 << 20),
     ));
     let low = BatchEngine::new()
+        .with_workers(1)
         .with_cache(Arc::clone(&cache))
-        .run_sequential(corpus_at(&low_config));
+        .run(corpus_at(&low_config));
     assert!(
         low.outcomes
             .iter()
@@ -201,8 +208,9 @@ fn fuel_raised_rerun_resumes_every_job_from_the_core_key_index() {
     let mut reloaded = ResultCache::new();
     attach_snapshot_dir(&mut reloaded, &snap_dir).unwrap();
     let high = BatchEngine::new()
+        .with_workers(1)
         .with_cache(Arc::new(Mutex::new(reloaded)))
-        .run_sequential(corpus());
+        .run(corpus());
     assert_eq!(high.cache_hits(), 0, "full fingerprints differ");
     assert_eq!(
         high.snapshot_hits(),
@@ -212,7 +220,7 @@ fn fuel_raised_rerun_resumes_every_job_from_the_core_key_index() {
 
     // Differential: resumed saturation lands exactly where a cold run
     // at the same fuel lands.
-    let cold = BatchEngine::new().run_sequential(corpus());
+    let cold = BatchEngine::new().with_workers(1).run(corpus());
     for (a, b) in high.outcomes.iter().zip(&cold.outcomes) {
         assert_eq!(a.name, b.name);
         assert_eq!(a.programs, b.programs, "{}", a.name);

@@ -4,7 +4,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use sz_batch::{BatchEngine, BatchJob, JobOutcome, ResultCache};
+use sz_batch::{
+    attach_snapshot_dir, save_snapshot_dir, BatchEngine, BatchJob, JobOutcome, ResultCache,
+};
 use sz_cad::Cad;
 use szalinski::{RewardLoopsCost, SynthConfig, SynthSnapshot};
 
@@ -196,26 +198,38 @@ fn cache_without_budget_captures_no_snapshots() {
 }
 
 #[test]
-fn mixed_cache_file_roundtrips_through_disk() {
+fn both_tiers_roundtrip_through_disk() {
     let dir = std::env::temp_dir().join("sz_batch_snapshot_cache_test");
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("cache.sexp");
-    let _ = std::fs::remove_file(&path);
+    let snaps = dir.join("snaps");
 
     let cache = shared_cache();
     let engine = BatchEngine::new().with_workers(2).with_cache(cache.clone());
     engine.run(jobs(&quick()));
-    cache.lock().unwrap().save(&path).unwrap();
+    {
+        let cache = cache.lock().unwrap();
+        cache.save(&path).unwrap();
+        save_snapshot_dir(&cache, &snaps).unwrap();
+    }
 
-    // A fresh process loads both tiers and resumes from the snapshots.
-    let loaded = ResultCache::load(&path).unwrap();
+    // A fresh process loads the program file and the snapshot dir, and
+    // resumes from the snapshots.
+    let mut loaded = ResultCache::load(&path).unwrap();
     assert_eq!(loaded.len(), 4);
-    assert_eq!(loaded.snapshot_count(), 4);
-    let loaded = Arc::new(Mutex::new(loaded.with_snapshot_budget(64 << 20)));
-    let engine2 = BatchEngine::new().with_workers(2).with_cache(loaded);
+    assert_eq!(
+        loaded.snapshot_count(),
+        0,
+        "the cache file holds programs only"
+    );
+    assert_eq!(attach_snapshot_dir(&mut loaded, &snaps).unwrap(), 4);
+    let engine2 = BatchEngine::new()
+        .with_workers(2)
+        .with_cache(Arc::new(Mutex::new(loaded)));
     let reward = quick().with_cost_model(Arc::new(RewardLoopsCost));
     let resumed = engine2.run(jobs(&reward));
     assert_eq!(resumed.snapshot_hits(), 4);
     assert!(resumed.outcomes.iter().all(|o| o.iterations == 0));
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -127,11 +127,16 @@ fn usage_errors_exit_2() {
     // k = 0 would reach the extractor's `k > 0` assertion and panic
     // every job; the parser refuses it up front.
     let out = szb()
-        .args(["--suite16", "--sequential", "--k", "0"])
+        .args(["--suite16", "--workers", "1", "--k", "0"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--k must be at least 1"));
+
+    // One worker is the in-order run; there is no second run path.
+    let out = szb().args(["--suite16", "--sequential"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument: --sequential"));
 
     // There is no saturation time limit; `--per-job-timeout` is the one
     // wall-clock bound.

@@ -1,7 +1,7 @@
 //! `ematch` — per-rule e-matching profile over the 16-model suite,
 //! emitting `BENCH_ematch.json`.
 //!
-//! Runs suite16 sequentially (no caches, so every job saturates) and
+//! Runs suite16 on one worker (no caches, so every job saturates) and
 //! aggregates the per-rule [`RuleStat`]s the runner records — matches
 //! found, classes unioned, search/apply wall-clock time, backoff bans —
 //! across all jobs. With `--baseline`, additionally acts as a
@@ -16,7 +16,6 @@
 //! ematch --write-baseline crates/bench/ematch_baseline.txt
 //! ```
 
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -80,7 +79,7 @@ fn main() -> ExitCode {
     };
     let jobs = suite16_jobs(&config);
     let n_jobs = jobs.len();
-    let report = BatchEngine::new().run_sequential(jobs);
+    let report = BatchEngine::new().with_workers(1).run(jobs);
     if report.ok_count() != n_jobs {
         eprintln!("ematch: only {}/{n_jobs} jobs succeeded", report.ok_count());
         return ExitCode::FAILURE;
@@ -92,22 +91,19 @@ fn main() -> ExitCode {
     let pattern_compiles = sz_egraph::compile_count();
     let rule_count = szalinski::rules().len() + szalinski::all_rules().len();
 
-    // Aggregate per-rule stats across jobs. BTreeMap keeps the output
-    // deterministic (sorted by rule name).
-    let mut totals: BTreeMap<String, RuleStat> = BTreeMap::new();
-    for outcome in &report.outcomes {
-        for stat in &outcome.rule_stats {
-            totals
-                .entry(stat.name.clone())
-                .or_insert_with(|| RuleStat {
-                    name: stat.name.clone(),
-                    ..RuleStat::default()
-                })
-                .absorb(stat);
-        }
-    }
-    let search_total: f64 = totals.values().map(|s| s.search_time.as_secs_f64()).sum();
-    let apply_total: f64 = totals.values().map(|s| s.apply_time.as_secs_f64()).sum();
+    // Aggregate per-rule stats across jobs, sorted by rule name so the
+    // output is deterministic.
+    let mut totals: Vec<RuleStat> = Vec::new();
+    RuleStat::fold_by_name(
+        &mut totals,
+        report
+            .outcomes
+            .iter()
+            .flat_map(|o| o.rule_stats.iter().cloned()),
+    );
+    totals.sort_by(|a, b| a.name.cmp(&b.name));
+    let search_total: f64 = totals.iter().map(|s| s.search_time.as_secs_f64()).sum();
+    let apply_total: f64 = totals.iter().map(|s| s.apply_time.as_secs_f64()).sum();
 
     println!(
         "ematch: {} rules over {n_jobs} models | search {:.3}s, apply {:.3}s, wall {:.3}s | {} pattern compiles",
@@ -124,7 +120,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let mut by_time: Vec<&RuleStat> = totals.values().collect();
+    let mut by_time: Vec<&RuleStat> = totals.iter().collect();
     by_time.sort_by_key(|s| std::cmp::Reverse(s.search_time));
     for stat in by_time.iter().take(5) {
         println!(
@@ -138,7 +134,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = &out {
         let mut lines = String::new();
-        for stat in totals.values() {
+        for stat in &totals {
             lines.push_str(&format!(
                 "{{\"type\":\"rule\",\"name\":{},\"matches\":{},\"applied\":{},\"search_s\":{},\"apply_s\":{},\"times_banned\":{}}}\n",
                 json_string(&stat.name),
@@ -167,7 +163,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = &write_baseline {
         let names: Vec<&str> = totals
-            .values()
+            .iter()
             .filter(|s| s.matches > 0)
             .map(|s| s.name.as_str())
             .collect();
@@ -202,7 +198,7 @@ fn main() -> ExitCode {
             .map(str::trim)
             .filter(|l| !l.is_empty() && !l.starts_with('#'))
         {
-            match totals.get(name) {
+            match totals.iter().find(|s| s.name == name) {
                 Some(stat) if stat.matches > 0 => {}
                 Some(_) => dead.push(name.to_owned()),
                 None => dead.push(format!("{name} (unknown rule)")),

@@ -1,7 +1,7 @@
 //! `trace_overhead` — telemetry overhead guard over the 16-model suite,
 //! emitting `BENCH_trace.json`.
 //!
-//! Runs suite16 sequentially (no caches) three ways — telemetry
+//! Runs suite16 on one worker (no caches) three ways — telemetry
 //! disabled, a timestamping-but-discarding [`Telemetry::null_sink`],
 //! and a fully recording [`Telemetry::enabled`] bundle — and compares
 //! wall times. Each mode takes the *minimum* over `--reps` repetitions,
@@ -133,15 +133,16 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One sequential suite16 run under `telemetry`; panics if a job fails
+/// One single-worker suite16 run under `telemetry`; panics if a job fails
 /// (an overhead number over a failing run would be meaningless).
 fn run_suite(telemetry: &Telemetry, config: &szalinski::SynthConfig) -> Duration {
     let jobs = suite16_jobs(config);
     let n = jobs.len();
     let start = Instant::now();
     let report = BatchEngine::new()
+        .with_workers(1)
         .with_telemetry(telemetry.clone())
-        .run_sequential(jobs);
+        .run(jobs);
     let wall = start.elapsed();
     assert_eq!(report.ok_count(), n, "suite16 job failed during bench");
     wall

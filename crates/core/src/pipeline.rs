@@ -524,9 +524,7 @@ pub(crate) fn extract_pareto(
 /// cold run at the higher fuel would reach.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SatPhase {
-    core_fp: String,
-    iter_limit: usize,
-    node_limit: usize,
+    header: SatPhaseHeader,
     rule_stats: Vec<RuleStat>,
     snapshot: Snapshot<crate::CadLang>,
 }
@@ -536,9 +534,11 @@ impl SatPhase {
     /// config's core fingerprint and fuel limits.
     pub fn new(config: &SynthConfig, snapshot: Snapshot<crate::CadLang>) -> Self {
         SatPhase {
-            core_fp: config.saturation_core_fingerprint(),
-            iter_limit: config.iter_limit,
-            node_limit: config.node_limit,
+            header: SatPhaseHeader {
+                core_fp: config.saturation_core_fingerprint(),
+                iter_limit: config.iter_limit,
+                node_limit: config.node_limit,
+            },
             rule_stats: Vec::new(),
             snapshot,
         }
@@ -567,7 +567,13 @@ impl SatPhase {
 
     /// The producing config's [`SynthConfig::saturation_core_fingerprint`].
     pub fn core_fingerprint(&self) -> &str {
-        &self.core_fp
+        &self.header.core_fp
+    }
+
+    /// This section's [`SatPhaseHeader`] (what
+    /// [`SynthSnapshot::probe_header`] recovers from text).
+    pub fn header(&self) -> &SatPhaseHeader {
+        &self.header
     }
 
     /// Saturation iterations actually spent by the producing run.
@@ -707,37 +713,17 @@ impl SynthSnapshot {
     /// **without parsing the embedded e-graphs** — just the handful of
     /// header lines. Stores indexing many snapshots (the batch tier's
     /// core-key index) use this to decide *which* snapshot to offer a
-    /// config before paying for a full parse. `None` on malformed text;
-    /// the probe is advisory — a full [`SynthSnapshot`] parse (and
+    /// config before paying for a full parse. The header lines are read
+    /// by the same code as in the full parse, so this is `None` exactly
+    /// when that parse fails on one of them. The probe is advisory — a
+    /// full [`SynthSnapshot`] parse (and
     /// [`SynthSnapshot::supports_partial_resume`]) still gates any
     /// actual resume, so a lying header degrades to a cold run rather
     /// than an unsound one.
     pub fn probe_header(text: &str) -> Option<SnapshotHeader> {
-        let mut lines = LineCursor { text, pos: 0 };
-        if lines.next()? != "szsynth v3" {
-            return None;
-        }
-        let input = lines.next()?.strip_prefix("input ")?.to_owned();
-        let sat_fp = lines.next()?.strip_prefix("satfp ")?.to_owned();
-        let rest = lines.next()?.strip_prefix("satphase ")?;
-        let sat_phase = if rest == "none" {
-            None
-        } else {
-            let mut toks = rest.split_whitespace();
-            let header = SatPhaseHeader {
-                core_fp: toks.next()?.to_owned(),
-                iter_limit: toks.next()?.parse().ok()?,
-                node_limit: toks.next()?.parse().ok()?,
-            };
-            // The retired time limit's token: still a number, unused.
-            toks.next()?.parse::<u128>().ok()?;
-            Some(header)
-        };
-        Some(SnapshotHeader {
-            input,
-            sat_fp,
-            sat_phase,
-        })
+        parse_header(&mut LineCursor { text, pos: 0 })
+            .ok()
+            .map(|(header, ..)| header)
     }
 }
 
@@ -781,18 +767,6 @@ impl SatPhaseHeader {
     }
 }
 
-impl SatPhase {
-    /// This section's [`SatPhaseHeader`] (what
-    /// [`SynthSnapshot::probe_header`] recovers from text).
-    pub fn header(&self) -> SatPhaseHeader {
-        SatPhaseHeader {
-            core_fp: self.core_fp.clone(),
-            iter_limit: self.iter_limit,
-            node_limit: self.node_limit,
-        }
-    }
-}
-
 impl fmt::Display for SynthSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "szsynth v3")?;
@@ -811,9 +785,9 @@ impl fmt::Display for SynthSnapshot {
                 writeln!(
                     f,
                     "satphase {} {} {} 60000 {} {}",
-                    phase.core_fp,
-                    phase.iter_limit,
-                    phase.node_limit,
+                    phase.header.core_fp,
+                    phase.header.iter_limit,
+                    phase.header.node_limit,
                     text.lines().count(),
                     phase.rule_stats.len(),
                 )?;
@@ -869,107 +843,136 @@ impl<'a> LineCursor<'a> {
     }
 }
 
+/// Parses the four header lines of `szsynth v3` text: the
+/// [`SnapshotHeader`], then the saturation-phase snapshot's line count
+/// and the number of `rulestat` lines before it (both 0 for
+/// `satphase none`). The full parse and [`SynthSnapshot::probe_header`]
+/// both read the header here, so the probe accepts exactly the headers
+/// the parse gets past.
+fn parse_header(
+    lines: &mut LineCursor<'_>,
+) -> Result<(SnapshotHeader, usize, usize), SnapshotParseError> {
+    let header = lines
+        .next()
+        .ok_or_else(|| SnapshotParseError::new(1, "empty snapshot"))?;
+    if header != "szsynth v3" {
+        return Err(SnapshotParseError::new(
+            1,
+            format!("unsupported header `{header}` (this build reads `szsynth v3`)"),
+        ));
+    }
+    let input = lines
+        .next()
+        .and_then(|l| l.strip_prefix("input "))
+        .ok_or_else(|| SnapshotParseError::new(2, "expected `input <sexp>`"))?
+        .to_owned();
+    let sat_fp = lines
+        .next()
+        .and_then(|l| l.strip_prefix("satfp "))
+        .ok_or_else(|| SnapshotParseError::new(3, "expected `satfp <fingerprint>`"))?
+        .to_owned();
+    let line = lines
+        .next()
+        .ok_or_else(|| SnapshotParseError::new(4, "expected `satphase ...`"))?;
+    let rest = line.strip_prefix("satphase ").ok_or_else(|| {
+        SnapshotParseError::new(4, format!("expected `satphase ...`, got `{line}`"))
+    })?;
+    if rest == "none" {
+        let header = SnapshotHeader {
+            input,
+            sat_fp,
+            sat_phase: None,
+        };
+        return Ok((header, 0, 0));
+    }
+    let toks: Vec<&str> = rest.split_whitespace().collect();
+    let [core_fp, iter_tok, nodes_tok, time_tok, len_tok, nstats_tok] = toks.as_slice() else {
+        return Err(SnapshotParseError::new(
+            4,
+            format!(
+                "expected `satphase <core-fp> <iter> <nodes> <time_ms> <lines> \
+                 <rulestats>`, got `{line}`"
+            ),
+        ));
+    };
+    let field = |tok: &str, what: &str| -> Result<usize, SnapshotParseError> {
+        tok.parse()
+            .map_err(|_| SnapshotParseError::new(4, format!("expected {what}, got `{tok}`")))
+    };
+    let sat_phase = SatPhaseHeader {
+        core_fp: (*core_fp).to_owned(),
+        iter_limit: field(iter_tok, "an iteration limit")?,
+        node_limit: field(nodes_tok, "a node limit")?,
+    };
+    // The retired time limit's slot: must be a number, then unused.
+    field(time_tok, "a time limit in ms")?;
+    let len = field(len_tok, "a line count")?;
+    let nstats = field(nstats_tok, "a rulestat count")?;
+    let header = SnapshotHeader {
+        input,
+        sat_fp,
+        sat_phase: Some(sat_phase),
+    };
+    Ok((header, len, nstats))
+}
+
 impl std::str::FromStr for SynthSnapshot {
     type Err = SnapshotParseError;
 
     fn from_str(text: &str) -> Result<Self, Self::Err> {
         let mut lines = LineCursor { text, pos: 0 };
-        let header = lines
-            .next()
-            .ok_or_else(|| SnapshotParseError::new(1, "empty snapshot"))?;
-        if header != "szsynth v3" {
-            return Err(SnapshotParseError::new(
-                1,
-                format!("unsupported header `{header}` (this build reads `szsynth v3`)"),
-            ));
-        }
-        let input = lines
-            .next()
-            .and_then(|l| l.strip_prefix("input "))
-            .ok_or_else(|| SnapshotParseError::new(2, "expected `input <sexp>`"))?
-            .to_owned();
-        let sat_fp = lines
-            .next()
-            .and_then(|l| l.strip_prefix("satfp "))
-            .ok_or_else(|| SnapshotParseError::new(3, "expected `satfp <fingerprint>`"))?
-            .to_owned();
-        let line = lines
-            .next()
-            .ok_or_else(|| SnapshotParseError::new(4, "expected `satphase ...`"))?;
+        let (header, len, nstats) = parse_header(&mut lines)?;
         let mut consumed = 4usize;
-        let rest = line.strip_prefix("satphase ").ok_or_else(|| {
-            SnapshotParseError::new(4, format!("expected `satphase ...`, got `{line}`"))
-        })?;
-        let sat_phase = if rest == "none" {
-            None
-        } else {
-            let toks: Vec<&str> = rest.split_whitespace().collect();
-            let [core_fp, iter_tok, nodes_tok, time_tok, len_tok, nstats_tok] = toks.as_slice()
-            else {
-                return Err(SnapshotParseError::new(
-                    4,
-                    format!(
-                        "expected `satphase <core-fp> <iter> <nodes> <time_ms> <lines> \
-                         <rulestats>`, got `{line}`"
-                    ),
-                ));
-            };
-            let field = |tok: &str, what: &str| -> Result<usize, SnapshotParseError> {
-                tok.parse().map_err(|_| {
-                    SnapshotParseError::new(4, format!("expected {what}, got `{tok}`"))
+        let sat_phase = match header.sat_phase {
+            None => None,
+            Some(phase_header) => {
+                // Each rulestat line takes at least one byte of the text,
+                // so a declared count past that is truncation, not a
+                // reason to reserve memory for it.
+                let mut rule_stats = Vec::with_capacity(nstats.min(lines.rest().len()));
+                for _ in 0..nstats {
+                    let line = lines.next().ok_or_else(|| {
+                        SnapshotParseError::new(consumed + 1, "truncated rulestat table")
+                    })?;
+                    consumed += 1;
+                    let stat_err = |what: String| SnapshotParseError::new(consumed, what);
+                    let toks: Vec<&str> = line.split_whitespace().collect();
+                    let ["rulestat", name, matches, applied, banned] = toks.as_slice() else {
+                        return Err(stat_err(format!(
+                            "expected `rulestat <name> <matches> <applied> <bans>`, got `{line}`"
+                        )));
+                    };
+                    let count = |tok: &str| -> Result<usize, SnapshotParseError> {
+                        tok.parse()
+                            .map_err(|_| stat_err(format!("expected a count, got `{tok}`")))
+                    };
+                    rule_stats.push(RuleStat {
+                        name: unescape_token(name).map_err(&stat_err)?,
+                        matches: count(matches)?,
+                        applied: count(applied)?,
+                        times_banned: count(banned)?,
+                        search_time: Duration::ZERO,
+                        apply_time: Duration::ZERO,
+                    });
+                }
+                // Skip exactly `len` lines (running out is truncation) and
+                // parse the skipped region as a zero-copy slice.
+                let section_start = lines.pos;
+                for _ in 0..len {
+                    lines.next().ok_or_else(|| {
+                        SnapshotParseError::new(consumed + 1, "truncated saturation-phase snapshot")
+                    })?;
+                    consumed += 1;
+                }
+                let snapshot = text[section_start..lines.pos]
+                    .parse::<Snapshot<crate::CadLang>>()
+                    .map_err(|e| e.offset_lines(consumed - len))?;
+                Some(SatPhase {
+                    header: phase_header,
+                    rule_stats,
+                    snapshot,
                 })
-            };
-            let iter_limit = field(iter_tok, "an iteration limit")?;
-            let node_limit = field(nodes_tok, "a node limit")?;
-            // The retired time limit's slot: must be a number, then unused.
-            field(time_tok, "a time limit in ms")?;
-            let len = field(len_tok, "a line count")?;
-            let nstats = field(nstats_tok, "a rulestat count")?;
-            let mut rule_stats = Vec::with_capacity(nstats);
-            for _ in 0..nstats {
-                let line = lines.next().ok_or_else(|| {
-                    SnapshotParseError::new(consumed + 1, "truncated rulestat table")
-                })?;
-                consumed += 1;
-                let stat_err = |what: String| SnapshotParseError::new(consumed, what);
-                let toks: Vec<&str> = line.split_whitespace().collect();
-                let ["rulestat", name, matches, applied, banned] = toks.as_slice() else {
-                    return Err(stat_err(format!(
-                        "expected `rulestat <name> <matches> <applied> <bans>`, got `{line}`"
-                    )));
-                };
-                let count = |tok: &str| -> Result<usize, SnapshotParseError> {
-                    tok.parse()
-                        .map_err(|_| stat_err(format!("expected a count, got `{tok}`")))
-                };
-                rule_stats.push(RuleStat {
-                    name: unescape_token(name).map_err(&stat_err)?,
-                    matches: count(matches)?,
-                    applied: count(applied)?,
-                    times_banned: count(banned)?,
-                    search_time: Duration::ZERO,
-                    apply_time: Duration::ZERO,
-                });
             }
-            // Skip exactly `len` lines (running out is truncation) and
-            // parse the skipped region as a zero-copy slice.
-            let section_start = lines.pos;
-            for _ in 0..len {
-                lines.next().ok_or_else(|| {
-                    SnapshotParseError::new(consumed + 1, "truncated saturation-phase snapshot")
-                })?;
-                consumed += 1;
-            }
-            let snapshot = text[section_start..lines.pos]
-                .parse::<Snapshot<crate::CadLang>>()
-                .map_err(|e| e.offset_lines(consumed - len))?;
-            Some(SatPhase {
-                core_fp: (*core_fp).to_owned(),
-                iter_limit,
-                node_limit,
-                rule_stats,
-                snapshot,
-            })
         };
         let rest = lines.rest();
         if rest.is_empty() {
@@ -982,8 +985,8 @@ impl std::str::FromStr for SynthSnapshot {
             .parse::<Snapshot<crate::CadLang>>()
             .map_err(|e| e.offset_lines(consumed))?;
         Ok(SynthSnapshot {
-            input,
-            sat_fp,
+            input: header.input,
+            sat_fp: header.sat_fp,
             snapshot,
             sat_phase,
         })
@@ -1422,7 +1425,7 @@ mod tests {
         assert_eq!(header.input, snapshot.input_sexp());
         assert_eq!(header.sat_fp, snapshot.saturation_fingerprint());
         let phase = header.sat_phase.as_ref().unwrap();
-        assert_eq!(*phase, snapshot.sat_phase().unwrap().header());
+        assert_eq!(phase, snapshot.sat_phase().unwrap().header());
         // The probe's fuel check mirrors supports_partial_resume.
         for config in [
             low.clone().with_iter_limit(50),
@@ -1444,6 +1447,70 @@ mod tests {
         // Garbage probes to None instead of erroring.
         assert_eq!(SynthSnapshot::probe_header("szsynth v9\nnope"), None);
         assert_eq!(SynthSnapshot::probe_header(""), None);
+    }
+
+    #[test]
+    fn probe_header_accepts_exactly_the_headers_the_parse_gets_past() {
+        let flat = row_of_cubes(3, 2.0);
+        let config = SynthConfig::new()
+            .with_iter_limit(10)
+            .with_node_limit(10_000);
+        let (_, snapshot) = capture(&flat, &config);
+        let text = snapshot.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        let with_line = |i: usize, line: &str| {
+            let mut lines = lines.clone();
+            lines[i] = line;
+            lines.join("\n") + "\n"
+        };
+        let toks: Vec<&str> = lines[3].split(' ').collect();
+        assert_eq!(toks.len(), 7, "`satphase` and six tokens: {}", lines[3]);
+        let with_toks = |toks: Vec<&str>| with_line(3, &toks.join(" "));
+
+        let mut cases = vec![
+            text.clone(),
+            snapshot.without_sat_phase().to_string(),
+            text.replace('\n', "\r\n"),
+            with_line(0, "szsynth v2"),
+            with_line(1, &lines[1].replacen("input", "inputs", 1)),
+            with_line(2, &lines[2].replacen("satfp", "satfb", 1)),
+            with_line(3, &lines[3].replacen("satphase", "sat-phase", 1)),
+            with_line(3, "satphase none 7"),
+        ];
+        for i in 1..=toks.len() {
+            let mut added = toks.clone();
+            added.insert(i, "7");
+            cases.push(with_toks(added));
+            if i < toks.len() {
+                let mut dropped = toks.clone();
+                dropped.remove(i);
+                cases.push(with_toks(dropped));
+            }
+        }
+        // Every numeric slot: not a number, negative, past `usize`, and
+        // a number that fits but exceeds anything the text holds.
+        for i in 2..toks.len() {
+            for bad in ["x", "-1", "18446744073709551616", "99999999999999"] {
+                let mut mutated = toks.clone();
+                mutated[i] = bad;
+                cases.push(with_toks(mutated));
+            }
+        }
+        let mut past = 0;
+        for case in &cases {
+            let past_line_4 = match case.parse::<SynthSnapshot>() {
+                Ok(_) => true,
+                Err(e) => e.line() > 4,
+            };
+            assert_eq!(
+                SynthSnapshot::probe_header(case).is_some(),
+                past_line_4,
+                "{:?}",
+                case.lines().take(4).collect::<Vec<_>>()
+            );
+            past += usize::from(past_line_4);
+        }
+        assert!(past > 3 && past < cases.len(), "{past} of {}", cases.len());
     }
 
     #[test]

@@ -539,7 +539,7 @@ impl Synthesizer {
         let lifetime_iterations = runner.prior_iterations + iterations;
         let mut stop_reason = runner.stop_reason.clone();
         let mut rule_stats = prior_stats;
-        merge_rule_stats(&mut rule_stats, runner.rule_totals());
+        RuleStat::fold_by_name(&mut rule_stats, runner.rule_totals());
         let mut cancelled = stop_reason == Some(StopReason::Cancelled);
         let mut sat_phase: Option<Snapshot<crate::CadLang>> = None;
         if opts.capture && !cancelled {
@@ -716,18 +716,6 @@ fn capture_snapshot(
 ) -> Option<Snapshot<crate::CadLang>> {
     debug_assert!(result.is_ok(), "pipeline snapshots a clean graph");
     result.ok()
-}
-
-/// Folds one saturation leg's per-rule totals into the running totals
-/// (matched by name; every leg runs the same rule set, so order is
-/// stable).
-fn merge_rule_stats(totals: &mut Vec<RuleStat>, leg: Vec<RuleStat>) {
-    for stat in leg {
-        match totals.iter_mut().find(|t| t.name == stat.name) {
-            Some(total) => total.absorb(&stat),
-            None => totals.push(stat),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -150,6 +150,20 @@ impl RuleStat {
         self.apply_time += other.apply_time;
         self.times_banned += other.times_banned;
     }
+
+    /// Folds `stats` into `totals` by rule name: a stat whose rule
+    /// already has a total is [absorbed](RuleStat::absorb) into it, any
+    /// other is appended. `totals` therefore keeps the order in which
+    /// rules first appear, which is the order a snapshot persists its
+    /// per-rule counts in.
+    pub fn fold_by_name(totals: &mut Vec<RuleStat>, stats: impl IntoIterator<Item = RuleStat>) {
+        for stat in stats {
+            match totals.iter_mut().find(|t| t.name == stat.name) {
+                Some(total) => total.absorb(&stat),
+                None => totals.push(stat),
+            }
+        }
+    }
 }
 
 /// Drives equality saturation, in the role of `apply_rws` inside Szalinski's

@@ -184,17 +184,20 @@
 //!   generated corpus straight into the batch engine with no files on
 //!   disk (jobs named `gen:<seed>:<index>`, so `--shard` and
 //!   `szb merge` work unchanged); and the `corpus` soak bin in
-//!   `sz-bench` is the standing 10⁴–10⁵-model workload
-//!   (`BENCH_corpus.json`) every perf change is measured against.
+//!   `sz-bench` runs 10⁴–10⁵-model soaks (`BENCH_corpus.json`) whose
+//!   counts CI pins. Performance changes are measured by the separate
+//!   `perfbench` harness over the workloads `BENCHMARK.json` declares.
 //! * **`sz-batch`** is the corpus engine added on top: a work-stealing
-//!   thread pool with per-job panic isolation, a **two-tier**
-//!   content-addressed cache (programs keyed on the full config
-//!   fingerprint; size-bounded e-graph snapshots keyed on the
-//!   saturation fingerprint) with on-disk persistence, a JSON-lines
-//!   report sink (`BENCH_batch.json`, now with per-job `stop_reason`),
-//!   and the `szb` binary that decompiles a directory of
-//!   `.scad`/`.csexp` models end-to-end (`--snapshots <dir>` enables
-//!   incremental re-runs). Every job is a `Synthesizer` run, so the
+//!   thread pool with per-job panic isolation and one run path
+//!   (`BatchEngine::run`; one worker is the in-order run), a
+//!   **two-tier** content-addressed cache (programs keyed on the full
+//!   config fingerprint, persisted as a `--cache` file; size-bounded
+//!   e-graph snapshots keyed on the saturation fingerprint, stored only
+//!   as `.snap` files in a `--snapshots <dir>`, which enables
+//!   incremental re-runs), a JSON-lines report sink
+//!   (`BENCH_batch.json`, with per-job `stop_reason`), and the `szb`
+//!   binary that decompiles a directory of `.scad`/`.csexp` models
+//!   end-to-end. Every job is a `Synthesizer` run, so the
 //!   engine inherits the session API's bounds: `--per-job-timeout`
 //!   cancels one job, `--deadline` bounds the whole batch, and a shared
 //!   `CancelToken` aborts everything in flight — all cooperatively,

@@ -1,5 +1,5 @@
 //! Telemetry determinism: with a fixed (injected) clock, two identical
-//! sequential runs over the 16-model suite emit byte-identical
+//! single-worker runs over the 16-model suite emit byte-identical
 //! phase-summary text and identical metric values.
 //!
 //! What this pins down: the *sequence* of spans (which phases run, how
@@ -15,15 +15,18 @@
 use sz_batch::{suite16_jobs, BatchEngine};
 use szalinski::{SynthConfig, Telemetry};
 
-/// One fresh sequential suite16 run (no cache, so nothing leaks between
-/// runs) under a fixed-step clock; returns the two comparison surfaces.
+/// One fresh suite16 run (no cache, so nothing leaks between runs) on
+/// one worker, so the fixed-step clock sees one call sequence; returns
+/// the two comparison surfaces.
 fn run_once() -> (String, String) {
     let config = SynthConfig::new()
         .with_iter_limit(20)
         .with_node_limit(20_000);
     let telemetry = Telemetry::deterministic(10);
-    let engine = BatchEngine::new().with_telemetry(telemetry.clone());
-    let report = engine.run_sequential(suite16_jobs(&config));
+    let engine = BatchEngine::new()
+        .with_workers(1)
+        .with_telemetry(telemetry.clone());
+    let report = engine.run(suite16_jobs(&config));
     assert_eq!(report.ok_count(), report.outcomes.len());
     (telemetry.phase_summary(), telemetry.metrics.render_text())
 }

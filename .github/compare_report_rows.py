@@ -3,9 +3,11 @@
 Usage: python3 .github/compare_report_rows.py REF.jsonl OTHER.jsonl JOBS
 
 Both reports must have a summary counting JOBS jobs, the same job names,
-and per job the same status, best program and Table 1 row. Times, cache
-and snapshot hits and row order may differ: a merged fleet report sorts
-its rows by name and its shards may have served jobs from a cache.
+and per job the same status, best program, Table 1 row and Pareto front
+(the `pareto` array of a `--cost "pareto(A,B)"` run: costs and programs,
+in order; absent on both sides otherwise). Times, cache and snapshot hits
+and row order may differ: a merged fleet report sorts its rows by name
+and its shards may have served jobs from a cache.
 """
 
 import json
@@ -24,6 +26,7 @@ def rows(path):
             "best": rec.get("best"),
             "row": [rec.get(k) for k in
                     ("i_ns", "o_ns", "i_p", "o_p", "i_d", "o_d", "n_l", "f", "rank")],
+            "pareto": rec.get("pareto"),
         }
     return out, jobs
 

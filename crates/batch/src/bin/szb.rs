@@ -105,7 +105,7 @@ OBSERVABILITY:
 
 SYNTHESIS FUEL:
     --k <N>                top-k programs to return        (default 5)
-    --eps <X>              solver tolerance                (default 1e-3)
+    --eps <X>              solver tolerance, finite, >= 0  (default 1e-3)
     --iter-limit <N>       saturation iteration limit      (default 150)
     --node-limit <N>       saturation e-node limit         (default 200000)
     --structural-rules     include assoc/comm boolean rules
@@ -298,10 +298,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.config = opts.config.clone().with_k(k);
             }
             "--eps" => {
-                opts.config = opts
-                    .config
-                    .clone()
-                    .with_eps(value()?.parse().map_err(|e| format!("--eps: {e}"))?);
+                let eps: f64 = value()?.parse().map_err(|e| format!("--eps: {e}"))?;
+                // An infinite ε fits any sequence (gear's 60 teeth become
+                // one loop that no longer denotes them); NaN and negative
+                // ε fit none and silently switch inference off.
+                if !(eps.is_finite() && eps >= 0.0) {
+                    return Err(format!("--eps must be finite and at least 0, got {eps}"));
+                }
+                opts.config = opts.config.clone().with_eps(eps);
             }
             "--iter-limit" => {
                 opts.config = opts

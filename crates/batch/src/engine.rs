@@ -196,6 +196,31 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
+    /// The outcome of a job that ran no pipeline: no programs, row,
+    /// iterations, rule stats or Pareto front.
+    fn ran_nothing(
+        name: String,
+        status: JobStatus,
+        time: Duration,
+        cost_fingerprint: String,
+    ) -> Self {
+        JobOutcome {
+            name,
+            status,
+            cached: false,
+            snapshot_hit: false,
+            hit_deadline: false,
+            stop_reason: None,
+            time,
+            iterations: 0,
+            programs: Vec::new(),
+            row: None,
+            rule_stats: Vec::new(),
+            cost_fingerprint,
+            pareto: Vec::new(),
+        }
+    }
+
     /// The best program's s-expression, if any.
     pub fn best(&self) -> Option<&str> {
         self.programs.first().map(|(_, s)| s.as_str())
@@ -483,21 +508,12 @@ impl BatchEngine {
             .map(|(r, (name, cost_fingerprint))| match r {
                 Ok(outcome) => outcome,
                 Err(panic) => {
-                    let outcome = JobOutcome {
+                    let outcome = JobOutcome::ran_nothing(
                         name,
-                        status: JobStatus::Panicked(panic.message),
-                        cached: false,
-                        snapshot_hit: false,
-                        hit_deadline: false,
-                        stop_reason: None,
-                        time: Duration::ZERO,
-                        iterations: 0,
-                        programs: Vec::new(),
-                        row: None,
-                        rule_stats: Vec::new(),
+                        JobStatus::Panicked(panic.message),
+                        Duration::ZERO,
                         cost_fingerprint,
-                        pareto: Vec::new(),
-                    };
+                    );
                     // A panicked task never reached the streaming write
                     // in its closure; stream its placeholder row here so
                     // the JSONL file still accounts for every job.
@@ -666,10 +682,10 @@ fn execute_job_inner(
                     // would only double the entry's cost against the
                     // byte budget. Fuel-limited runs (iteration or node
                     // limit) keep it, so their snapshots stay
-                    // *continuable*: the first step toward the core-key
-                    // index that will let the tier serve lower-fuel
-                    // snapshots to higher-fuel jobs as partial-saturation
-                    // resumes.
+                    // *continuable*: the core-key index
+                    // (`ResultCache::best_core_snapshot`, the lookup
+                    // above) serves them to higher-fuel jobs of the same
+                    // input as partial-saturation resumes.
                     if result.mode != szalinski::RunMode::ResumedExtraction {
                         let saturated = result.stop_reason == Some(StopReason::Saturated);
                         if let (Some(snapshot), Some(skey)) = (result.snapshot.take(), skey) {
@@ -685,21 +701,12 @@ fn execute_job_inner(
             }
             outcome_from_result(job.name, result, config, start, deadline, snapshot_hit)
         }
-        Err(e) => JobOutcome {
-            name: job.name,
-            status: JobStatus::Rejected(e),
-            cached: false,
-            snapshot_hit: false,
-            hit_deadline: false,
-            stop_reason: None,
-            time: start.elapsed(),
-            iterations: 0,
-            programs: Vec::new(),
-            row: None,
-            rule_stats: Vec::new(),
-            cost_fingerprint: config.cost_fingerprint(),
-            pareto: Vec::new(),
-        },
+        Err(e) => JobOutcome::ran_nothing(
+            job.name,
+            JobStatus::Rejected(e),
+            start.elapsed(),
+            config.cost_fingerprint(),
+        ),
     }
 }
 
@@ -755,50 +762,22 @@ fn outcome_from_result(
 /// Rebuilds a [`JobOutcome`] from a cached run: zero saturation
 /// iterations, table row recomputed from the stored programs.
 fn outcome_from_cache(job: &BatchJob, run: CachedRun, lookup: Duration) -> JobOutcome {
-    let programs: Vec<(usize, String)> = run
-        .programs
-        .iter()
-        .map(|(cost, cad)| (*cost, cad.to_string()))
-        .collect();
-    // A Synthesis shell over the cached programs lets the existing
-    // TableRow construction (tags, ranks, metrics) apply unchanged.
-    let shell = Synthesis {
-        input: job.input.clone(),
-        top_k: run
+    let cads = run.programs.iter().map(|(_, cad)| cad);
+    let row = TableRow::of_programs(&job.name, &job.input, cads, run.time_s);
+    JobOutcome {
+        cached: true,
+        row,
+        programs: run
             .programs
             .into_iter()
-            .map(|(cost, cad)| szalinski::SynthProgram { cost, cad })
+            .map(|(cost, cad)| (cost, cad.to_string()))
             .collect(),
-        records: Vec::new(),
-        time: Duration::from_secs_f64(run.time_s),
-        egraph_nodes: 0,
-        egraph_classes: 0,
-        stop_reason: None,
-        iterations: 0,
-        rule_stats: Vec::new(),
-        mode: szalinski::RunMode::Cold,
-        snapshot: None,
-        pareto: None,
-        telemetry: Telemetry::disabled(),
-    };
-    let row = shell
-        .try_best()
-        .is_some()
-        .then(|| shell.table_row(&job.name));
-    JobOutcome {
-        name: job.name.clone(),
-        status: JobStatus::Ok,
-        cached: true,
-        snapshot_hit: false,
-        hit_deadline: false,
-        stop_reason: None,
-        time: lookup,
-        iterations: 0,
-        programs,
-        row,
-        rule_stats: Vec::new(),
-        cost_fingerprint: job.config.cost_fingerprint(),
-        pareto: Vec::new(),
+        ..JobOutcome::ran_nothing(
+            job.name.clone(),
+            JobStatus::Ok,
+            lookup,
+            job.config.cost_fingerprint(),
+        )
     }
 }
 

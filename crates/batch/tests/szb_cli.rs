@@ -133,6 +133,21 @@ fn usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--k must be at least 1"));
 
+    // ε must be finite and non-negative: `inf` collapses gear's 60 teeth
+    // into one wrong loop, NaN and negative values switch inference off.
+    for eps in ["inf", "nan", "-1"] {
+        let out = szb()
+            .args(["--suite16", "--workers", "1", "--eps", eps])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--eps {eps}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--eps must be finite and at least 0"),
+            "--eps {eps}: {stderr}"
+        );
+    }
+
     // One worker is the in-order run; there is no second run path.
     let out = szb().args(["--suite16", "--sequential"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));

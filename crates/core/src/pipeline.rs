@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use sz_cad::Cad;
 use sz_egraph::{
-    escape_token, unescape_token, Id, KBestExtractor, ParetoExtractor, RuleStat, Snapshot,
+    escape_token, unescape_token, Id, KBestExtractor, ParetoExtractor, RecExpr, RuleStat, Snapshot,
     SnapshotParseError, StopReason,
 };
 use sz_trace::Telemetry;
@@ -16,8 +16,8 @@ use sz_trace::Telemetry;
 use crate::analysis::CadGraph;
 use crate::cost::{AstSizeCost, CostModel, ModelCost};
 use crate::funcinfer::InferenceRecord;
-use crate::lang::lang_to_cad;
-use crate::report::{fit_tags, has_structure, loop_tags, TableRow};
+use crate::lang::{lang_to_cad, CadLang};
+use crate::report::{has_structure, TableRow};
 
 /// Configuration ("fuel") for one synthesis run: the only input besides
 /// the flat CAD that decides a non-cancelled result. How a run executes
@@ -73,7 +73,11 @@ impl SynthConfig {
         Self::default()
     }
 
-    /// Sets the solver tolerance.
+    /// Sets the solver tolerance. ε must be finite and at least 0: an
+    /// infinite ε accepts any fit, so inference emits loops that do not
+    /// denote the input, and a NaN or negative ε accepts none, so
+    /// inference finds nothing (`szb --eps` rejects all three as a usage
+    /// error).
     pub fn with_eps(mut self, eps: f64) -> Self {
         self.eps = eps;
         self
@@ -414,49 +418,33 @@ impl Synthesis {
             .map(|(i, p)| (i + 1, p))
     }
 
-    /// Builds the Table-1 row for this run.
+    /// Builds the Table-1 row for this run (see [`TableRow::of_programs`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `top_k` is empty.
     pub fn table_row(&self, name: &str) -> TableRow {
-        let best = self.best();
-        let (n_l, f, rank) = match self.structured() {
-            Some((rank, p)) => {
-                let loops = loop_tags(&p.cad).join("; ");
-                let fits = fit_tags(&p.cad).join(",");
-                (
-                    if loops.is_empty() { "-".into() } else { loops },
-                    if fits.is_empty() { "-".into() } else { fits },
-                    Some(rank),
-                )
-            }
-            None => ("-".to_owned(), "-".to_owned(), None),
-        };
-        TableRow {
-            name: name.to_owned(),
-            i_ns: self.input.num_nodes(),
-            o_ns: best.cad.num_nodes(),
-            i_p: self.input.num_prims(),
-            o_p: best.cad.num_prims(),
-            i_d: self.input.depth(),
-            o_d: best.cad.depth(),
-            n_l,
-            f,
-            time_s: self.time.as_secs_f64(),
-            rank,
-        }
+        let programs = self.top_k.iter().map(|p| &p.cad);
+        TableRow::of_programs(name, &self.input, programs, self.time.as_secs_f64())
+            .expect("a synthesis has at least one program")
     }
 }
 
-/// extract_prog: top-k under the configured cost function. Root
-/// derivations are enumerated lazily; distinct derivations can denote
-/// one tree (e.g. via the sorted-list fold variant), so pull up to 2k of
-/// them and keep the first k distinct programs. Records `extract/table`
-/// (the 1-best cost table) and `extract/materialize` (enumeration, term
-/// build, conversion, dedup) spans on `telemetry`.
-pub(crate) fn extract_top_k(
+/// extract_prog (paper §5.1): the top-k programs under the configured
+/// cost model and, when the config requests one, the deterministic Pareto
+/// front under its two models. Root derivations are enumerated lazily;
+/// distinct derivations can denote one tree (e.g. via the sorted-list
+/// fold variant), so top-k pulls up to 2k of them and keeps the first k
+/// distinct programs. Records `pipeline/extraction` on `telemetry`, with
+/// `extract/table` (the 1-best cost table) and `extract/materialize`
+/// (top-k enumeration, term build, conversion, dedup) inside it.
+pub(crate) fn extract(
     egraph: &CadGraph,
     root: Id,
     config: &SynthConfig,
     telemetry: &Telemetry,
-) -> Vec<SynthProgram> {
+) -> (Vec<SynthProgram>, Option<Vec<ParetoProgram>>) {
+    let _span = telemetry.span("pipeline", "extraction");
     let table_span = telemetry.span("extract", "table");
     let kbest = KBestExtractor::new(
         egraph,
@@ -464,50 +452,48 @@ pub(crate) fn extract_top_k(
         config.k * 2,
     );
     drop(table_span);
-    let _span = telemetry.span("extract", "materialize");
-    let mut top_k: Vec<SynthProgram> = Vec::new();
-    for (cost, e) in kbest.iter_best(root).take(kbest.k()) {
-        let Ok(cad) = lang_to_cad(&e) else { continue };
-        if top_k.iter().any(|p| p.cad == cad) {
-            continue;
-        }
-        top_k.push(SynthProgram {
-            cost: cost.primary() as usize,
-            cad,
-        });
-        if top_k.len() >= config.k {
-            break;
-        }
-    }
+    let materialize_span = telemetry.span("extract", "materialize");
+    let ranked = kbest.iter_best(root).take(kbest.k());
+    let ranked = ranked.map(|(cost, e)| (cost.primary() as usize, e));
+    let mut top_k: Vec<SynthProgram> = distinct_programs(ranked, config.k)
+        .into_iter()
+        .map(|(cost, cad)| SynthProgram { cost, cad })
+        .collect();
     // Models that combine a child's cost with its depth can enumerate
     // out of cost order; for every other model this is a no-op.
     top_k.sort_by_key(|p| p.cost);
-    top_k
+    drop(materialize_span);
+    let pareto = config.pareto.as_ref().map(|[a, b]| {
+        let extractor =
+            ParetoExtractor::new(egraph, ModelCost(Arc::clone(a)), ModelCost(Arc::clone(b)));
+        let front = extractor.find_front(root).into_iter();
+        let front = front.map(|(ca, cb, e)| ([ca.primary(), cb.primary()], e));
+        distinct_programs(front, usize::MAX)
+            .into_iter()
+            .map(|(costs, cad)| ParetoProgram { costs, cad })
+            .collect()
+    });
+    (top_k, pareto)
 }
 
-/// When the config requests it, extracts the deterministic Pareto front
-/// under the two configured cost models (dominated and non-CAD
-/// derivations dropped; deduplicated by program).
-pub(crate) fn extract_pareto(
-    egraph: &CadGraph,
-    root: Id,
-    config: &SynthConfig,
-) -> Option<Vec<ParetoProgram>> {
-    let [a, b] = config.pareto.as_ref()?;
-    let extractor =
-        ParetoExtractor::new(egraph, ModelCost(Arc::clone(a)), ModelCost(Arc::clone(b)));
-    let mut front: Vec<ParetoProgram> = Vec::new();
-    for (ca, cb, e) in extractor.find_front(root) {
+/// Converts extracted terms to CAD programs in order, skipping terms that
+/// are not CAD and programs already kept, until `limit` are kept.
+fn distinct_programs<C>(
+    terms: impl Iterator<Item = (C, RecExpr<CadLang>)>,
+    limit: usize,
+) -> Vec<(C, Cad)> {
+    let mut programs: Vec<(C, Cad)> = Vec::new();
+    for (cost, e) in terms {
         let Ok(cad) = lang_to_cad(&e) else { continue };
-        if front.iter().any(|p| p.cad == cad) {
+        if programs.iter().any(|(_, p)| *p == cad) {
             continue;
         }
-        front.push(ParetoProgram {
-            costs: [ca.primary(), cb.primary()],
-            cad,
-        });
+        programs.push((cost, cad));
+        if programs.len() >= limit {
+            break;
+        }
     }
-    Some(front)
+    programs
 }
 
 /// The **saturation-phase** section of a [`SynthSnapshot`]: the runner

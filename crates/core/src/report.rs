@@ -187,6 +187,45 @@ pub struct TableRow {
 }
 
 impl TableRow {
+    /// The row of a run that turned `input` into `programs` (ranked, best
+    /// first) in `time_s` seconds: the best program's sizes, and the tags
+    /// and 1-based rank of the first structured program. `None` when
+    /// there is no program.
+    pub fn of_programs<'a>(
+        name: &str,
+        input: &Cad,
+        programs: impl Iterator<Item = &'a Cad> + Clone,
+        time_s: f64,
+    ) -> Option<TableRow> {
+        let best = programs.clone().next()?;
+        let structured = programs.enumerate().find(|(_, p)| has_structure(p));
+        let (n_l, f, rank) = match structured {
+            Some((i, p)) => {
+                let loops = loop_tags(p).join("; ");
+                let fits = fit_tags(p).join(",");
+                (
+                    if loops.is_empty() { "-".into() } else { loops },
+                    if fits.is_empty() { "-".into() } else { fits },
+                    Some(i + 1),
+                )
+            }
+            None => ("-".to_owned(), "-".to_owned(), None),
+        };
+        Some(TableRow {
+            name: name.to_owned(),
+            i_ns: input.num_nodes(),
+            o_ns: best.num_nodes(),
+            i_p: input.num_prims(),
+            o_p: best.num_prims(),
+            i_d: input.depth(),
+            o_d: best.depth(),
+            n_l,
+            f,
+            time_s,
+            rank,
+        })
+    }
+
     /// Header matching the paper's column names.
     pub fn header() -> String {
         format!(

@@ -53,9 +53,7 @@ use crate::funcinfer::{infer_functions_with, PassControl};
 use crate::lang::cad_to_lang;
 use crate::listmanip::list_manipulation;
 use crate::loopinfer::infer_loops_with;
-use crate::pipeline::{
-    extract_pareto, extract_top_k, SatPhase, SynthConfig, SynthError, SynthSnapshot, Synthesis,
-};
+use crate::pipeline::{extract, SatPhase, SynthConfig, SynthError, SynthSnapshot, Synthesis};
 use crate::rules::{all_rules, rules as base_rules, CadRewrite};
 
 /// How a [`Synthesizer::run`] actually executed (recorded in
@@ -413,10 +411,7 @@ impl Synthesizer {
             let _span = opts.telemetry.span("pipeline", "snapshot.restore");
             snapshot.egraph_snapshot().restore(CadAnalysis)
         };
-        let extract_span = opts.telemetry.span("pipeline", "extraction");
-        let top_k = extract_top_k(&egraph, root, config, &opts.telemetry);
-        let pareto = extract_pareto(&egraph, root, config);
-        drop(extract_span);
+        let (top_k, pareto) = extract(&egraph, root, config, &opts.telemetry);
         Synthesis {
             input: input.clone(),
             top_k,
@@ -592,10 +587,7 @@ impl Synthesizer {
             None
         };
 
-        let extract_span = opts.telemetry.span("pipeline", "extraction");
-        let top_k = extract_top_k(&egraph, root, config, &opts.telemetry);
-        let pareto = extract_pareto(&egraph, root, config);
-        drop(extract_span);
+        let (top_k, pareto) = extract(&egraph, root, config, &opts.telemetry);
         Synthesis {
             input: input.clone(),
             top_k,

@@ -1,20 +1,21 @@
-//! Extraction: choosing the best (or k best) terms represented by an
-//! e-class under a cost function.
+//! Extraction: choosing the best, the k best, or the Pareto-optimal
+//! terms represented by an e-class under cost functions.
 //!
 //! Szalinski's final phase extracts the **top-k** lowest-cost LambdaCAD
 //! programs so the user can pick the parameterization that suits their
-//! edit (paper §5.1). Both ranked extractors start from one 1-best cost
-//! table over the whole graph (a dirty-worklist fixpoint, [`best_table`]):
-//! [`Extractor`] walks it from the root, and [`KBestExtractor`] enumerates
-//! further derivations from it lazily, expanding only the classes the
-//! root's next derivation needs.
+//! edit (paper §5.1). Every extractor runs one dirty-class worklist,
+//! [`fixpoint`]: [`Extractor`] and [`KBestExtractor`] over 1-best rows
+//! ([`best_table`]), [`ParetoExtractor`] over capped Pareto fronts. A
+//! front is a list of [`Derivation`]s costed by the pair of objectives,
+//! as a k-best class's lazily grown list is, and [`build_term`] builds
+//! the term of a derivation in either list.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt::Debug;
 
-use crate::{Analysis, EGraph, Id, Language, RecExpr};
+use crate::{Analysis, EClass, EGraph, Id, Language, RecExpr};
 
 /// A cost function over e-nodes.
 ///
@@ -72,62 +73,38 @@ fn class_node<L: Language, N: Analysis<L>>(egraph: &EGraph<L, N>, id: Id, pos: u
     egraph.node(egraph[id].node_ids()[pos])
 }
 
-/// Builds the 1-best table of the whole graph, slot-indexed by canonical
-/// id.
+/// The one extraction fixpoint: a table of rows slot-indexed by canonical
+/// id, each starting at `R::default()` (nothing known).
 ///
-/// Dirty-class worklist: a class only needs re-examination when one of its
-/// children's best entries changed, so dirtiness propagates upward through
-/// the parent lists instead of every class being rescanned each pass
-/// (Gauss–Seidel to the least fixpoint). Ties go to the smaller e-node,
-/// which makes that fixpoint unique and so independent of class
-/// iteration order.
-fn best_table<L: Language, N: Analysis<L>, CF: CostFunction<L>>(
+/// Dirty-class worklist: each pass visits the dirty classes in ascending
+/// id order and calls `recompute(rows, class)`, which updates the class's
+/// row in place from the current rows and returns whether it changed
+/// (Gauss–Seidel: a class reads the rows recomputed earlier in the same
+/// pass). A changed row marks its parent classes dirty for the next pass.
+/// The fixpoint stops after a pass that marks nothing, or after
+/// `classes + 2` passes. Costs strictly greater than each child's never
+/// reach that bound: a settled row's terms never repeat a class along a
+/// path, so they are at most `classes` levels deep, and a class whose
+/// terms are `h` levels deep has settled after pass `h`.
+fn fixpoint<L: Language, N: Analysis<L>, R: Default>(
     egraph: &EGraph<L, N>,
-    cost_function: &mut CF,
-) -> Vec<BestRow<CF::Cost>> {
+    mut recompute: impl FnMut(&mut [R], &EClass<L, N::Data>) -> bool,
+) -> Vec<R> {
     let universe = egraph.universe();
-    let mut best: Vec<BestRow<CF::Cost>> = std::iter::repeat_with(|| None).take(universe).collect();
+    let mut rows: Vec<R> = std::iter::repeat_with(R::default).take(universe).collect();
     let mut dirty = vec![true; universe];
     let mut next_dirty = vec![false; universe];
-    let mut child_costs = Vec::new();
+    let mut passes_left = egraph.number_of_classes() + 2;
     let mut any_dirty = true;
-    while any_dirty {
+    while any_dirty && passes_left > 0 {
+        passes_left -= 1;
         any_dirty = false;
         for class in egraph.classes() {
             let slot = usize::from(class.id);
             if !dirty[slot] {
                 continue;
             }
-            let mut improved = false;
-            for (pos, node) in egraph.nodes_of(class).enumerate() {
-                child_costs.clear();
-                let extractable =
-                    node.children()
-                        .iter()
-                        .all(|&c| match &best[usize::from(egraph.find(c))] {
-                            Some((cost, _)) => {
-                                child_costs.push(cost.clone());
-                                true
-                            }
-                            None => false,
-                        });
-                if !extractable {
-                    continue;
-                }
-                let cost = cost_function.cost(node, &child_costs);
-                let better = match &best[slot] {
-                    Some((old, old_pos)) => {
-                        cost < *old
-                            || (cost == *old && node < class_node(egraph, class.id, *old_pos))
-                    }
-                    None => true,
-                };
-                if better {
-                    best[slot] = Some((cost, pos));
-                    improved = true;
-                }
-            }
-            if improved {
+            if recompute(&mut rows, class) {
                 for &(_, pid) in egraph.class_parents(class.id) {
                     next_dirty[usize::from(egraph.find(pid))] = true;
                     any_dirty = true;
@@ -137,7 +114,50 @@ fn best_table<L: Language, N: Analysis<L>, CF: CostFunction<L>>(
         std::mem::swap(&mut dirty, &mut next_dirty);
         next_dirty.fill(false);
     }
-    best
+    rows
+}
+
+/// Builds the 1-best table of the whole graph with [`fixpoint`]. A class's
+/// row improves whenever one of its e-nodes is cheaper than the row, ties
+/// going to the smaller e-node, which makes the least fixpoint unique and
+/// so independent of class iteration order.
+fn best_table<L: Language, N: Analysis<L>, CF: CostFunction<L>>(
+    egraph: &EGraph<L, N>,
+    cost_function: &mut CF,
+) -> Vec<BestRow<CF::Cost>> {
+    let mut child_costs = Vec::new();
+    fixpoint(egraph, move |best: &mut [BestRow<CF::Cost>], class| {
+        let slot = usize::from(class.id);
+        let mut improved = false;
+        for (pos, node) in egraph.nodes_of(class).enumerate() {
+            child_costs.clear();
+            let extractable =
+                node.children()
+                    .iter()
+                    .all(|&c| match &best[usize::from(egraph.find(c))] {
+                        Some((cost, _)) => {
+                            child_costs.push(cost.clone());
+                            true
+                        }
+                        None => false,
+                    });
+            if !extractable {
+                continue;
+            }
+            let cost = cost_function.cost(node, &child_costs);
+            let better = match &best[slot] {
+                Some((old, old_pos)) => {
+                    cost < *old || (cost == *old && node < class_node(egraph, class.id, *old_pos))
+                }
+                None => true,
+            };
+            if better {
+                best[slot] = Some((cost, pos));
+                improved = true;
+            }
+        }
+        improved
+    })
 }
 
 /// One-best extraction: computes the minimal-cost term of every class.
@@ -213,8 +233,9 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
 /// child class's derivations fills it.
 ///
 /// The derived order (cost, then node position, then choice vector) is
-/// the extraction order, and its tie-break is what keeps top-k output
-/// deterministic.
+/// the extraction order, and its tie-break is what keeps top-k output and
+/// Pareto fronts deterministic. A rebuilt class's nodes are value-sorted
+/// and deduplicated, so node position orders as the e-node itself would.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct Derivation<C> {
     cost: C,
@@ -222,6 +243,43 @@ struct Derivation<C> {
     /// `choices[i]` indexes the derivation list of `node.children()[i]`'s
     /// class.
     choices: Vec<usize>,
+}
+
+/// Terms deeper than this are not built (see [`build_term`]).
+const MAX_TERM_DEPTH: usize = 10_000;
+
+/// Appends the term of derivation `j` of class `slot` to `expr`, reading
+/// every class's derivation list from `lists` (slot-indexed by canonical
+/// id). `None` when a choice names a derivation its list does not hold
+/// or the term reaches [`MAX_TERM_DEPTH`] levels; the latter happens only
+/// when costs are not strictly monotone and a derivation refers back to
+/// itself. `expr` may then hold the part built so far.
+fn build_term<L: Language, N: Analysis<L>, C, D: AsRef<[Derivation<C>]>>(
+    egraph: &EGraph<L, N>,
+    lists: &[D],
+    slot: usize,
+    j: usize,
+    expr: &mut RecExpr<L>,
+    depth: usize,
+) -> Option<Id> {
+    if depth >= MAX_TERM_DEPTH {
+        return None;
+    }
+    let d = lists[slot].as_ref().get(j)?;
+    let mut choices = d.choices.iter();
+    let mut complete = true;
+    let node = class_node(egraph, Id::from(slot), d.pos).map_children(|c| {
+        let j = *choices.next().expect("one choice per child");
+        if complete {
+            let child = usize::from(egraph.find(c));
+            match build_term(egraph, lists, child, j, expr, depth + 1) {
+                Some(id) => return id,
+                None => complete = false,
+            }
+        }
+        c
+    });
+    complete.then(|| expr.add(node))
 }
 
 /// A class's derivation list, grown on demand.
@@ -234,6 +292,12 @@ struct ClassDerivations<C> {
     frontier: Option<BinaryHeap<Reverse<Derivation<C>>>>,
     /// How many of `found` have had their successors pushed.
     expanded: usize,
+}
+
+impl<C> AsRef<[Derivation<C>]> for ClassDerivations<C> {
+    fn as_ref(&self) -> &[Derivation<C>] {
+        &self.found
+    }
 }
 
 /// The mutable half of a [`KBestExtractor`]: the cost function and every
@@ -336,6 +400,10 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> KBestExtractor<'a, L,
     /// to `next`, in enumeration order: cheapest first when the cost
     /// function is monotone in each child's cost. Not capped at `k`, and
     /// endless on a cyclic class — `take` what you need.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a term 10 000 levels deep.
     pub fn iter_best(&self, id: Id) -> impl Iterator<Item = (CF::Cost, RecExpr<L>)> + '_ {
         let root = usize::from(self.egraph.find(id));
         (0..).map_while(move |j| {
@@ -344,11 +412,11 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> KBestExtractor<'a, L,
                 return None;
             }
             let mut expr = RecExpr::new();
-            self.build(&lazy, root, j, &mut expr);
+            build_term(self.egraph, &lazy.classes, root, j, &mut expr, 0)
+                .expect("a derivation's choices exist; only depth stops the build");
             Some((lazy.classes[root].found[j].cost.clone(), expr))
         })
     }
-
     fn slot_of(&self, id: Id) -> usize {
         usize::from(self.egraph.find(id))
     }
@@ -458,61 +526,28 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> KBestExtractor<'a, L,
         }
         lazy.cost_function.cost(node, &lazy.child_costs)
     }
-
-    /// Appends the term of class `slot`'s derivation `j` to `expr`.
-    fn build(
-        &self,
-        lazy: &LazyTable<CF, CF::Cost>,
-        slot: usize,
-        j: usize,
-        expr: &mut RecExpr<L>,
-    ) -> Id {
-        let d = &lazy.classes[slot].found[j];
-        let mut choices = d.choices.iter();
-        let node = class_node(self.egraph, Id::from(slot), d.pos).map_children(|c| {
-            let j = *choices.next().expect("one choice per child");
-            self.build(lazy, self.slot_of(c), j, expr)
-        });
-        expr.add(node)
-    }
 }
 
-/// One point on a class's Pareto front: a concrete derivation with its
-/// two objective costs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ParetoEntry<L, A, B> {
-    a: A,
-    b: B,
-    node: L,
-    /// `choices[i]` indexes into the front of `node.children()[i]`'s
-    /// class.
-    choices: Vec<usize>,
-}
+/// One class's Pareto front: derivations costed `(cost_a, cost_b)`,
+/// ascending and mutually non-dominating (empty: no term known).
+type Front<A, B> = Vec<Derivation<(A, B)>>;
 
 /// Default bound on the number of front points kept per e-class (see
 /// [`ParetoExtractor::with_cap`]).
 pub const DEFAULT_PARETO_CAP: usize = 8;
-
-/// One class's Pareto front: mutually non-dominating entries sorted
-/// ascending on the first objective.
-type ParetoFront<L, A, B> = Vec<ParetoEntry<L, A, B>>;
-/// Per-class Pareto fronts for a whole e-graph, slot-indexed by canonical
-/// id (empty front = no derivation known).
-type ParetoTable<L, A, B> = Vec<ParetoFront<L, A, B>>;
-/// Per-slot front updates staged during one fixpoint pass and applied at
-/// the pass boundary.
-type StagedFronts<L, A, B> = Vec<(usize, ParetoFront<L, A, B>)>;
 
 /// Two-objective Pareto-front extraction: for a class, the set of
 /// derivable terms whose `(cost_a, cost_b)` pairs are **mutually
 /// non-dominating** (no term is at least as cheap on both objectives and
 /// strictly cheaper on one as another).
 ///
-/// A bottom-up fixpoint over the whole graph in which each class keeps
-/// a dominance-pruned front of derivations. Fronts are
-/// **capped** per class (default [`DEFAULT_PARETO_CAP`], lowest
-/// `(cost_a, cost_b)` first) so work stays bounded on large graphs; the
-/// cap, the `(a, b, node, choices)` candidate ordering, and the pruning
+/// The same bottom-up fixpoint as [`Extractor`]'s, with a
+/// dominance-pruned front of derivations as each class's row: a class's
+/// candidates are every e-node's derivations over its children's current
+/// fronts, ordered by `(cost_a, cost_b)`, then e-node, then the
+/// children's front positions. Fronts are **capped** per class (default
+/// [`DEFAULT_PARETO_CAP`], lowest `(cost_a, cost_b)` first) so work stays
+/// bounded on large graphs; the cap, the candidate order and the pruning
 /// sweep are all deterministic, so two runs over equal e-graphs return
 /// identical fronts.
 ///
@@ -522,7 +557,9 @@ type StagedFronts<L, A, B> = Vec<(usize, ParetoFront<L, A, B>)>;
 /// strictly greater than each child's, as for [`Extractor`]); the second
 /// only needs to be non-decreasing. Cycle-generated derivations then
 /// cost strictly more on objective A with objective B no smaller, so
-/// they are dominated and pruned.
+/// they are dominated and pruned. A front point whose term would be
+/// 10 000 levels deep, which only a first objective that is not strictly
+/// monotone can produce, is dropped from [`ParetoExtractor::find_front`].
 ///
 /// # Examples
 ///
@@ -548,7 +585,8 @@ pub struct ParetoExtractor<
 > {
     egraph: &'a EGraph<L, N>,
     cap: usize,
-    table: ParetoTable<L, CA::Cost, CB::Cost>,
+    /// Every class's front, slot-indexed by canonical id.
+    fronts: Vec<Front<CA::Cost, CB::Cost>>,
 }
 
 impl<'a, L: Language, N: Analysis<L>, CA: CostFunction<L>, CB: CostFunction<L>>
@@ -568,51 +606,44 @@ impl<'a, L: Language, N: Analysis<L>, CA: CostFunction<L>, CB: CostFunction<L>>
     /// Panics if `cap == 0`.
     pub fn with_cap(egraph: &'a EGraph<L, N>, mut cost_a: CA, mut cost_b: CB, cap: usize) -> Self {
         assert!(cap > 0, "pareto cap must be positive");
-        let universe = egraph.universe();
-        let mut table: ParetoTable<L, CA::Cost, CB::Cost> = vec![Vec::new(); universe];
-        // Dirty-class Jacobi iteration: recompute only classes whose
-        // children's fronts changed, staging updates at the pass boundary
-        // so every read within a pass sees the previous pass.
-        let max_iters = egraph.number_of_classes() + 2;
-        let mut dirty = vec![true; universe];
-        let mut next_dirty = vec![false; universe];
-        let mut updates: StagedFronts<L, CA::Cost, CB::Cost> = Vec::new();
-        for _ in 0..max_iters {
-            updates.clear();
-            for class in egraph.classes() {
-                let slot = usize::from(class.id);
-                if !dirty[slot] {
+        let mut candidates = Vec::new();
+        let fronts = fixpoint(egraph, |fronts: &mut [Front<_, _>], class| {
+            candidates.clear();
+            for (pos, node) in egraph.nodes_of(class).enumerate() {
+                push_derivations(
+                    egraph,
+                    fronts,
+                    node,
+                    pos,
+                    &mut cost_a,
+                    &mut cost_b,
+                    &mut candidates,
+                );
+            }
+            candidates.sort_unstable();
+            // Sorted by (a, b): a candidate survives iff its b is strictly
+            // below every kept point's (equal (a, b) candidates keep only
+            // the first).
+            let mut front: Front<CA::Cost, CB::Cost> = Vec::new();
+            for d in candidates.drain(..) {
+                if front.last().is_some_and(|kept| d.cost.1 >= kept.cost.1) {
                     continue;
                 }
-                let mut candidates: Vec<ParetoEntry<L, CA::Cost, CB::Cost>> = Vec::new();
-                for node in egraph.nodes_of(class) {
-                    enumerate_pareto_entries(
-                        egraph,
-                        &table,
-                        node,
-                        &mut cost_a,
-                        &mut cost_b,
-                        &mut candidates,
-                    );
-                }
-                let front = prune_to_front(candidates, cap);
-                if front != table[slot] {
-                    updates.push((slot, front));
+                front.push(d);
+                if front.len() == cap {
+                    break;
                 }
             }
-            if updates.is_empty() {
-                break;
-            }
-            for (slot, front) in updates.drain(..) {
-                for &(_, pid) in egraph.class_parents(Id::from(slot)) {
-                    next_dirty[usize::from(egraph.find(pid))] = true;
-                }
-                table[slot] = front;
-            }
-            std::mem::swap(&mut dirty, &mut next_dirty);
-            next_dirty.fill(false);
+            let row = &mut fronts[usize::from(class.id)];
+            let changed = front != *row;
+            *row = front;
+            changed
+        });
+        ParetoExtractor {
+            egraph,
+            cap,
+            fronts,
         }
-        ParetoExtractor { egraph, cap, table }
     }
 
     /// The configured per-class front cap.
@@ -625,128 +656,58 @@ impl<'a, L: Language, N: Analysis<L>, CA: CostFunction<L>, CB: CostFunction<L>>
     /// ascending `cost_a` (hence descending `cost_b`). Empty when the
     /// class has no extractable term.
     pub fn find_front(&self, id: Id) -> Vec<(CA::Cost, CB::Cost, RecExpr<L>)> {
-        let root = self.egraph.find(id);
-        let entries = &self.table[usize::from(root)];
-        entries
-            .iter()
-            .filter_map(|e| {
+        let root = usize::from(self.egraph.find(id));
+        (0..self.fronts[root].len())
+            .filter_map(|j| {
                 let mut expr = RecExpr::new();
-                self.build_entry(root, e, &mut expr, 0)
-                    .map(|_| (e.a.clone(), e.b.clone(), expr))
+                build_term(self.egraph, &self.fronts, root, j, &mut expr, 0)?;
+                let (a, b) = self.fronts[root][j].cost.clone();
+                Some((a, b, expr))
             })
             .collect()
     }
-
-    /// Builds one front entry's term; `None` if the entry is not
-    /// buildable (a non-stabilized table can leave a dangling choice —
-    /// dropped rather than panicking, deterministically).
-    fn build_entry(
-        &self,
-        _class: Id,
-        entry: &ParetoEntry<L, CA::Cost, CB::Cost>,
-        expr: &mut RecExpr<L>,
-        depth: usize,
-    ) -> Option<Id> {
-        if depth >= 10_000 {
-            return None;
-        }
-        let node = &entry.node;
-        let mut child_ids = Vec::with_capacity(node.children().len());
-        for (i, &c) in node.children().iter().enumerate() {
-            let cclass = self.egraph.find(c);
-            let centry = self.table[usize::from(cclass)].get(entry.choices[i])?;
-            child_ids.push(self.build_entry(cclass, centry, expr, depth + 1)?);
-        }
-        let mut j = 0;
-        let node = node.map_children(|_| {
-            let id = child_ids[j];
-            j += 1;
-            id
-        });
-        Some(expr.add(node))
-    }
 }
 
-/// Sorts candidates by `(a, b, node, choices)` and sweeps off dominated
-/// (and duplicate-cost) entries, keeping at most `cap` points.
-fn prune_to_front<L: Language, A: Ord + Clone, B: Ord + Clone>(
-    mut candidates: Vec<ParetoEntry<L, A, B>>,
-    cap: usize,
-) -> ParetoFront<L, A, B> {
-    candidates
-        .sort_by(|x, y| (&x.a, &x.b, &x.node, &x.choices).cmp(&(&y.a, &y.b, &y.node, &y.choices)));
-    let mut front: ParetoFront<L, A, B> = Vec::new();
-    for entry in candidates {
-        // Sorted by (a asc, b asc): an entry survives iff its b is
-        // strictly below every kept entry's (equal (a, b) points keep
-        // only the sort-first representative).
-        let dominated = front.last().is_some_and(|kept| entry.b >= kept.b);
-        if !dominated {
-            front.push(entry);
-            if front.len() >= cap {
-                break;
-            }
-        }
-    }
-    front
-}
-
-/// Pushes every derivation of `node` over the children's current fronts
-/// (full cross-product; fronts are capped, so this is bounded).
-fn enumerate_pareto_entries<
-    L: Language,
-    N: Analysis<L>,
-    CA: CostFunction<L>,
-    CB: CostFunction<L>,
->(
+/// Pushes every derivation of `node`, the e-node at `pos` in its class,
+/// over its children's current fronts (the full cross-product; fronts are
+/// capped, so it is bounded).
+fn push_derivations<L: Language, N: Analysis<L>, CA: CostFunction<L>, CB: CostFunction<L>>(
     egraph: &EGraph<L, N>,
-    table: &ParetoTable<L, CA::Cost, CB::Cost>,
+    fronts: &[Front<CA::Cost, CB::Cost>],
     node: &L,
+    pos: usize,
     cost_a: &mut CA,
     cost_b: &mut CB,
-    out: &mut Vec<ParetoEntry<L, CA::Cost, CB::Cost>>,
+    out: &mut Vec<Derivation<(CA::Cost, CB::Cost)>>,
 ) {
-    let children = node.children();
-    let mut child_fronts: Vec<&ParetoFront<L, CA::Cost, CB::Cost>> =
-        Vec::with_capacity(children.len());
-    for &c in children {
-        let front = &table[usize::from(egraph.find(c))];
-        if front.is_empty() {
-            return;
-        }
-        child_fronts.push(front);
+    let child_fronts: Vec<_> = node
+        .children()
+        .iter()
+        .map(|&c| &fronts[usize::from(egraph.find(c))])
+        .collect();
+    if child_fronts.iter().any(|front| front.is_empty()) {
+        return;
     }
-    let mut choices = vec![0usize; children.len()];
+    let mut choices = vec![0usize; child_fronts.len()];
+    let (mut a_costs, mut b_costs) = (Vec::new(), Vec::new());
     loop {
-        let a_costs: Vec<CA::Cost> = choices
-            .iter()
-            .enumerate()
-            .map(|(i, &j)| child_fronts[i][j].a.clone())
-            .collect();
-        let b_costs: Vec<CB::Cost> = choices
-            .iter()
-            .enumerate()
-            .map(|(i, &j)| child_fronts[i][j].b.clone())
-            .collect();
-        out.push(ParetoEntry {
-            a: cost_a.cost(node, &a_costs),
-            b: cost_b.cost(node, &b_costs),
-            node: node.clone(),
+        a_costs.clear();
+        b_costs.clear();
+        for (front, &j) in child_fronts.iter().zip(&choices) {
+            a_costs.push(front[j].cost.0.clone());
+            b_costs.push(front[j].cost.1.clone());
+        }
+        out.push(Derivation {
+            cost: (cost_a.cost(node, &a_costs), cost_b.cost(node, &b_costs)),
+            pos,
             choices: choices.clone(),
         });
-        // Odometer step over the cross-product of child fronts.
-        let mut i = 0;
-        loop {
-            if i == choices.len() {
-                return;
-            }
-            choices[i] += 1;
-            if choices[i] < child_fronts[i].len() {
-                break;
-            }
-            choices[i] = 0;
-            i += 1;
-        }
+        // Odometer step over the cross-product of child fronts: advance
+        // the first choice that has a next entry, reset those before it.
+        let next = (0..choices.len()).find(|&i| choices[i] + 1 < child_fronts[i].len());
+        let Some(i) = next else { return };
+        choices[..i].fill(0);
+        choices[i] += 1;
     }
 }
 

@@ -28,9 +28,13 @@
 //!   [`Rewrite`] holds its [`CompiledPattern`]. The naive AST-walking
 //!   matcher survives only as [`Pattern::search`], the reference oracle of
 //!   the differential suites;
-//! * [`Extractor`] and [`KBestExtractor`] — one-best and **top-k** term
-//!   extraction under a [`CostFunction`], as required by the paper's
-//!   top-k output (§5.1);
+//! * [`Extractor`], [`KBestExtractor`] and [`ParetoExtractor`] — one-best,
+//!   **top-k** (the paper's output, §5.1) and two-objective Pareto-front
+//!   term extraction under [`CostFunction`]s. All three run one bottom-up
+//!   fixpoint, a dirty-class worklist that recomputes a class's row (its
+//!   1-best cost, or its capped Pareto front) and re-queues its parents
+//!   when the row changed, and build terms with one builder;
+//!   [`KBestExtractor`] enumerates derivations beyond the 1-best lazily;
 //! * [`Snapshot`] — a versioned, deterministic text serialization of
 //!   e-graph + runner state ([`Runner::snapshot`] /
 //!   [`Runner::resume_from`]), so saturated graphs can be persisted and

@@ -144,10 +144,11 @@
 //!       │                     WeightedCost (per-OpClass table) · DepthCost ·
 //!       │                     GeomCount (pareto-secondary)
 //!       ├────── combinators:  DepthPenalty · Lexicographic · WeightedSum
-//!       └────── extractors:   KBestExtractor      → Synthesis::top_k (ranked; lazy
-//!                                                   enumeration over the 1-best table)
+//!       └────── extractors:   one dirty-class worklist fixpoint, one term builder
+//!                             KBestExtractor      → Synthesis::top_k (ranked; lazy
+//!                                                   enumeration over the 1-best rows)
 //!                             ParetoExtractor     → Synthesis::pareto (two-objective
-//!                                                   deterministic front)
+//!                                                   deterministic front as the rows)
 //!   fingerprint() lives in the EXTRACTION-ONLY half of the config
 //!   fingerprint, so any cost-model swap reuses stored snapshots with
 //!   zero saturation iterations (tests/cost_models.rs).

@@ -140,17 +140,22 @@ impl fmt::Display for CorpusSkip {
     }
 }
 
-/// Scans `dir` (non-recursively) for `.scad` and `.csexp` files and
-/// builds one job per loadable file, sorted by file name so batch
-/// order — and therefore reports — are deterministic.
+/// The deepest nesting a corpus model may have: the parentheses of a
+/// `.csexp` file, or the levels above the leaves of the CSG a `.scad` file
+/// flattens to.
 ///
-/// * `.scad` — parametric OpenSCAD, flattened to CSG via
-///   [`sz_scad::scad_to_flat_csg`];
-/// * `.csexp` — a flat CSG s-expression, parsed via [`Cad`]'s `FromStr`.
-///
-/// Unloadable files become [`CorpusSkip`]s instead of failing the whole
-/// corpus.
-pub fn dir_jobs(dir: &Path, config: &SynthConfig) -> io::Result<(Vec<BatchJob>, Vec<CorpusSkip>)> {
+/// The reader, and later the job on a pool worker's smaller stack, recurse
+/// once per level. Parsing alone overflows the 8 MiB main thread near
+/// 6 000 levels; a release job on a worker completes 768 levels of nested
+/// unions and aborts the process at 1 000, and a debug build's worker
+/// aborts between 128 and 160. Suite16's deepest input has 63 levels. A
+/// deeper `.csexp` is refused before it is parsed, a deeper `.scad` after
+/// it is flattened.
+pub const MAX_INPUT_DEPTH: usize = 128;
+
+/// The `.scad` and `.csexp` files directly in `dir`, sorted by path so
+/// batches and lint reports are deterministic.
+pub(crate) fn corpus_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
         .filter(|p| {
@@ -161,6 +166,73 @@ pub fn dir_jobs(dir: &Path, config: &SynthConfig) -> io::Result<(Vec<BatchJob>, 
         })
         .collect();
     paths.sort();
+    Ok(paths)
+}
+
+/// Reads one corpus file into a [`Cad`]:
+///
+/// * `.scad` — parametric OpenSCAD, flattened to CSG via
+///   [`sz_scad::scad_to_flat_csg`];
+/// * `.csexp` — a CSG s-expression, parsed via [`Cad`]'s `FromStr`.
+///
+/// Either is refused when nested deeper than [`MAX_INPUT_DEPTH`]. The
+/// error is the reason a batch skip or a lint finding reports.
+pub(crate) fn read_corpus_file(path: &Path) -> Result<Cad, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read error: {e}"))?;
+    match path.extension().and_then(|e| e.to_str()) {
+        Some("scad") => {
+            let cad = sz_scad::scad_to_flat_csg(&text)
+                .map_err(|e| format!("OpenSCAD translation failed: {e}"))?;
+            check_depth(cad.depth() - 1)?;
+            Ok(cad)
+        }
+        _ => {
+            check_depth(nesting_depth(&text))?;
+            text.trim()
+                .parse()
+                .map_err(|e| format!("CSG parse failed: {e}"))
+        }
+    }
+}
+
+fn check_depth(depth: usize) -> Result<(), String> {
+    if depth > MAX_INPUT_DEPTH {
+        return Err(format!(
+            "nested {depth} levels deep, more than the {MAX_INPUT_DEPTH} a job may take"
+        ));
+    }
+    Ok(())
+}
+
+/// The deepest parenthesis nesting of s-expression text, not counting
+/// `;` line comments.
+fn nesting_depth(text: &str) -> usize {
+    let (mut depth, mut deepest) = (0usize, 0usize);
+    for line in text.lines() {
+        let code = line.split(';').next().unwrap_or_default();
+        for byte in code.bytes() {
+            match byte {
+                b'(' => {
+                    depth += 1;
+                    deepest = deepest.max(depth);
+                }
+                b')' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+        }
+    }
+    deepest
+}
+
+/// Scans `dir` (non-recursively) for `.scad` and `.csexp` files and
+/// builds one job per flat model the corpus reader loads, sorted
+/// by file name so batch order — and therefore reports — are
+/// deterministic.
+///
+/// Unloadable files become [`CorpusSkip`]s instead of failing the whole
+/// corpus.
+pub fn dir_jobs(dir: &Path, config: &SynthConfig) -> io::Result<(Vec<BatchJob>, Vec<CorpusSkip>)> {
+    let paths = corpus_files(dir)?;
 
     // Job names default to the file stem; when two files share a stem
     // (`model.scad` + `model.csexp`) keep the extension so names — and
@@ -190,41 +262,14 @@ pub fn dir_jobs(dir: &Path, config: &SynthConfig) -> io::Result<(Vec<BatchJob>, 
             }
             None => path.display().to_string(),
         };
-        let mut skip = |reason: String| {
-            skips.push(CorpusSkip {
-                path: path.clone(),
-                reason,
-            });
-        };
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                skip(format!("read error: {e}"));
-                continue;
-            }
-        };
-        let flat = match path.extension().and_then(|e| e.to_str()) {
-            Some("scad") => match sz_scad::scad_to_flat_csg(&text) {
-                Ok(flat) => flat,
-                Err(e) => {
-                    skip(format!("OpenSCAD translation failed: {e}"));
-                    continue;
-                }
-            },
-            Some("csexp") => match text.trim().parse::<Cad>() {
-                Ok(cad) if cad.is_flat_csg() => cad,
-                Ok(_) => {
-                    skip("not a flat CSG".to_owned());
-                    continue;
-                }
-                Err(e) => {
-                    skip(format!("CSG parse failed: {e}"));
-                    continue;
-                }
-            },
-            _ => unreachable!("filtered above"),
-        };
-        jobs.push(BatchJob::new(name, flat, config.clone()));
+        match read_corpus_file(&path) {
+            Ok(cad) if cad.is_flat_csg() => jobs.push(BatchJob::new(name, cad, config.clone())),
+            Ok(_) => skips.push(CorpusSkip {
+                path,
+                reason: "not a flat CSG".to_owned(),
+            }),
+            Err(reason) => skips.push(CorpusSkip { path, reason }),
+        }
     }
     Ok((jobs, skips))
 }
@@ -283,6 +328,14 @@ mod tests {
         assert_eq!(jobs[1].input.num_prims(), 4);
         assert_eq!(skips.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn nesting_depth_skips_line_comments() {
+        assert_eq!(nesting_depth("Unit"), 0);
+        assert_eq!(nesting_depth("(Union Unit (Translate 1 2 3 Unit))"), 2);
+        assert_eq!(nesting_depth("(Union ; (((( in a comment\n Unit Unit)"), 1);
+        assert_eq!(nesting_depth(")))((("), 3);
     }
 
     #[test]

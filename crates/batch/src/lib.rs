@@ -96,7 +96,9 @@ pub use cache::{
     attach_snapshot_dir, load_snapshot_dir, save_snapshot_dir, stable_name_hash, CacheLoadError,
     CachedRun, CoreKey, JobKey, ResultCache, SnapshotKey, DEFAULT_SNAPSHOT_BUDGET,
 };
-pub use corpus::{dir_jobs, gen_jobs, sanitize_name, suite16_jobs, CorpusSkip, ShardSpec};
+pub use corpus::{
+    dir_jobs, gen_jobs, sanitize_name, suite16_jobs, CorpusSkip, ShardSpec, MAX_INPUT_DEPTH,
+};
 pub use engine::{BatchEngine, BatchJob, BatchReport, JobOutcome, JobStatus, StreamSink};
 pub use lint::{lint_dir, lint_rules, lint_suite16, run_lint_cli};
 pub use pool::{run_tasks, TaskPanic};

@@ -5,18 +5,20 @@
 //!
 //! Unlike [`dir_jobs`](crate::corpus::dir_jobs) — which feeds the
 //! synthesis engine and therefore requires flat CSG — the lint scan
-//! accepts *any* parseable [`Cad`] (structured programs are still worth
-//! linting for degenerate geometry) and turns parse/translation
-//! failures into **SZL200** deny findings instead of skips: a corpus
-//! gate must fail on a file the batch pipeline would silently drop.
+//! accepts *any* parseable [`Cad`](sz_cad::Cad) (structured programs
+//! are still worth linting for degenerate geometry) and turns
+//! parse/translation failures into **SZL200** deny findings instead of
+//! skips: a corpus gate must fail on a file the batch pipeline would
+//! silently drop. Both read files through one reader.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use sz_cad::Cad;
 use sz_lint::{lint_cad, lint_ruleset, Diagnostic, Report, Severity};
 use szalinski::all_rules;
+
+use crate::corpus::{corpus_files, read_corpus_file};
 
 /// Lints the full built-in rule set (base + structural boolean rules —
 /// the superset every `szb` run draws from), including each rule's
@@ -37,61 +39,27 @@ pub fn lint_suite16() -> Report {
 }
 
 /// Lints every `.scad`/`.csexp` file in `dir` (non-recursive), sorted
-/// by file name so the report is deterministic. Unreadable or
-/// unparseable files become **SZL200** deny findings located at
-/// `input:<file-name>`; parseable models (flat or not) run through
-/// [`lint_cad`].
+/// by file name so the report is deterministic. Files the corpus reader
+/// refuses — unreadable, unparseable, or nested deeper than
+/// [`MAX_INPUT_DEPTH`](crate::corpus::MAX_INPUT_DEPTH) —
+/// become **SZL200** deny findings located at `input:<file-name>`;
+/// parseable models (flat or not) run through [`lint_cad`].
 pub fn lint_dir(dir: &Path) -> io::Result<Report> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            matches!(
-                p.extension().and_then(|e| e.to_str()),
-                Some("scad") | Some("csexp")
-            )
-        })
-        .collect();
-    paths.sort();
-
     let mut report = Report::new();
-    for path in paths {
+    for path in corpus_files(dir)? {
         let name = path
             .file_name()
             .map(|f| f.to_string_lossy().into_owned())
             .unwrap_or_else(|| path.display().to_string());
-        let mut unloadable = |reason: String| {
-            report.push(Diagnostic::new(
+        match read_corpus_file(&path) {
+            Ok(cad) => report.extend(lint_cad(&name, &cad)),
+            Err(reason) => report.push(Diagnostic::new(
                 Severity::Deny,
                 "SZL200",
                 format!("input:{name}"),
                 reason,
-            ));
-        };
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                unloadable(format!("read error: {e}"));
-                continue;
-            }
-        };
-        let cad: Cad = match path.extension().and_then(|e| e.to_str()) {
-            Some("scad") => match sz_scad::scad_to_flat_csg(&text) {
-                Ok(flat) => flat,
-                Err(e) => {
-                    unloadable(format!("OpenSCAD translation failed: {e}"));
-                    continue;
-                }
-            },
-            Some("csexp") => match text.trim().parse() {
-                Ok(cad) => cad,
-                Err(e) => {
-                    unloadable(format!("CSG parse failed: {e}"));
-                    continue;
-                }
-            },
-            _ => unreachable!("filtered above"),
-        };
-        report.extend(lint_cad(&name, &cad));
+            )),
+        }
     }
     Ok(report)
 }

@@ -293,3 +293,87 @@ fn lint_passes_the_builtins_and_fails_a_defective_corpus() {
     let out = szb().args(["lint", "--bogus-flag"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// A union chain of `depth` distinct translated cubes: `depth` levels of
+/// parentheses.
+fn union_chain(depth: usize) -> String {
+    let mut text = String::new();
+    for i in 1..depth {
+        text.push_str(&format!("(Union (Translate {i} 0 0 Unit) "));
+    }
+    text.push_str("Unit");
+    text.push_str(&")".repeat(depth - 1));
+    text
+}
+
+#[test]
+fn over_deep_input_is_skipped_and_linted_while_the_batch_continues() {
+    // 8 000 levels used to overflow the reader's stack and abort both
+    // commands before any row was written.
+    let dir = fresh_dir("deep_input");
+    let deep = "(Union Unit ".repeat(7_999) + "Unit" + &")".repeat(7_999);
+    std::fs::write(dir.join("deep.csexp"), deep).unwrap();
+    // 2 000 cubes flatten to a 2 000-deep union chain, which aborted the
+    // job's pool worker.
+    std::fs::write(
+        dir.join("long.scad"),
+        "for (i = [0 : 1999]) translate([i * 2, 0, 0]) cube(1);",
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("row.csexp"),
+        "(Union (Translate 2 0 0 Unit) (Union (Translate 4 0 0 Unit) (Translate 6 0 0 Unit)))",
+    )
+    .unwrap();
+    let out = szb()
+        .current_dir(&dir)
+        .args([".", "--workers", "1", "--report", "report.jsonl"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("skipping ./deep.csexp: nested 7999 levels deep"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("skipping ./long.scad: nested"), "{stderr}");
+    let report = std::fs::read_to_string(dir.join("report.jsonl")).unwrap();
+    let rows: Vec<&str> = report
+        .lines()
+        .filter(|l| l.contains(r#""type":"job""#))
+        .collect();
+    assert_eq!(rows.len(), 1, "{report}");
+    assert!(rows[0].contains(r#""name":"row""#), "{report}");
+
+    let out = szb().arg("lint").arg(&dir).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("SZL200 input:deep.csexp: nested 7999 levels deep"),
+        "{text}"
+    );
+    assert!(text.contains("SZL200 input:long.scad: nested"), "{text}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_chain_at_the_depth_bound_still_synthesizes() {
+    let dir = fresh_dir("depth_bound");
+    let bound = sz_batch::MAX_INPUT_DEPTH;
+    std::fs::write(dir.join("at.csexp"), union_chain(bound)).unwrap();
+    std::fs::write(dir.join("over.csexp"), union_chain(bound + 1)).unwrap();
+    let out = szb()
+        .current_dir(&dir)
+        .args([".", "--workers", "1", "--report", "report.jsonl"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains(&format!("over.csexp: nested {} levels deep", bound + 1)),
+        "{stderr}"
+    );
+    let report = std::fs::read_to_string(dir.join("report.jsonl")).unwrap();
+    assert!(report.contains(r#""name":"at","status":"ok""#), "{report}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

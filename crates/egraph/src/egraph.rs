@@ -50,6 +50,10 @@
 //! total node count is a running sum (`add` adds one, a union moves nodes,
 //! a rebuild subtracts the duplicates it drops).
 //!
+//! A rebuild keeps what it touched: its canonicalized dirty list plus the
+//! classes whose analysis data its repair loop changed, sorted. The
+//! runner's delta matching starts from that list.
+//!
 //! # Id stability (what snapshots rely on)
 //!
 //! - Class [`Id`]s are assigned densely by creation order and are *never*
@@ -173,6 +177,12 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     /// Classes touched since the last rebuild (ids possibly stale): the
     /// only classes `rebuild` canonicalizes (see the [module docs](self)).
     dirty: Vec<Id>,
+    /// Classes whose analysis data the current rebuild's repair loop
+    /// changed (ids possibly stale).
+    data_changed: Vec<Id>,
+    /// What the last rebuild touched, canonical, sorted and deduplicated:
+    /// its dirty list plus `data_changed` (see [`EGraph::touched`]).
+    touched: Vec<Id>,
     /// Running total of node-list lengths over the live classes.
     n_nodes: usize,
 }
@@ -211,6 +221,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             op_index: OnceLock::from(FxHashMap::default()),
             stale_ops: Vec::new(),
             dirty: Vec::new(),
+            data_changed: Vec::new(),
+            touched: Vec::new(),
             n_nodes: 0,
         }
     }
@@ -340,6 +352,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             op_index: OnceLock::new(),
             stale_ops: Vec::new(),
             dirty,
+            data_changed: Vec::new(),
+            touched: Vec::new(),
             n_nodes,
         };
         // Analysis fixpoint. Ascending id order roughly follows creation
@@ -671,6 +685,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                     .expect("checked above");
                 let did = self.analysis.merge(&mut class.data, node_data);
                 if did.0 {
+                    self.data_changed.push(cid);
                     self.analysis_pending
                         .extend(self.parents[usize::from(cid)].iter().copied());
                     N::modify(self, cid);
@@ -682,9 +697,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         n_unions
     }
 
-    /// Canonicalizes the dirty classes and the stale op-index lists. Uses
-    /// `find_immutable` only: path compression would change the
-    /// union-find parents a snapshot serializes.
+    /// Canonicalizes the dirty classes and the stale op-index lists, and
+    /// records what this rebuild touched. Uses `find_immutable` only: path
+    /// compression would change the union-find parents a snapshot
+    /// serializes.
     fn rebuild_classes(&mut self) {
         let EGraph {
             unionfind: uf,
@@ -694,6 +710,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             op_index,
             stale_ops,
             dirty,
+            data_changed,
+            touched,
             n_nodes,
             ..
         } = self;
@@ -729,7 +747,15 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             class.nodes.dedup();
             *n_nodes -= len - class.nodes.len();
         }
+        // The dirty list becomes the touched list, and the old touched
+        // buffer the next dirty list, so neither reallocates.
+        std::mem::swap(dirty, touched);
         dirty.clear();
+        if !data_changed.is_empty() {
+            touched.extend(data_changed.drain(..).map(|id| uf.find_immutable(id)));
+            touched.sort_unstable();
+            touched.dedup();
+        }
         if let Some(index) = op_index.get_mut() {
             stale_ops.sort_unstable();
             stale_ops.dedup();
@@ -744,6 +770,15 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             }
         }
         stale_ops.clear();
+    }
+
+    /// The classes the last [`EGraph::rebuild`] touched, canonical and in
+    /// ascending order: every class an `add`, a union or congruence repair
+    /// put on the dirty list since the rebuild before it, plus every class
+    /// whose analysis data its repair loop changed. A class outside the list
+    /// kept its nodes, its id and its data through that window.
+    pub(crate) fn touched(&self) -> &[Id] {
+        &self.touched
     }
 
     /// Returns the ids of all classes, canonical and sorted.

@@ -25,9 +25,13 @@
 //!   [`Program`] of Bind/Compare/Lookup instructions executed by a small
 //!   backtracking VM ([`machine`]), with root candidates drawn from the
 //!   e-graph's operator index ([`EGraph::classes_with_op`]); every
-//!   [`Rewrite`] holds its [`CompiledPattern`]. The naive AST-walking
-//!   matcher survives only as [`Pattern::search`], the reference oracle of
-//!   the differential suites;
+//!   [`Rewrite`] holds its [`CompiledPattern`]. Saturation matches
+//!   incrementally: after the first iteration a rule re-runs the VM only
+//!   at roots within its pattern's depth of a class the last rebuild
+//!   touched, carries its other matches over, and skips re-applying them
+//!   while the graph is clean (the [`Applier`] contract). The naive
+//!   AST-walking matcher survives only as [`Pattern::search`], the
+//!   reference oracle of the differential suites;
 //! * [`Extractor`], [`KBestExtractor`] and [`ParetoExtractor`] — one-best,
 //!   **top-k** (the paper's output, §5.1) and two-objective Pareto-front
 //!   term extraction under [`CostFunction`]s. All three run one bottom-up
@@ -66,7 +70,6 @@
 
 mod analysis;
 mod arena;
-mod dot;
 mod egraph;
 mod extract;
 mod id;
@@ -86,7 +89,6 @@ pub mod tests_lang;
 
 pub use analysis::{merge_max, merge_option, Analysis, DidMerge};
 pub use arena::{FxBuildHasher, FxHasher, NodeId};
-pub use dot::to_dot;
 pub use egraph::{EClass, EGraph};
 pub use extract::{
     AstDepth, AstSize, CostFunction, Extractor, KBestExtractor, ParetoExtractor, DEFAULT_PARETO_CAP,

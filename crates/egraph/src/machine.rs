@@ -3,11 +3,10 @@
 //! Solvers".
 //!
 //! [`Pattern::search`](crate::Pattern::search) re-walks the pattern AST
-//! against every e-node of every e-class on every call. For saturation —
-//! where every rule searches the whole e-graph on every iteration — that
-//! interpretive overhead dominates. This module compiles each pattern
-//! **once** into a linear [`Program`] of three instructions over a register
-//! file of e-class ids:
+//! against every e-node of every e-class on every call. For saturation,
+//! where every rule searches on every iteration, that interpretive overhead
+//! dominates. This module compiles each pattern **once** into a linear
+//! [`Program`] of three instructions over a register file of e-class ids:
 //!
 //! * [`Bind`](Instruction::Bind) — enumerate the e-nodes of the class in
 //!   register `i` whose operator matches, writing each candidate's children
@@ -29,6 +28,14 @@
 //! them for every candidate class; [`Subst`]s keep their bindings inline,
 //! so the only per-class allocation is the exactly-sized match list of a
 //! class that matched.
+//!
+//! Saturation searches incrementally. A root's matches read only the
+//! classes within the pattern's [`depth`](CompiledPattern::depth) of it, so
+//! after a rebuild the [`Runner`](crate::Runner) re-runs the VM only at
+//! roots within that many parent steps of a class the rebuild touched, and
+//! carries every other root's entry over from the previous iteration's
+//! list, in the same ascending order. The full search is the same routine
+//! with no previous list.
 //!
 //! The naive matcher ([`Pattern::search`]) is retained only as the
 //! reference implementation: the differential suites in
@@ -76,6 +83,10 @@ pub struct Program<L> {
     /// The root operator (children zeroed by the e-graph's op index), or
     /// `None` when the root is a variable and every class is a candidate.
     root_op: Option<L>,
+    /// The deepest pattern position a match reads, counting variables and
+    /// ground anchors: a root's matches depend only on the classes within
+    /// this many child steps of it.
+    depth: usize,
 }
 
 impl<L: Language> Program<L> {
@@ -99,23 +110,26 @@ impl<L: Language> Program<L> {
                 ENodeOrVar::ENode(n) => Some(n.clone()),
                 ENodeOrVar::Var(_) => None,
             },
+            depth: 0,
         };
         let mut next_reg: Reg = 1; // register 0 holds the candidate root class
-        program.compile_node(ast, &has_var, ast.root(), 0, &mut next_reg);
+        program.compile_node(ast, &has_var, ast.root(), 0, 0, &mut next_reg);
         program
     }
 
-    /// Emits instructions for the pattern node `pat` whose class lives in
-    /// register `reg` (pre-order, left-to-right — the naive matcher's
-    /// traversal order).
+    /// Emits instructions for the pattern node `pat` at `depth` whose class
+    /// lives in register `reg` (pre-order, left-to-right — the naive
+    /// matcher's traversal order).
     fn compile_node(
         &mut self,
         ast: &RecExpr<ENodeOrVar<L>>,
         has_var: &[bool],
         pat: Id,
+        depth: usize,
         reg: Reg,
         next_reg: &mut Reg,
     ) {
+        self.depth = self.depth.max(depth);
         match &ast[pat] {
             ENodeOrVar::Var(v) => match self.subst.iter().find(|(u, _)| u == v) {
                 Some(&(_, prev)) => self.insts.push(Instruction::Compare { i: prev, j: reg }),
@@ -137,7 +151,7 @@ impl<L: Language> Program<L> {
                     out,
                 });
                 for (k, child) in n.children().to_vec().into_iter().enumerate() {
-                    self.compile_node(ast, has_var, child, out + k, next_reg);
+                    self.compile_node(ast, has_var, child, depth + 1, out + k, next_reg);
                 }
             }
         }
@@ -406,26 +420,87 @@ impl<L: Language> CompiledPattern<L> {
     /// [`Runner::run`](crate::Runner::run) rebuilds before every search
     /// phase, so runner users cannot violate it).
     pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
+        self.search_list(egraph, None).matches
+    }
+
+    /// The one search routine. Without `previous` it runs the VM at every
+    /// candidate root in ascending id order: the full search. With the list
+    /// the previous search returned and the [`Reach`] of the rebuild since,
+    /// it runs the VM only at roots within [`CompiledPattern::depth`] of a
+    /// touched class, and carries every other root's previous entry over:
+    /// such a root kept every class its matches read, so the VM would find
+    /// them again. Entries of roots absorbed since are dropped, and the
+    /// output order is the full search's. It searches in full anyway when
+    /// a ground anchor now resolves to another class and for a
+    /// bare-variable root.
+    pub(crate) fn search_list<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        previous: Option<(MatchList, &Reach)>,
+    ) -> MatchList {
         debug_assert!(
             egraph.is_clean(),
             "searching a dirty e-graph; call rebuild() first"
         );
-        let Some(ground) = self.program.resolve_ground(egraph) else {
-            return Vec::new();
+        let ground = self.program.resolve_ground(egraph);
+        let (previous, mut carried) = match previous {
+            Some((prev, reach)) if prev.ground == ground && self.program.root_op.is_some() => {
+                let mut carried = prev.carried;
+                carried.clear();
+                (Some((prev.matches, reach)), carried)
+            }
+            _ => (None, Vec::new()),
+        };
+        let mut list = MatchList::default();
+        let Some(ground_ids) = &ground else {
+            return list;
         };
         let mut regs = self.program.registers();
         let mut substs = Vec::new();
-        let mut visit = |id| self.search_resolved(egraph, &ground, id, &mut regs, &mut substs);
-        match &self.program.root_op {
-            Some(op) => egraph
-                .classes_with_op(op)
-                .iter()
-                .filter_map(|&id| visit(id))
-                .collect(),
+        let mut visit = |id| self.search_resolved(egraph, ground_ids, id, &mut regs, &mut substs);
+        let matches = &mut list.matches;
+        match (&self.program.root_op, previous) {
+            (Some(op), Some((prev, reach))) => {
+                let mut prev = prev.into_iter().peekable();
+                for &id in egraph.classes_with_op(op) {
+                    if reach.within(id, self.program.depth) {
+                        matches.extend(visit(id));
+                        carried.resize(matches.len(), false);
+                        continue;
+                    }
+                    // Entries below `id` belong to roots absorbed or
+                    // re-searched since.
+                    while prev.next_if(|m| m.eclass < id).is_some() {}
+                    if let Some(entry) = prev.next_if(|m| m.eclass == id) {
+                        matches.push(entry);
+                        carried.push(true);
+                    }
+                }
+            }
+            (Some(op), None) => {
+                matches.extend(
+                    egraph
+                        .classes_with_op(op)
+                        .iter()
+                        .filter_map(|&id| visit(id)),
+                );
+            }
             // Bare-variable root: every class matches; keep the output
             // deterministic by visiting classes in sorted id order.
-            None => egraph.classes().filter_map(|c| visit(c.id)).collect(),
+            (None, _) => matches.extend(egraph.classes().filter_map(|c| visit(c.id))),
         }
+        carried.resize(matches.len(), false);
+        list.carried = carried;
+        list.ground = ground;
+        list
+    }
+
+    /// The deepest pattern position a match reads, in child steps from the
+    /// root, variables and ground anchors included: `(+ ?a (* ?b 2))` has
+    /// depth 2. A delta search re-runs the VM at the roots this close to a
+    /// touched class.
+    pub fn depth(&self) -> usize {
+        self.program.depth
     }
 
     /// Searches a single e-class (same output as
@@ -454,6 +529,84 @@ impl<L: Language> CompiledPattern<L> {
     /// order.
     pub fn vars(&self) -> Vec<Var> {
         self.program.vars()
+    }
+}
+
+/// One pattern's matches over a whole e-graph, as one search left them:
+/// the entries in the full search's ascending root order, which of them
+/// were carried over from the previous list, and the classes the ground
+/// anchors resolved to, which the next search compares against.
+#[derive(Debug, Default)]
+pub(crate) struct MatchList {
+    /// One entry per matching root class, in ascending id order.
+    pub(crate) matches: Vec<SearchMatches>,
+    /// `carried[i]` is true when `matches[i]` came from the previous list
+    /// rather than from the VM.
+    pub(crate) carried: Vec<bool>,
+    /// The ground anchors' classes; `None` when one is absent from the
+    /// graph, so nothing matched.
+    ground: Option<Vec<Id>>,
+}
+
+impl MatchList {
+    /// The number of substitutions, carried ones included.
+    pub(crate) fn len(&self) -> usize {
+        self.matches.iter().map(|m| m.substs.len()).sum()
+    }
+}
+
+/// How many [`EGraph::class_parents`] steps each class lies above the
+/// nearest class the last rebuild touched ([`EGraph::touched`]), counted up
+/// to a cap. A root farther from every touched class than a pattern's
+/// depth kept every class its matches read.
+#[derive(Debug, Default)]
+pub(crate) struct Reach {
+    /// Distance by class slot; `u8::MAX` means beyond the cap.
+    dist: Vec<u8>,
+    /// Every class with a finite distance, in breadth-first order.
+    reached: Vec<Id>,
+}
+
+impl Reach {
+    /// Recomputes the distances from the last rebuild's touched list, up
+    /// to `max_depth` steps, reusing the buffers of the previous call.
+    pub(crate) fn compute<L: Language, N: Analysis<L>>(
+        &mut self,
+        egraph: &EGraph<L, N>,
+        max_depth: usize,
+    ) {
+        for &id in &self.reached {
+            self.dist[usize::from(id)] = u8::MAX;
+        }
+        self.reached.clear();
+        self.dist.resize(egraph.universe(), u8::MAX);
+        for &id in egraph.touched() {
+            self.dist[usize::from(id)] = 0;
+            self.reached.push(id);
+        }
+        // A pattern deeper than the cap sees `u8::MAX` as within reach, so
+        // it searches every root in full.
+        let cap = u8::try_from(max_depth).map_or(u8::MAX - 1, |d| d.min(u8::MAX - 1));
+        let mut level_start = 0;
+        for level in 1..=cap {
+            let level_end = self.reached.len();
+            for k in level_start..level_end {
+                for &(_, parent) in egraph.class_parents(self.reached[k]) {
+                    let parent = egraph.find(parent);
+                    let slot = &mut self.dist[usize::from(parent)];
+                    if *slot == u8::MAX {
+                        *slot = level;
+                        self.reached.push(parent);
+                    }
+                }
+            }
+            level_start = level_end;
+        }
+    }
+
+    /// True when `id` lies within `depth` steps of a touched class.
+    fn within(&self, id: Id, depth: usize) -> bool {
+        usize::from(self.dist[usize::from(id)]) <= depth
     }
 }
 

@@ -8,10 +8,35 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::machine::MatchList;
 use crate::{Analysis, CompiledPattern, EGraph, Id, Language, Pattern, SearchMatches, Subst, Var};
 
 /// The right-hand side of a [`Rewrite`]: given a match, mutate the e-graph
 /// and report which classes changed.
+///
+/// # Contract
+///
+/// An applier's effect on a clean e-graph (no union since the last
+/// [`EGraph::rebuild`]) depends only on the matched class, the classes the
+/// substitution binds, their analysis data and the terms already in the
+/// graph: it adds terms built from those and unions one of them with the
+/// matched class, or declines. It reads nothing else, such as the data of
+/// other classes, a counter or the clock.
+///
+/// [`Runner::run`](crate::Runner::run) relies on this. A match carried over
+/// unchanged from the previous iteration was applied then, and its classes
+/// and their data are unchanged since, so applying it again to a clean graph
+/// finds every term it builds in the hash-cons memo and unions classes that
+/// are already equal: the runner skips it while the graph is clean. Pattern
+/// appliers, [`FnApplier`]s over the match's own classes and data, and
+/// [`ConditionalApplier`]s whose condition reads only those meet the
+/// contract.
+///
+/// One side effect is skipped with it: the path halving `add`'s `find` would
+/// do on a term whose recorded class has been merged more than once since.
+/// Canonical ids come out the same either way; only the union-find parents
+/// a snapshot writes could differ. `tests/saturation_differential.rs` and
+/// CI's main-parity steps check the shipped rules against the full loop.
 pub trait Applier<L: Language, N: Analysis<L>> {
     /// Applies this applier to one match, returning the ids of classes that
     /// were newly unioned (for saturation detection).
@@ -304,6 +329,22 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
             }
         }
         changed
+    }
+
+    /// Applies one saturation iteration's match list and returns the number
+    /// of unions that merged classes. A carried entry is skipped while the
+    /// e-graph is still clean, where the [`Applier`] contract makes applying
+    /// it a no-op; after the first union of the phase, `add` canonicalizes
+    /// through the new union-find and may create nodes, so carried entries
+    /// are applied like any other.
+    pub(crate) fn apply_list(&self, egraph: &mut EGraph<L, N>, list: &MatchList) -> usize {
+        let mut applied = 0;
+        for (m, &carried) in list.matches.iter().zip(&list.carried) {
+            if !(carried && egraph.is_clean()) {
+                applied += self.apply(egraph, std::slice::from_ref(m)).len();
+            }
+        }
+        applied
     }
 }
 

@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 
 use sz_trace::Telemetry;
 
+use crate::machine::{MatchList, Reach};
 use crate::snapshot::SchedState;
 use crate::{Analysis, EGraph, Id, Language, RecExpr, Rewrite, Scheduler, Snapshot, SnapshotError};
 
@@ -107,7 +108,9 @@ pub struct RuleIteration {
     /// The rule name.
     pub name: String,
     /// Substitutions the searcher found (0 when skipped; still counted
-    /// when the scheduler then discarded them).
+    /// when the scheduler then discarded them). Entries carried over from
+    /// the previous iteration's list count like re-found ones, so this is
+    /// what a full search of the graph would find.
     pub matches: usize,
     /// Classes newly unioned by applying those matches.
     pub applied: usize,
@@ -410,6 +413,20 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
     /// Sets [`Runner::stop_reason`] and records [`Runner::iterations`]
     /// (including per-rule [`RuleIteration`] search/apply profiles).
     ///
+    /// Matching is incremental. The run keeps each rule's last admitted
+    /// match list. The next search of that rule re-runs the e-matching VM
+    /// only at roots within the pattern's
+    /// [`depth`](crate::CompiledPattern::depth) of a class the last rebuild
+    /// touched (along parent edges), and carries every other still-canonical
+    /// root's entry over. A rule searches the whole graph on the run's first
+    /// iteration (a resumed run's too), after it was banned or its matches
+    /// were discarded, when a ground anchor resolves to a different class,
+    /// and when its pattern is a bare variable. The match counts include
+    /// carried entries, so they, the scheduler's decisions and every result
+    /// equal a run that searches everything every iteration. The apply phase
+    /// skips carried entries while no union has happened since the rebuild
+    /// (see the [`Applier`](crate::Applier) contract).
+    ///
     /// The e-graph is rebuilt before the first search phase and after
     /// every apply phase — this is the automatic enforcement of the
     /// searchers' clean-graph contract, so runner users can never trip
@@ -425,6 +442,15 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
     pub fn run(mut self, rules: &[Rewrite<L, N>]) -> Self {
         self.egraph.rebuild();
         self.scheduler.ensure_rules(rules.len());
+        // Each rule's last admitted match list, and how far each class
+        // lies above the last rebuild's changes.
+        let mut lists: Vec<Option<MatchList>> = rules.iter().map(|_| None).collect();
+        let mut reach = Reach::default();
+        let max_depth = rules
+            .iter()
+            .map(|r| r.compiled().depth())
+            .max()
+            .unwrap_or(0);
         loop {
             if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
                 || self.deadline.is_some_and(|d| Instant::now() >= d)
@@ -457,11 +483,15 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             // rules see a consistent e-graph. The scheduler may skip
             // banned rules or throw away an explosive rule's matches
             // (banning it for the next iterations). Per-rule search time
-            // and match counts are recorded either way.
+            // and match counts are recorded either way. A rule whose list
+            // was admitted last iteration searches from it, re-running the
+            // VM only near what the last rebuild touched.
             let mut banned = 0usize;
-            let mut all_matches = Vec::with_capacity(rules.len());
             let mut rule_reports = Vec::with_capacity(rules.len());
             let search_span = self.telemetry.span("runner", "search");
+            if lists.iter().any(Option::is_some) {
+                reach.compute(&self.egraph, max_depth);
+            }
             for (i, rule) in rules.iter().enumerate() {
                 let mut report = RuleIteration {
                     name: rule.name().to_owned(),
@@ -471,29 +501,30 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
                     apply_time: Duration::ZERO,
                     banned: false,
                 };
+                let previous = lists[i].take();
                 if !self.scheduler.can_search(iteration, i) {
                     banned += 1;
                     report.banned = true;
-                    all_matches.push(None);
                     rule_reports.push(report);
                     continue;
                 }
                 let mut rule_span =
                     traced.then(|| self.telemetry.span("rule", rule.name().to_owned()));
                 let search_start = Instant::now();
-                let matches = rule.search(&self.egraph);
+                let list = rule
+                    .compiled()
+                    .search_list(&self.egraph, previous.map(|p| (p, &reach)));
                 report.search_time = search_start.elapsed();
-                let n: usize = matches.iter().map(|m| m.substs.len()).sum();
+                let n = list.len();
                 report.matches = n;
                 if let Some(span) = &mut rule_span {
                     span.arg_i64("matches", n as i64);
                 }
                 if self.scheduler.admit(iteration, i, n) {
-                    all_matches.push(Some(matches));
+                    lists[i] = Some(list);
                 } else {
                     banned += 1;
                     report.banned = true;
-                    all_matches.push(None);
                 }
                 rule_reports.push(report);
             }
@@ -502,15 +533,12 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             // Apply phase.
             let apply_span = self.telemetry.span("runner", "apply");
             let mut any_change = false;
-            for ((rule, matches), report) in rules.iter().zip(&all_matches).zip(&mut rule_reports) {
-                let Some(matches) = matches else { continue };
+            for ((rule, list), report) in rules.iter().zip(&lists).zip(&mut rule_reports) {
+                let Some(list) = list else { continue };
                 let apply_start = Instant::now();
-                let changed = rule.apply(&mut self.egraph, matches);
+                report.applied = rule.apply_list(&mut self.egraph, list);
                 report.apply_time = apply_start.elapsed();
-                report.applied = changed.len();
-                if !changed.is_empty() {
-                    any_change = true;
-                }
+                any_change |= report.applied > 0;
             }
             drop(apply_span);
 

@@ -4,7 +4,10 @@
 
 use sz_cad::Expr;
 
-use crate::{fit_const, fit_poly1, fit_poly2, fit_trig, r_squared, Poly, TrigFit};
+use crate::{
+    fit_const, fit_poly1, fit_poly2, fit_trig, r_squared, sinusoid_ruled_out, Poly, TrigFit,
+    MIN_TRIG_R2,
+};
 
 /// A closed form for a numeric sequence, as a function of its index.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,7 +150,8 @@ fn mul_coeff(coeff: f64, e: Expr) -> Expr {
 /// Fits a closed form to `values[i]`, `i = 0..n`, with noise tolerance
 /// `eps`, trying the paper's classes in order: constant, degree-1,
 /// degree-2, sinusoid. Among admissible forms the earliest (simplest)
-/// class wins; the sinusoid requires `R² ≥ 0.999`.
+/// class wins; the sinusoid requires `R² ≥ 0.999` ([`MIN_TRIG_R2`]), and
+/// is not tried for a sequence [`sinusoid_ruled_out`] rules out.
 ///
 /// # Examples
 ///
@@ -171,8 +175,11 @@ pub fn fit_sequence(values: &[f64], eps: f64) -> Option<FittedFn> {
     if let Some(p) = fit_poly2(values, eps) {
         return Some(FittedFn::Poly(p));
     }
+    if sinusoid_ruled_out(values) {
+        return None;
+    }
     fit_trig(values, eps)
-        .filter(|t| t.r2 >= 0.999)
+        .filter(|t| t.r2 >= MIN_TRIG_R2)
         .map(FittedFn::Trig)
 }
 
@@ -196,8 +203,11 @@ pub fn fit_sequence_all(values: &[f64], eps: f64) -> Vec<FittedFn> {
     if let Some(p) = fit_poly2(values, eps) {
         out.push(FittedFn::Poly(p));
     }
+    if sinusoid_ruled_out(values) {
+        return out;
+    }
     if let Some(t) = fit_trig(values, eps) {
-        if t.r2 >= 0.999 {
+        if t.r2 >= MIN_TRIG_R2 {
             out.push(FittedFn::Trig(t));
         }
     }

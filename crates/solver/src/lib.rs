@@ -70,4 +70,4 @@ pub use mat::Mat;
 pub use poly::{fit_const, fit_poly1, fit_poly2, Poly, DEFAULT_EPS};
 pub use snap::{is_nice, snap, snap_angle, snap_rational};
 pub use svd::{lstsq, svd, Svd};
-pub use trig::{fit_trig, r_squared, TrigFit};
+pub use trig::{fit_trig, r_squared, sinusoid_ruled_out, TrigFit, MIN_TRIG_R2};

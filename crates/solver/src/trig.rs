@@ -137,6 +137,61 @@ fn to_amp_phase(aa: f64, bb: f64) -> (f64, f64) {
     (a, c)
 }
 
+/// The least R² at which a sinusoid fit is admitted
+/// ([`fit_sequence`](crate::fit_sequence) and
+/// [`fit_sequence_all`](crate::fit_sequence_all)).
+pub const MIN_TRIG_R2: f64 = 0.999;
+
+/// True when no sinusoid `a·sin(b·i + c) + d` sampled at `i = 0..n` fits
+/// `values` with R² ≥ [`MIN_TRIG_R2`], so [`fit_trig`] need not run.
+///
+/// Every such sinusoid satisfies `s[i+1] + s[i−1] = c·s[i] + k` with
+/// `c = 2·cos b`. Fit that recurrence to the values by least squares in
+/// `(c, k)`. For an admitted fit with residuals `r`, the recurrence's
+/// residual at the sinusoid's own `c` is the filter `[1, −c, 1]` applied to
+/// `r`, whose gain is at most `2 + |c| ≤ 4`, so the least-squares residual
+/// is at most `16·SS_res ≤ 16·(1 − MIN_TRIG_R2)·SS_tot`. Above that bound
+/// (plus 1 % and an absolute floor against rounding) the sequence is ruled
+/// out. Short sequences (`n < 5`) and non-finite values never are.
+///
+/// # Examples
+///
+/// ```
+/// use sz_solver::sinusoid_ruled_out;
+/// let ring: Vec<f64> = (0..12).map(|i| 5.0 * (30.0 * i as f64).to_radians().cos()).collect();
+/// assert!(!sinusoid_ruled_out(&ring));
+/// assert!(sinusoid_ruled_out(&[3.1, -7.4, 12.9, 0.2, -5.5, 9.9, 1.1, -2.2, 15.0, -11.0]));
+/// ```
+pub fn sinusoid_ruled_out(values: &[f64]) -> bool {
+    let n = values.len();
+    if n < 5 {
+        return false;
+    }
+    let mean = values.iter().sum::<f64>() / n as f64;
+    let ss_tot: f64 = values.iter().map(|&x| (x - mean) * (x - mean)).sum();
+    // One row per interior index: u = y[i+1] + y[i−1] against v = y[i],
+    // on centred values y = x − mean.
+    let rows = || {
+        values
+            .windows(3)
+            .map(|w| (w[0] + w[2] - 2.0 * mean, w[1] - mean))
+    };
+    let m = (n - 2) as f64;
+    let (su, sv) = rows().fold((0.0, 0.0), |(su, sv), (u, v)| (su + u, sv + v));
+    let (mu, mv) = (su / m, sv / m);
+    let (suv, svv) = rows().fold((0.0, 0.0), |(suv, svv), (u, v)| {
+        (suv + (u - mu) * (v - mv), svv + (v - mv) * (v - mv))
+    });
+    let c = if svv > 0.0 { suv / svv } else { 0.0 };
+    let residual: f64 = rows()
+        .map(|(u, v)| {
+            let r = (u - mu) - c * (v - mv);
+            r * r
+        })
+        .sum();
+    residual > 16.0 * (1.0 - MIN_TRIG_R2) * ss_tot * 1.01 + 1e-10
+}
+
 /// Fits `a·sin(b·i + c) + d` to `values[i]`, `i = 0..n`.
 ///
 /// Scans frequencies `b = 180·k/n` for `k = 1..=n`, i.e. `b` in

@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 use sz_cad::{AffineKind, Cad};
 use sz_mesh::validate_flat;
-use sz_solver::{fit_sequence, fit_sequence_all, FittedFn};
+use sz_solver::{
+    fit_sequence, fit_sequence_all, fit_trig, sinusoid_ruled_out, FittedFn, MIN_TRIG_R2,
+};
 
 /// A strategy for random *flat* CSG terms of bounded size.
 fn arb_flat_cad() -> impl Strategy<Value = Cad> {
@@ -91,6 +93,80 @@ proptest! {
         let all = format!("{:?}", fit_sequence_all(&values, 1e-3).into_iter().next());
         prop_assert_eq!(first, all, "{:?}", values);
     }
+}
+
+/// `amp·sin(freq·i + phase) + offset` for `i = 0..n`, plus uniform noise
+/// of up to `noise·amp` per sample: at `noise` ≈ 0.039 the fit's R² sits
+/// near 0.999.
+fn noisy_sinusoid(
+    n: usize,
+    (amp, freq, phase, offset): (f64, f64, f64, f64),
+    noise: f64,
+    seed: u64,
+) -> Vec<f64> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            let clean = amp * (freq * i as f64 + phase).to_radians().sin() + offset;
+            clean + noise * amp * rng.gen_range(-1.0..1.0)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sinusoid_filter_never_rejects_an_admissible_fit(
+        n in 5usize..71,
+        amp in 0.5f64..20.0,
+        freq in 1.0f64..180.0,
+        phase in 0.0f64..360.0,
+        offset in -50.0f64..50.0,
+        noise in 0.0f64..0.06,
+        seed in 0u64..100_000,
+        eps in prop_oneof![Just(1e-3), Just(0.02), Just(0.05), Just(0.1)],
+    ) {
+        let values = noisy_sinusoid(n, (amp, freq, phase, offset), noise, seed);
+        if let Some(t) = fit_trig(&values, eps).filter(|t| t.r2 >= MIN_TRIG_R2) {
+            prop_assert!(!sinusoid_ruled_out(&values), "rejected R² {} on {:?}", t.r2, values);
+            let fits = fit_sequence_all(&values, eps);
+            prop_assert!(fits.iter().any(|f| matches!(f, FittedFn::Trig(_))));
+        }
+    }
+}
+
+#[test]
+fn sinusoid_filter_is_tight_near_the_threshold_and_rejects_scatter() {
+    // Sweep noise across the R² = 0.999 boundary at every length 5–70:
+    // admitted fits close to the threshold must pass the filter, and
+    // uniform scatter of the same lengths must mostly be ruled out.
+    let (mut near, mut scatter, mut ruled_out) = (0, 0, 0);
+    for n in 5..=70usize {
+        for k in 0..12u64 {
+            let noise = 0.03 + 0.001 * k as f64;
+            let params = (2.0 + k as f64, 7.0 + 13.0 * k as f64, 11.0 * n as f64, 3.0);
+            let values = noisy_sinusoid(n, params, noise, n as u64 * 100 + k);
+            if let Some(t) = fit_trig(&values, 0.1).filter(|t| t.r2 >= MIN_TRIG_R2) {
+                assert!(!sinusoid_ruled_out(&values), "rejected R² {}", t.r2);
+                near += usize::from(t.r2 < 0.9995);
+            }
+        }
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+        let values: Vec<f64> = (0..n).map(|_| rng.gen_range(-50.0..50.0)).collect();
+        scatter += 1;
+        ruled_out += usize::from(sinusoid_ruled_out(&values));
+    }
+    assert!(
+        near >= 20,
+        "only {near} admitted fits within 0.0005 of the threshold"
+    );
+    assert!(
+        2 * ruled_out > scatter,
+        "ruled out {ruled_out} of {scatter}"
+    );
 }
 
 proptest! {

@@ -7,7 +7,7 @@
 //!   [`szalinski::SynthSnapshot`] text): keyed on the input plus only
 //!   [`SynthConfig::saturation_fingerprint`], so a config change that
 //!   touches extraction-only fields (`k`, cost function) still hits — the
-//!   engine restores the saturated e-graph and re-runs extraction alone
+//!   engine re-runs extraction alone on the saturated e-graph's snapshot
 //!   (an extraction-only resume through [`szalinski::Synthesizer::run`]),
 //!   skipping every saturation iteration. Snapshots are large, so the
 //!   tier is **size-bounded**: disabled until

@@ -150,7 +150,9 @@ impl fmt::Display for CorpusSkip {
 /// unions and aborts the process at 1 000, and a debug build's worker
 /// aborts between 128 and 160. Suite16's deepest input has 63 levels. A
 /// deeper `.csexp` is refused before it is parsed, a deeper `.scad` after
-/// it is flattened.
+/// it is flattened, and a deeper input handed to
+/// [`BatchEngine::run`](crate::BatchEngine::run) directly becomes a
+/// rejected job ([`SynthError::TooDeep`](szalinski::SynthError::TooDeep)).
 pub const MAX_INPUT_DEPTH: usize = 128;
 
 /// The `.scad` and `.csexp` files directly in `dir`, sorted by path so

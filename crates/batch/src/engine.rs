@@ -45,6 +45,7 @@ use szalinski::{
 };
 
 use crate::cache::{CachedRun, CoreKey, JobKey, ResultCache, SnapshotKey};
+use crate::corpus::MAX_INPUT_DEPTH;
 use crate::pool::run_tasks;
 use crate::report::job_record;
 
@@ -152,8 +153,8 @@ pub struct JobOutcome {
     /// run at all).
     pub cached: bool,
     /// Whether the result was **resumed** from the snapshot cache tier:
-    /// the saturated e-graph was restored and only extraction ran
-    /// (zero saturation iterations). Mutually exclusive with `cached`.
+    /// only extraction ran, on the saturated e-graph's snapshot (zero
+    /// saturation iterations). Mutually exclusive with `cached`.
     pub snapshot_hit: bool,
     /// Whether wall-clock time exceeded the engine's per-job deadline.
     /// The deadline is enforced cooperatively, so such a job either
@@ -591,6 +592,19 @@ fn execute_job_inner(
 ) -> JobOutcome {
     let start = Instant::now();
     let config = &job.config;
+    // Printing the key, the flatness check and the e-graph build all
+    // recurse once per level: refuse an input nested deeper than a file
+    // may be, with a check that stops one level past the bound.
+    if job.input.nests_deeper_than(MAX_INPUT_DEPTH) {
+        return JobOutcome::ran_nothing(
+            job.name,
+            JobStatus::Rejected(SynthError::TooDeep {
+                limit: MAX_INPUT_DEPTH,
+            }),
+            start.elapsed(),
+            config.cost_fingerprint(),
+        );
+    }
     // Pareto runs bypass the program tier entirely — its entries store
     // only the ranked top-k, so a hit could not reproduce the front; the
     // snapshot tier (keyed on the saturation fingerprint, which Pareto
@@ -655,7 +669,11 @@ fn execute_job_inner(
             })
         };
         if let Some(text) = text {
-            if let Ok(snapshot) = text.parse::<SynthSnapshot>() {
+            let parsed = {
+                let _span = telemetry.span("batch", "snapshot.parse");
+                text.parse::<SynthSnapshot>()
+            };
+            if let Ok(snapshot) = parsed {
                 opts = opts.with_snapshot(snapshot);
             }
         }
@@ -668,10 +686,10 @@ fn execute_job_inner(
             // deterministic product of the config: never cache them.
             if !result.cancelled() {
                 if let Some(cache) = cache {
-                    let mut cache = cache.lock().unwrap();
-                    if let Some(key) = key {
-                        cache.insert(key, cached_run_of(&result));
-                    }
+                    // Both entries are built before the batch-wide lock
+                    // is taken; holding it only to insert keeps other
+                    // workers' lookups from waiting on serialization.
+                    let entry = key.map(|key| (key, cached_run_of(&result)));
                     // An *extraction* resume's snapshot is already in the
                     // tier under this exact key; re-inserting would only
                     // churn bytes. Cold runs and partial-saturation
@@ -686,16 +704,25 @@ fn execute_job_inner(
                     // (`ResultCache::best_core_snapshot`, the lookup
                     // above) serves them to higher-fuel jobs of the same
                     // input as partial-saturation resumes.
-                    if result.mode != szalinski::RunMode::ResumedExtraction {
+                    let snapshot_entry = if result.mode != szalinski::RunMode::ResumedExtraction {
                         let saturated = result.stop_reason == Some(StopReason::Saturated);
-                        if let (Some(snapshot), Some(skey)) = (result.snapshot.take(), skey) {
+                        result.snapshot.take().zip(skey).map(|(snapshot, skey)| {
                             let text = if saturated {
                                 snapshot.without_sat_phase().to_string()
                             } else {
                                 snapshot.to_string()
                             };
-                            cache.insert_snapshot(skey, text);
-                        }
+                            (skey, text)
+                        })
+                    } else {
+                        None
+                    };
+                    let mut cache = cache.lock().unwrap();
+                    if let Some((key, run)) = entry {
+                        cache.insert(key, run);
+                    }
+                    if let Some((skey, text)) = snapshot_entry {
+                        cache.insert_snapshot(skey, text);
                     }
                 }
             }
@@ -830,6 +857,34 @@ mod tests {
         let bad = report.outcomes.last().unwrap();
         assert_eq!(bad.status, JobStatus::Rejected(SynthError::NotFlat));
         assert!(bad.row.is_none());
+    }
+
+    #[test]
+    fn inputs_nested_past_the_bound_are_rejected_before_any_walk() {
+        // Nested 1 000 and 8 000 levels deep (a 2 MiB worker overflows
+        // on a job nested 1 000 levels), next to a normal job and one
+        // nested exactly `MAX_INPUT_DEPTH` levels deep.
+        let js = vec![
+            BatchJob::new("deep1000", row(1_000), quick()),
+            BatchJob::new("row4", row(4), quick()),
+            BatchJob::new("deep8000", row(8_000), quick()),
+            BatchJob::new("at-bound", row(MAX_INPUT_DEPTH), quick()),
+        ];
+        let report = BatchEngine::new().with_workers(2).run(js);
+        let reason = SynthError::TooDeep {
+            limit: MAX_INPUT_DEPTH,
+        };
+        assert_eq!(
+            reason.to_string(),
+            "input nested more than 128 levels deep, more than the 128 a job may take"
+        );
+        let too_deep = JobStatus::Rejected(reason);
+        let status: Vec<_> = report.outcomes.iter().map(|o| &o.status).collect();
+        assert_eq!(
+            status,
+            [&too_deep, &JobStatus::Ok, &too_deep, &JobStatus::Ok]
+        );
+        assert!(report.outcomes[0].row.is_none());
     }
 
     #[test]

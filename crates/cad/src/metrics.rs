@@ -52,6 +52,30 @@ impl Cad {
         }
     }
 
+    /// Whether some node sits more than `levels` levels below the root,
+    /// i.e. `depth() - 1 > levels`. Unlike [`Cad::depth`] it never
+    /// recurses more than `levels + 1` calls deep, so it is safe on a term
+    /// nested too deep for the recursive walkers.
+    pub fn nests_deeper_than(&self, levels: usize) -> bool {
+        // A child sits one level down.
+        let deeper = |c: &Cad| levels == 0 || c.nests_deeper_than(levels - 1);
+        match self {
+            Cad::Empty
+            | Cad::Unit
+            | Cad::Cylinder
+            | Cad::Sphere
+            | Cad::Hexagon
+            | Cad::Nil
+            | Cad::Param
+            | Cad::External(_) => false,
+            Cad::Affine(_, _, c) | Cad::Repeat(c, _) | Cad::Fun(c) | Cad::MapIdx(_, c) => deeper(c),
+            Cad::Binop(_, a, b) | Cad::Cons(a, b) | Cad::Concat(a, b) | Cad::Mapi(a, b) => {
+                deeper(a) || deeper(b)
+            }
+            Cad::Fold(_, init, list) => deeper(init) || deeper(list),
+        }
+    }
+
     /// Number of textual occurrences of 3D primitive shapes (Table 1's
     /// `#i-p` / `#o-p`). `Empty` and `Nil` do not count; `External` does
     /// (it stands for a solid).
@@ -112,6 +136,29 @@ mod tests {
         assert_eq!(parse("Unit").depth(), 1);
         assert_eq!(parse("(Union Unit (Translate 1 2 3 Unit))").depth(), 3);
         assert_eq!(parse("(Fold Union Empty (Cons Unit Nil))").depth(), 3);
+    }
+
+    #[test]
+    fn nesting_bound_agrees_with_depth() {
+        for text in [
+            "Unit",
+            "(Union Unit (Translate 1 2 3 Unit))",
+            "(Fold Union Empty (Cons Unit Nil))",
+            "(Diff (Union Unit (Union Sphere (Scale 2 2 2 Unit))) Sphere)",
+        ] {
+            let cad = parse(text);
+            for levels in 0..6 {
+                assert_eq!(
+                    cad.nests_deeper_than(levels),
+                    cad.depth() - 1 > levels,
+                    "{text} at {levels}"
+                );
+            }
+        }
+        // A chain nested 2 000 levels deep is refused from its first
+        // levels; one nested exactly 8 levels deep is not.
+        assert!(Cad::union_chain(vec![Cad::Unit; 2_001]).nests_deeper_than(8));
+        assert!(!Cad::union_chain(vec![Cad::Unit; 9]).nests_deeper_than(8));
     }
 
     #[test]

@@ -180,15 +180,19 @@ impl ClassChains {
 /// changes an existing class of those, so an entry stays exact until a
 /// union merges a CAD class. Function and loop inference union only list
 /// classes and keep one memo for the whole pass; list manipulation merges
-/// a fold with its sorted variant and calls [`ChainMemo::clear`] after
-/// each such merge. Debug builds recompute every hit and compare.
+/// a fold with its sorted variant, which keeps every entry when the
+/// variant's class is the one just added (the fold's class stays root and
+/// gains no affine node), and calls [`ChainMemo::clear`] after merging a
+/// class that already existed. Debug builds recompute every hit and
+/// compare.
 #[derive(Debug, Default)]
 pub(crate) struct ChainMemo {
     classes: HashMap<Id, ClassChains, FxBuildHasher>,
 }
 
 impl ChainMemo {
-    /// Forgets every class; call after a union that merged two classes.
+    /// Forgets every class; call after a union that may have changed a
+    /// CAD class's chains.
     pub(crate) fn clear(&mut self) {
         self.classes.clear();
     }

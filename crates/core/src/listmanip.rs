@@ -47,12 +47,18 @@ pub fn list_manipulation(egraph: &mut CadGraph) -> usize {
         let sorted: Vec<Id> = order.iter().map(|&i| elements[i]).collect();
         let new_list = add_cons_list(egraph, &sorted);
         let op = egraph.add(CadLang::fold_op(site.op));
+        let classes_before = egraph.universe();
         let new_fold = egraph.add(CadLang::Fold([op, site.init, new_list]));
         let (_, did) = egraph.union(site.class, new_fold);
         if did {
-            // The merge changed a CAD class that later sites may hold
+            // Merging the class `add` just made changes no chain: the
+            // site's class stays the root (the new class has no parents)
+            // and gains a `Fold`, not an affine node. Merging a class
+            // that existed may change a CAD class that later sites hold
             // as an element.
-            chains.clear();
+            if usize::from(new_fold) < classes_before {
+                chains.clear();
+            }
             added += 1;
         }
     }

@@ -8,12 +8,11 @@ use std::time::Duration;
 
 use sz_cad::Cad;
 use sz_egraph::{
-    escape_token, unescape_token, Id, KBestExtractor, ParetoExtractor, RecExpr, RuleStat, Snapshot,
-    SnapshotParseError, StopReason,
+    escape_token, unescape_token, GraphView, Id, KBestExtractor, ParetoExtractor, RecExpr,
+    RuleStat, Snapshot, SnapshotParseError, StopReason,
 };
 use sz_trace::Telemetry;
 
-use crate::analysis::CadGraph;
 use crate::cost::{AstSizeCost, CostModel, ModelCost};
 use crate::funcinfer::InferenceRecord;
 use crate::lang::{lang_to_cad, CadLang};
@@ -287,6 +286,13 @@ pub enum SynthError {
     /// [`Synthesizer::try_new`]: crate::Synthesizer::try_new
     /// [`Synthesizer::new`]: crate::Synthesizer::new
     RuleLint(Arc<sz_lint::Report>),
+    /// The input nests more than `limit` levels deep. Every stage of a
+    /// job walks the term recursively, so such an input could overflow a
+    /// worker's stack; the batch engine refuses it before any walk.
+    TooDeep {
+        /// The deepest nesting a job takes, in levels below the root.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for SynthError {
@@ -308,6 +314,10 @@ impl fmt::Display for SynthError {
                 }
                 Ok(())
             }
+            SynthError::TooDeep { limit } => write!(
+                f,
+                "input nested more than {limit} levels deep, more than the {limit} a job may take"
+            ),
         }
     }
 }
@@ -432,14 +442,15 @@ impl Synthesis {
 
 /// extract_prog (paper §5.1): the top-k programs under the configured
 /// cost model and, when the config requests one, the deterministic Pareto
-/// front under its two models. Root derivations are enumerated lazily;
-/// distinct derivations can denote one tree (e.g. via the sorted-list
-/// fold variant), so top-k pulls up to 2k of them and keeps the first k
-/// distinct programs. Records `pipeline/extraction` on `telemetry`, with
+/// front under its two models, from a live e-graph (a cold run) or a
+/// parsed snapshot's view (an extraction-only resume). Root derivations
+/// are enumerated lazily; distinct derivations can denote one tree (e.g.
+/// via the sorted-list fold variant), so top-k pulls up to 2k of them and
+/// keeps the first k distinct programs. Records `pipeline/extraction` on `telemetry`, with
 /// `extract/table` (the 1-best cost table) and `extract/materialize`
 /// (top-k enumeration, term build, conversion, dedup) inside it.
 pub(crate) fn extract(
-    egraph: &CadGraph,
+    egraph: &impl GraphView<Lang = CadLang>,
     root: Id,
     config: &SynthConfig,
     telemetry: &Telemetry,

@@ -6,8 +6,9 @@
 //! * a **cold** run (no usable snapshot): the full pipeline, saturation
 //!   through extraction;
 //! * an **extraction-only resume** (snapshot with a matching
-//!   [`SynthConfig::saturation_fingerprint`]): the final e-graph is
-//!   restored and only extraction re-runs — zero saturation iterations;
+//!   [`SynthConfig::saturation_fingerprint`]): only extraction re-runs,
+//!   on a view of the snapshot's final graph ([`Snapshot::view`]) — no
+//!   e-graph is restored and no saturation iteration runs;
 //! * a **partial-saturation resume** (snapshot whose fingerprint matches
 //!   *modulo lower fuel limits*, see
 //!   [`SynthSnapshot::supports_partial_resume`]): the saturation-phase
@@ -63,8 +64,8 @@ pub enum RunMode {
     /// Full pipeline from scratch (no snapshot, or an incompatible one).
     #[default]
     Cold,
-    /// The final e-graph was restored from a snapshot and only
-    /// extraction ran (zero saturation iterations).
+    /// Only extraction ran, on a view of a snapshot's final e-graph
+    /// (zero saturation iterations).
     ResumedExtraction,
     /// Saturation *continued* from a lower-fuel snapshot's
     /// saturation-phase state, then inference and extraction re-ran.
@@ -153,7 +154,9 @@ impl RunOptions {
     ///
     /// The pipeline records phase spans (`pipeline/saturation`,
     /// `pipeline/inference`, `pipeline/extraction`,
-    /// `pipeline/snapshot.restore`, `pipeline/snapshot.capture`), the
+    /// `pipeline/snapshot.view` on an extraction-only resume,
+    /// `pipeline/snapshot.restore` on a partial resume,
+    /// `pipeline/snapshot.capture`), the
     /// saturation runner records per-iteration and per-rule spans (see
     /// [`sz_egraph::Runner::with_telemetry`]), and run-mode counters
     /// (`run.mode.cold` / `run.mode.resumed_extraction` /
@@ -318,9 +321,9 @@ impl Synthesizer {
         let deadline = opts.deadline.map(|d| start + d);
 
         // A cancel/deadline that is *already* triggered stops the run
-        // before any restore or extraction work — crucial for batch
+        // before any resume or extraction work — crucial for batch
         // shutdown over warm snapshot tiers, where every queued job
-        // would otherwise pay a full restore + extraction with nobody
+        // would otherwise pay a full extraction with nobody
         // waiting for the answer. The cold path cancels at iteration 0,
         // leaving just the input to extract.
         let already_stopped = opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
@@ -354,7 +357,7 @@ impl Synthesizer {
         };
         // An offered snapshot must never make a run worse than cold: a
         // bit-rotted snapshot can parse, match the fingerprints, and
-        // still restore a graph that extracts nothing — degrade to a
+        // still hold a graph that extracts nothing — degrade to a
         // cold run instead of returning an empty result.
         let result = match plan {
             Plan::Extraction => {
@@ -395,7 +398,10 @@ impl Synthesizer {
         Ok(result)
     }
 
-    /// Extraction-only resume: restore the final graph, re-run extraction.
+    /// Extraction-only resume: re-run extraction on a view of the
+    /// snapshot's final graph ([`Snapshot::view`]); no e-graph is
+    /// restored. The node and class counts are the snapshot's, which are
+    /// what a restored graph would count.
     fn run_extraction_resume(
         &self,
         input: &Cad,
@@ -404,21 +410,23 @@ impl Synthesizer {
         start: Instant,
     ) -> Synthesis {
         let config = &self.config;
-        let &[root] = snapshot.egraph_snapshot().roots() else {
+        let graph = snapshot.egraph_snapshot();
+        let &[root] = graph.roots() else {
             unreachable!("dispatch checked for exactly one root");
         };
-        let egraph = {
-            let _span = opts.telemetry.span("pipeline", "snapshot.restore");
-            snapshot.egraph_snapshot().restore(CadAnalysis)
+        let view = {
+            let _span = opts.telemetry.span("pipeline", "snapshot.view");
+            graph.view()
         };
-        let (top_k, pareto) = extract(&egraph, root, config, &opts.telemetry);
+        let (top_k, pareto) = extract(&view, root, config, &opts.telemetry);
+        let (egraph_nodes, egraph_classes) = (graph.num_nodes(), graph.num_classes());
         Synthesis {
             input: input.clone(),
             top_k,
             records: Vec::new(),
             time: start.elapsed(),
-            egraph_nodes: egraph.total_number_of_nodes(),
-            egraph_classes: egraph.number_of_classes(),
+            egraph_nodes,
+            egraph_classes,
             stop_reason: None,
             iterations: 0,
             rule_stats: Vec::new(),
@@ -962,7 +970,8 @@ mod tests {
             traced.iterations as u64
         );
 
-        // An extraction resume tags restore + mode.
+        // An extraction resume tags the snapshot view + mode; it restores
+        // no e-graph.
         let resumed = session
             .run(
                 &flat,
@@ -973,11 +982,15 @@ mod tests {
             .unwrap();
         assert_eq!(resumed.mode, RunMode::ResumedExtraction);
         assert_eq!(telemetry.metrics.counter("run.mode.resumed_extraction"), 1);
-        assert!(telemetry
-            .tracer
-            .events()
-            .iter()
-            .any(|s| s.cat == "pipeline" && s.name == "snapshot.restore"));
+        let events = telemetry.tracer.events();
+        let count = |name: &str| {
+            events
+                .iter()
+                .filter(|s| s.cat == "pipeline" && s.name == name)
+                .count()
+        };
+        assert_eq!(count("snapshot.view"), 1);
+        assert_eq!(count("snapshot.restore"), 0);
 
         // The traced result is byte-identical to an untraced one.
         let untraced = session.run(&flat, RunOptions::new()).unwrap();

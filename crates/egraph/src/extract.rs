@@ -9,13 +9,87 @@
 //! front is a list of [`Derivation`]s costed by the pair of objectives,
 //! as a k-best class's lazily grown list is, and [`build_term`] builds
 //! the term of a derivation in either list.
+//!
+//! Extraction reads a graph only through [`GraphView`]: its canonical
+//! classes, each class's nodes by position, a class's parent classes and
+//! `find`. A live [`EGraph`] is one such graph; a parsed snapshot's
+//! [`SnapshotView`](crate::SnapshotView) is another, so an extraction-only
+//! resume extracts without rebuilding an e-graph.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt::Debug;
 
-use crate::{Analysis, EClass, EGraph, Id, Language, RecExpr};
+use crate::{Analysis, EGraph, Id, Language, RecExpr};
+
+/// The read-only graph extraction walks.
+///
+/// Classes are named by canonical id and hold their nodes at fixed
+/// positions; derivations record a node by its position, and ties between
+/// equal-cost derivations go to the lower position. Two views that agree
+/// on every method therefore extract the same terms in the same order.
+pub trait GraphView {
+    /// The term language of the nodes.
+    type Lang: Language;
+
+    /// The size of the id universe, canonical or not: slot-indexed
+    /// extraction tables have this length.
+    fn universe(&self) -> usize;
+
+    /// The number of canonical classes.
+    fn number_of_classes(&self) -> usize;
+
+    /// The canonical class ids, ascending.
+    fn class_ids(&self) -> impl Iterator<Item = Id> + '_;
+
+    /// The nodes of the canonical class `id`, in position order.
+    fn class_nodes(&self, id: Id) -> impl Iterator<Item = &Self::Lang> + '_;
+
+    /// The node at position `pos` of the canonical class `id`.
+    fn class_node(&self, id: Id, pos: usize) -> &Self::Lang;
+
+    /// The class of every node that has `id`'s class as a child, once per
+    /// such child position. The ids may be stale: resolve them with
+    /// [`GraphView::find`].
+    fn parent_classes(&self, id: Id) -> impl Iterator<Item = Id> + '_;
+
+    /// The canonical id of `id`'s class.
+    fn find(&self, id: Id) -> Id;
+}
+
+/// The live e-graph, read through its class table, arena and parent lists.
+impl<L: Language, N: Analysis<L>> GraphView for EGraph<L, N> {
+    type Lang = L;
+
+    fn universe(&self) -> usize {
+        EGraph::universe(self)
+    }
+
+    fn number_of_classes(&self) -> usize {
+        EGraph::number_of_classes(self)
+    }
+
+    fn class_ids(&self) -> impl Iterator<Item = Id> + '_ {
+        self.classes().map(|class| class.id)
+    }
+
+    fn class_nodes(&self, id: Id) -> impl Iterator<Item = &L> + '_ {
+        EGraph::class_nodes(self, id)
+    }
+
+    fn class_node(&self, id: Id, pos: usize) -> &L {
+        self.node(self[id].node_ids()[pos])
+    }
+
+    fn parent_classes(&self, id: Id) -> impl Iterator<Item = Id> + '_ {
+        self.class_parents(id).iter().map(|&(_, class)| class)
+    }
+
+    fn find(&self, id: Id) -> Id {
+        EGraph::find(self, id)
+    }
+}
 
 /// A cost function over e-nodes.
 ///
@@ -68,11 +142,6 @@ impl<L: Language> CostFunction<L> for AstDepth {
 /// (`None` while no term is known).
 type BestRow<C> = Option<(C, usize)>;
 
-/// The e-node at `pos` in the node list of `id`'s class.
-fn class_node<L: Language, N: Analysis<L>>(egraph: &EGraph<L, N>, id: Id, pos: usize) -> &L {
-    egraph.node(egraph[id].node_ids()[pos])
-}
-
 /// The one extraction fixpoint: a table of rows slot-indexed by canonical
 /// id, each starting at `R::default()` (nothing known).
 ///
@@ -86,9 +155,9 @@ fn class_node<L: Language, N: Analysis<L>>(egraph: &EGraph<L, N>, id: Id, pos: u
 /// reach that bound: a settled row's terms never repeat a class along a
 /// path, so they are at most `classes` levels deep, and a class whose
 /// terms are `h` levels deep has settled after pass `h`.
-fn fixpoint<L: Language, N: Analysis<L>, R: Default>(
-    egraph: &EGraph<L, N>,
-    mut recompute: impl FnMut(&mut [R], &EClass<L, N::Data>) -> bool,
+fn fixpoint<G: GraphView, R: Default>(
+    egraph: &G,
+    mut recompute: impl FnMut(&mut [R], Id) -> bool,
 ) -> Vec<R> {
     let universe = egraph.universe();
     let mut rows: Vec<R> = std::iter::repeat_with(R::default).take(universe).collect();
@@ -99,13 +168,12 @@ fn fixpoint<L: Language, N: Analysis<L>, R: Default>(
     while any_dirty && passes_left > 0 {
         passes_left -= 1;
         any_dirty = false;
-        for class in egraph.classes() {
-            let slot = usize::from(class.id);
-            if !dirty[slot] {
+        for id in egraph.class_ids() {
+            if !dirty[usize::from(id)] {
                 continue;
             }
-            if recompute(&mut rows, class) {
-                for &(_, pid) in egraph.class_parents(class.id) {
+            if recompute(&mut rows, id) {
+                for pid in egraph.parent_classes(id) {
                     next_dirty[usize::from(egraph.find(pid))] = true;
                     any_dirty = true;
                 }
@@ -121,15 +189,15 @@ fn fixpoint<L: Language, N: Analysis<L>, R: Default>(
 /// row improves whenever one of its e-nodes is cheaper than the row, ties
 /// going to the smaller e-node, which makes the least fixpoint unique and
 /// so independent of class iteration order.
-fn best_table<L: Language, N: Analysis<L>, CF: CostFunction<L>>(
-    egraph: &EGraph<L, N>,
+fn best_table<G: GraphView, CF: CostFunction<G::Lang>>(
+    egraph: &G,
     cost_function: &mut CF,
 ) -> Vec<BestRow<CF::Cost>> {
     let mut child_costs = Vec::new();
-    fixpoint(egraph, move |best: &mut [BestRow<CF::Cost>], class| {
-        let slot = usize::from(class.id);
+    fixpoint(egraph, move |best: &mut [BestRow<CF::Cost>], id| {
+        let slot = usize::from(id);
         let mut improved = false;
-        for (pos, node) in egraph.nodes_of(class).enumerate() {
+        for (pos, node) in egraph.class_nodes(id).enumerate() {
             child_costs.clear();
             let extractable =
                 node.children()
@@ -147,7 +215,7 @@ fn best_table<L: Language, N: Analysis<L>, CF: CostFunction<L>>(
             let cost = cost_function.cost(node, &child_costs);
             let better = match &best[slot] {
                 Some((old, old_pos)) => {
-                    cost < *old || (cost == *old && node < class_node(egraph, class.id, *old_pos))
+                    cost < *old || (cost == *old && node < egraph.class_node(id, *old_pos))
                 }
                 None => true,
             };
@@ -177,15 +245,15 @@ fn best_table<L: Language, N: Analysis<L>, CF: CostFunction<L>>(
 /// assert_eq!(cost, 1);
 /// assert_eq!(best.to_string(), "6");
 /// ```
-pub struct Extractor<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> {
-    egraph: &'a EGraph<L, N>,
+pub struct Extractor<'a, G: GraphView, CF: CostFunction<G::Lang>> {
+    egraph: &'a G,
     /// The 1-best table (see [`best_table`]).
     best: Vec<BestRow<CF::Cost>>,
 }
 
-impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, CF> {
+impl<'a, G: GraphView, CF: CostFunction<G::Lang>> Extractor<'a, G, CF> {
     /// Builds the cost table for the whole e-graph.
-    pub fn new(egraph: &'a EGraph<L, N>, mut cost_function: CF) -> Self {
+    pub fn new(egraph: &'a G, mut cost_function: CF) -> Self {
         let best = best_table(egraph, &mut cost_function);
         Extractor { egraph, best }
     }
@@ -202,7 +270,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
     /// # Panics
     ///
     /// Panics if the class has no extractable term (e.g. empty e-graph).
-    pub fn find_best(&self, id: Id) -> (CF::Cost, RecExpr<L>) {
+    pub fn find_best(&self, id: Id) -> (CF::Cost, RecExpr<G::Lang>) {
         let root = self.egraph.find(id);
         let cost = self
             .best_cost(root)
@@ -213,7 +281,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
         (cost, expr)
     }
 
-    fn build(&self, id: Id, expr: &mut RecExpr<L>, memo: &mut HashMap<Id, Id>) -> Id {
+    fn build(&self, id: Id, expr: &mut RecExpr<G::Lang>, memo: &mut HashMap<Id, Id>) -> Id {
         let id = self.egraph.find(id);
         if let Some(&done) = memo.get(&id) {
             return done;
@@ -221,7 +289,10 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
         let &(_, pos) = self.best[usize::from(id)]
             .as_ref()
             .unwrap_or_else(|| panic!("no extractable term for class {id}"));
-        let node = class_node(self.egraph, id, pos).map_children(|c| self.build(c, expr, memo));
+        let node = self
+            .egraph
+            .class_node(id, pos)
+            .map_children(|c| self.build(c, expr, memo));
         let new = expr.add(node);
         memo.insert(id, new);
         new
@@ -254,12 +325,12 @@ const MAX_TERM_DEPTH: usize = 10_000;
 /// or the term reaches [`MAX_TERM_DEPTH`] levels; the latter happens only
 /// when costs are not strictly monotone and a derivation refers back to
 /// itself. `expr` may then hold the part built so far.
-fn build_term<L: Language, N: Analysis<L>, C, D: AsRef<[Derivation<C>]>>(
-    egraph: &EGraph<L, N>,
+fn build_term<G: GraphView, C, D: AsRef<[Derivation<C>]>>(
+    egraph: &G,
     lists: &[D],
     slot: usize,
     j: usize,
-    expr: &mut RecExpr<L>,
+    expr: &mut RecExpr<G::Lang>,
     depth: usize,
 ) -> Option<Id> {
     if depth >= MAX_TERM_DEPTH {
@@ -268,7 +339,7 @@ fn build_term<L: Language, N: Analysis<L>, C, D: AsRef<[Derivation<C>]>>(
     let d = lists[slot].as_ref().get(j)?;
     let mut choices = d.choices.iter();
     let mut complete = true;
-    let node = class_node(egraph, Id::from(slot), d.pos).map_children(|c| {
+    let node = egraph.class_node(Id::from(slot), d.pos).map_children(|c| {
         let j = *choices.next().expect("one choice per child");
         if complete {
             let child = usize::from(egraph.find(c));
@@ -345,8 +416,8 @@ struct LazyTable<CF, C> {
 /// let progs = kbest.find_best_k(a);
 /// assert_eq!(progs.len(), 2); // the two 3-node variants
 /// ```
-pub struct KBestExtractor<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> {
-    egraph: &'a EGraph<L, N>,
+pub struct KBestExtractor<'a, G: GraphView, CF: CostFunction<G::Lang>> {
+    egraph: &'a G,
     k: usize,
     /// The 1-best table (see [`best_table`]); it picks every class's
     /// first derivation.
@@ -354,14 +425,14 @@ pub struct KBestExtractor<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> 
     lazy: RefCell<LazyTable<CF, CF::Cost>>,
 }
 
-impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> KBestExtractor<'a, L, N, CF> {
+impl<'a, G: GraphView, CF: CostFunction<G::Lang>> KBestExtractor<'a, G, CF> {
     /// Builds the 1-best table for the whole e-graph; derivations beyond
     /// each class's first are enumerated on demand.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
-    pub fn new(egraph: &'a EGraph<L, N>, mut cost_function: CF, k: usize) -> Self {
+    pub fn new(egraph: &'a G, mut cost_function: CF, k: usize) -> Self {
         assert!(k > 0, "k must be positive");
         let best = best_table(egraph, &mut cost_function);
         let classes = std::iter::repeat_with(|| ClassDerivations {
@@ -389,7 +460,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> KBestExtractor<'a, L,
     }
 
     /// Extracts up to `k` lowest-cost terms for `id`, cheapest first.
-    pub fn find_best_k(&self, id: Id) -> Vec<(CF::Cost, RecExpr<L>)> {
+    pub fn find_best_k(&self, id: Id) -> Vec<(CF::Cost, RecExpr<G::Lang>)> {
         let mut terms: Vec<_> = self.iter_best(id).take(self.k).collect();
         // A no-op for monotone cost functions; see the type-level docs.
         terms.sort_by(|a, b| a.0.cmp(&b.0));
@@ -404,7 +475,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> KBestExtractor<'a, L,
     /// # Panics
     ///
     /// Panics on a term 10 000 levels deep.
-    pub fn iter_best(&self, id: Id) -> impl Iterator<Item = (CF::Cost, RecExpr<L>)> + '_ {
+    pub fn iter_best(&self, id: Id) -> impl Iterator<Item = (CF::Cost, RecExpr<G::Lang>)> + '_ {
         let root = usize::from(self.egraph.find(id));
         (0..).map_while(move |j| {
             let mut lazy = self.lazy.borrow_mut();
@@ -454,7 +525,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> KBestExtractor<'a, L,
         let Some(&(_, pos)) = self.best[slot].as_ref() else {
             return false;
         };
-        let node = class_node(self.egraph, Id::from(slot), pos);
+        let node = self.egraph.class_node(Id::from(slot), pos);
         for &c in node.children() {
             // The table only picks nodes whose children all have a row.
             self.derive_first(lazy, self.slot_of(c));
@@ -472,11 +543,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> KBestExtractor<'a, L,
     fn seed_frontier(&self, lazy: &mut LazyTable<CF, CF::Cost>, slot: usize) {
         let taken = lazy.classes[slot].found[0].pos;
         let mut frontier = BinaryHeap::new();
-        for (pos, node) in self
-            .egraph
-            .nodes_of(&self.egraph[Id::from(slot)])
-            .enumerate()
-        {
+        for (pos, node) in self.egraph.class_nodes(Id::from(slot)).enumerate() {
             if pos == taken
                 || !node
                     .children()
@@ -501,7 +568,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> KBestExtractor<'a, L,
             let start = d.choices.iter().rposition(|&c| c > 0).unwrap_or(0);
             (d.pos, d.choices.len(), start)
         };
-        let node = class_node(self.egraph, Id::from(slot), pos);
+        let node = self.egraph.class_node(Id::from(slot), pos);
         for i in start..arity {
             let next = lazy.classes[slot].found[j].choices[i] + 1;
             if !self.derive(lazy, self.slot_of(node.children()[i]), next) {
@@ -518,7 +585,12 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> KBestExtractor<'a, L,
     }
 
     /// The cost of `node` over the given derivations of its children.
-    fn cost_of(&self, lazy: &mut LazyTable<CF, CF::Cost>, node: &L, choices: &[usize]) -> CF::Cost {
+    fn cost_of(
+        &self,
+        lazy: &mut LazyTable<CF, CF::Cost>,
+        node: &G::Lang,
+        choices: &[usize],
+    ) -> CF::Cost {
         lazy.child_costs.clear();
         for (&c, &j) in node.children().iter().zip(choices) {
             let cost = &lazy.classes[self.slot_of(c)].found[j].cost;
@@ -531,6 +603,9 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> KBestExtractor<'a, L,
 /// One class's Pareto front: derivations costed `(cost_a, cost_b)`,
 /// ascending and mutually non-dominating (empty: no term known).
 type Front<A, B> = Vec<Derivation<(A, B)>>;
+
+/// One point of an extracted front: its two costs and its term.
+type FrontTerm<A, B, L> = (A, B, RecExpr<L>);
 
 /// Default bound on the number of front points kept per e-class (see
 /// [`ParetoExtractor::with_cap`]).
@@ -576,24 +651,18 @@ pub const DEFAULT_PARETO_CAP: usize = 8;
 /// assert_eq!(front.len(), 1);
 /// assert_eq!(front[0].2.to_string(), "(* 6 4)");
 /// ```
-pub struct ParetoExtractor<
-    'a,
-    L: Language,
-    N: Analysis<L>,
-    CA: CostFunction<L>,
-    CB: CostFunction<L>,
-> {
-    egraph: &'a EGraph<L, N>,
+pub struct ParetoExtractor<'a, G: GraphView, CA: CostFunction<G::Lang>, CB: CostFunction<G::Lang>> {
+    egraph: &'a G,
     cap: usize,
     /// Every class's front, slot-indexed by canonical id.
     fronts: Vec<Front<CA::Cost, CB::Cost>>,
 }
 
-impl<'a, L: Language, N: Analysis<L>, CA: CostFunction<L>, CB: CostFunction<L>>
-    ParetoExtractor<'a, L, N, CA, CB>
+impl<'a, G: GraphView, CA: CostFunction<G::Lang>, CB: CostFunction<G::Lang>>
+    ParetoExtractor<'a, G, CA, CB>
 {
     /// Builds the Pareto table with the default per-class cap.
-    pub fn new(egraph: &'a EGraph<L, N>, cost_a: CA, cost_b: CB) -> Self {
+    pub fn new(egraph: &'a G, cost_a: CA, cost_b: CB) -> Self {
         Self::with_cap(egraph, cost_a, cost_b, DEFAULT_PARETO_CAP)
     }
 
@@ -604,12 +673,12 @@ impl<'a, L: Language, N: Analysis<L>, CA: CostFunction<L>, CB: CostFunction<L>>
     /// # Panics
     ///
     /// Panics if `cap == 0`.
-    pub fn with_cap(egraph: &'a EGraph<L, N>, mut cost_a: CA, mut cost_b: CB, cap: usize) -> Self {
+    pub fn with_cap(egraph: &'a G, mut cost_a: CA, mut cost_b: CB, cap: usize) -> Self {
         assert!(cap > 0, "pareto cap must be positive");
         let mut candidates = Vec::new();
-        let fronts = fixpoint(egraph, |fronts: &mut [Front<_, _>], class| {
+        let fronts = fixpoint(egraph, |fronts: &mut [Front<_, _>], id| {
             candidates.clear();
-            for (pos, node) in egraph.nodes_of(class).enumerate() {
+            for (pos, node) in egraph.class_nodes(id).enumerate() {
                 push_derivations(
                     egraph,
                     fronts,
@@ -634,7 +703,7 @@ impl<'a, L: Language, N: Analysis<L>, CA: CostFunction<L>, CB: CostFunction<L>>
                     break;
                 }
             }
-            let row = &mut fronts[usize::from(class.id)];
+            let row = &mut fronts[usize::from(id)];
             let changed = front != *row;
             *row = front;
             changed
@@ -655,7 +724,7 @@ impl<'a, L: Language, N: Analysis<L>, CA: CostFunction<L>, CB: CostFunction<L>>
     /// non-dominating `(cost_a, cost_b, term)` triples, sorted by
     /// ascending `cost_a` (hence descending `cost_b`). Empty when the
     /// class has no extractable term.
-    pub fn find_front(&self, id: Id) -> Vec<(CA::Cost, CB::Cost, RecExpr<L>)> {
+    pub fn find_front(&self, id: Id) -> Vec<FrontTerm<CA::Cost, CB::Cost, G::Lang>> {
         let root = usize::from(self.egraph.find(id));
         (0..self.fronts[root].len())
             .filter_map(|j| {
@@ -671,10 +740,10 @@ impl<'a, L: Language, N: Analysis<L>, CA: CostFunction<L>, CB: CostFunction<L>>
 /// Pushes every derivation of `node`, the e-node at `pos` in its class,
 /// over its children's current fronts (the full cross-product; fronts are
 /// capped, so it is bounded).
-fn push_derivations<L: Language, N: Analysis<L>, CA: CostFunction<L>, CB: CostFunction<L>>(
-    egraph: &EGraph<L, N>,
+fn push_derivations<G: GraphView, CA: CostFunction<G::Lang>, CB: CostFunction<G::Lang>>(
+    egraph: &G,
     fronts: &[Front<CA::Cost, CB::Cost>],
-    node: &L,
+    node: &G::Lang,
     pos: usize,
     cost_a: &mut CA,
     cost_b: &mut CB,

@@ -91,7 +91,8 @@ pub use analysis::{merge_max, merge_option, Analysis, DidMerge};
 pub use arena::{FxBuildHasher, FxHasher, NodeId};
 pub use egraph::{EClass, EGraph};
 pub use extract::{
-    AstDepth, AstSize, CostFunction, Extractor, KBestExtractor, ParetoExtractor, DEFAULT_PARETO_CAP,
+    AstDepth, AstSize, CostFunction, Extractor, GraphView, KBestExtractor, ParetoExtractor,
+    DEFAULT_PARETO_CAP,
 };
 pub use id::Id;
 pub use language::{FromOpError, Language, Symbol};
@@ -106,7 +107,7 @@ pub use runner::{
 };
 pub use scheduler::{BackoffScheduler, Scheduler};
 pub use snapshot::{
-    escape_token, unescape_token, Snapshot, SnapshotError, SnapshotParseError,
+    escape_token, unescape_token, Snapshot, SnapshotError, SnapshotParseError, SnapshotView,
     SNAPSHOT_FORMAT_VERSION,
 };
 pub use subst::{ParseVarError, Subst, Var};

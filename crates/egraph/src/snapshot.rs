@@ -16,8 +16,7 @@
 //! parent lists are rebuilt from the e-nodes, analysis data is
 //! recomputed to fixpoint by [`Snapshot::restore`], and the operator
 //! index used by compiled e-matching (see [`EGraph::classes_with_op`]) is
-//! built from the restored classes on first use, so an extraction-only
-//! resume, which never searches, never builds it. Because the op index
+//! built from the restored classes on first use. Because the op index
 //! never enters the serialization, introducing it did **not** change the
 //! `szsnap v1` format — no version bump, and existing snapshots restore
 //! (and re-index) unchanged. This is sound for any
@@ -26,6 +25,10 @@
 //! same assumption `rebuild` itself makes. [`Analysis::modify`] is *not*
 //! re-run on restore — its effects (e.g. materialized constant-fold
 //! literals) are already part of the snapshotted node set.
+//!
+//! Extraction needs none of this derived state: [`Snapshot::view`] reads
+//! the parsed nodes directly and builds parent lists of its own, so an
+//! extraction-only resume restores nothing.
 //!
 //! # Layout and parsing
 //!
@@ -92,7 +95,7 @@ use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{Analysis, EGraph, Id, Language, UnionFind};
+use crate::{Analysis, EGraph, GraphView, Id, Language, UnionFind};
 
 /// The version written in (and required of) the `szsnap v<N>` header.
 ///
@@ -328,9 +331,17 @@ impl<L: Language> Snapshot<L> {
         })
     }
 
+    /// A read-only view of the snapshotted graph that extraction runs on
+    /// directly (see [`SnapshotView`]), without restoring an e-graph.
+    pub fn view(&self) -> SnapshotView<'_, L> {
+        SnapshotView::new(self)
+    }
+
     /// Reconstructs a live e-graph behaviorally identical to the one the
     /// snapshot was taken from: same id universe, same canonical ids,
-    /// same class node sets.
+    /// same class node sets. A partial resume restores to keep saturating;
+    /// extraction alone needs only [`Snapshot::view`], and tests hold the
+    /// view to the restored graph.
     ///
     /// Analysis data is recomputed to fixpoint from the e-nodes (see the
     /// [module docs](self) for the soundness argument), which is why
@@ -346,6 +357,121 @@ impl<L: Language> Snapshot<L> {
             self.class_nodes(),
             self.nodes.len(),
         )
+    }
+}
+
+/// A parsed [`Snapshot`] read as a [`GraphView`]: what an extraction-only
+/// resume extracts from instead of a restored [`EGraph`].
+///
+/// It borrows the snapshot's flat node vector and adds two tables, both
+/// slot-indexed by id: each id's node range (empty for an id that is not
+/// canonical) and a parent CSR, one offset array over one flat vector
+/// holding, for each class, the class of every node with it as a child.
+/// Building it interns nothing, builds no memo and runs no analysis.
+///
+/// It extracts what the restored graph extracts: the parser accepts only
+/// canonical class ids and children and regroups classes into ascending
+/// id order, so the view has the restored graph's classes, per-class node
+/// order and parent classes.
+#[derive(Debug)]
+pub struct SnapshotView<'a, L: Language> {
+    snapshot: &'a Snapshot<L>,
+    /// `snapshot.nodes[node_bounds[id]..node_bounds[id + 1]]` are `id`'s
+    /// nodes.
+    node_bounds: Vec<usize>,
+    /// `parents[parent_bounds[id]..parent_bounds[id + 1]]` are `id`'s
+    /// parent classes, ascending.
+    parent_bounds: Vec<usize>,
+    parents: Vec<Id>,
+}
+
+impl<'a, L: Language> SnapshotView<'a, L> {
+    fn new(snapshot: &'a Snapshot<L>) -> Self {
+        let universe = snapshot.uf.len();
+        // One pass counts each class's nodes (one slot above its id, so the
+        // prefix sums make `node_bounds[id]` the start of `id`'s range) and
+        // each child's parent entries (at the child's own slot, so they
+        // make `parent_bounds[child]` the end of its range).
+        let mut node_bounds = vec![0; universe + 1];
+        let mut parent_bounds = vec![0; universe + 1];
+        for (id, nodes) in snapshot.class_nodes() {
+            node_bounds[usize::from(id) + 1] = nodes.len();
+            for node in nodes {
+                for &child in node.children() {
+                    parent_bounds[usize::from(child)] += 1;
+                }
+            }
+        }
+        for slot in 1..=universe {
+            node_bounds[slot] += node_bounds[slot - 1];
+            parent_bounds[slot] += parent_bounds[slot - 1];
+        }
+        // A second pass fills each child's range back to front, moving its
+        // bound down to the range's start; walking the nodes backwards
+        // leaves every range ascending, the order restore's parent lists
+        // have.
+        let mut parents = vec![Id::default(); parent_bounds[universe]];
+        for &(id, end) in snapshot.classes.iter().rev() {
+            let nodes = &snapshot.nodes[node_bounds[usize::from(id)]..end];
+            for node in nodes.iter().rev() {
+                for &child in node.children().iter().rev() {
+                    let bound = &mut parent_bounds[usize::from(child)];
+                    *bound -= 1;
+                    parents[*bound] = id;
+                }
+            }
+        }
+        SnapshotView {
+            snapshot,
+            node_bounds,
+            parent_bounds,
+            parents,
+        }
+    }
+
+    /// The nodes of id `id`: empty unless `id` is canonical.
+    fn nodes(&self, id: Id) -> &'a [L] {
+        let slot = usize::from(id);
+        &self.snapshot.nodes[self.node_bounds[slot]..self.node_bounds[slot + 1]]
+    }
+}
+
+impl<L: Language> GraphView for SnapshotView<'_, L> {
+    type Lang = L;
+
+    fn universe(&self) -> usize {
+        self.snapshot.uf.len()
+    }
+
+    fn number_of_classes(&self) -> usize {
+        self.snapshot.num_classes()
+    }
+
+    fn class_ids(&self) -> impl Iterator<Item = Id> + '_ {
+        self.snapshot.classes.iter().map(|&(id, _)| id)
+    }
+
+    fn class_nodes(&self, id: Id) -> impl Iterator<Item = &L> + '_ {
+        self.nodes(id).iter()
+    }
+
+    fn class_node(&self, id: Id, pos: usize) -> &L {
+        &self.nodes(id)[pos]
+    }
+
+    fn parent_classes(&self, id: Id) -> impl Iterator<Item = Id> + '_ {
+        let slot = usize::from(self.find(id));
+        self.parents[self.parent_bounds[slot]..self.parent_bounds[slot + 1]]
+            .iter()
+            .copied()
+    }
+
+    fn find(&self, mut id: Id) -> Id {
+        let uf = &self.snapshot.uf;
+        while uf[usize::from(id)] != id {
+            id = uf[usize::from(id)];
+        }
+        id
     }
 }
 

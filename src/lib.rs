@@ -103,9 +103,9 @@
 //!
 //!   ```text
 //!                          ┌─ no / incompatible snapshot ──► cold run
-//!   Synthesizer::run ──────┼─ exact saturation fingerprint ► restore final
-//!     (one entry point)    │   match                          graph, re-run
-//!                          │                                  extraction only
+//!   Synthesizer::run ──────┼─ exact saturation fingerprint ► re-run extraction
+//!     (one entry point)    │   match                          only, on a view of
+//!                          │                                  the snapshotted graph
 //!                          └─ fingerprint match modulo      ► restore the
 //!                              LOWER fuel limits               saturation-phase
 //!                              ("partial resume")              runner state and

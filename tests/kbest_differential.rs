@@ -21,6 +21,17 @@
 //! return the same front — costs and term text, in order — at caps 1, 2
 //! and 8, under five objective pairs (one with the not strictly monotone
 //! `geom` first), over the same graphs.
+//!
+//! An extraction-only resume extracts from a parsed snapshot's
+//! `Snapshot::view` instead of the e-graph `Snapshot::restore` builds;
+//! restore-then-extract stays the reference. Over each graph's snapshot
+//! after a text round trip, the view must give the restored graph's
+//! 1-best, its first 2k k-best terms and its fronts at every cap under two
+//! objective pairs, in order. The graphs are the suite16 and corpus graphs
+//! above, proptest arithmetic graphs with cycles, and hand-written
+//! snapshot texts the parser accepts in non-canonical shape. A resumed
+//! session must return the top-k, front, node count and class count that
+//! restoring its snapshot and extracting give.
 
 #[path = "../crates/egraph/tests/support/eager_kbest.rs"]
 mod eager_kbest;
@@ -35,13 +46,14 @@ use proptest::prelude::*;
 use sz_cad::{AffineKind, Cad};
 use sz_egraph::tests_lang::Arith;
 use sz_egraph::{
-    Analysis, AstDepth, AstSize, CostFunction, EGraph, Id, KBestExtractor, Language,
-    ParetoExtractor, Rewrite, Runner,
+    Analysis, AstDepth, AstSize, CostFunction, EGraph, Extractor, GraphView, Id, KBestExtractor,
+    Language, ParetoExtractor, Rewrite, Runner, Snapshot,
 };
 use sz_gen::{generate_model, GenSpec};
 use szalinski::{
-    cad_to_lang, parse_cost_model, parse_cost_spec, rules, CadAnalysis, CadGraph, CadLang,
-    CostModel, CostSpec, ModelCost, RunOptions, SynthConfig, Synthesizer,
+    cad_to_lang, lang_to_cad, parse_cost_model, parse_cost_spec, rules, CadAnalysis, CadGraph,
+    CadLang, CostModel, CostSpec, ModelCost, RunMode, RunOptions, SynthConfig, SynthSnapshot,
+    Synthesizer,
 };
 
 const K: usize = 10;
@@ -151,9 +163,19 @@ fn assert_fronts_agree(egraph: &CadGraph, root: Id, what: &str) {
     }
 }
 
-/// The final graph of a default-config cold run, as a snapshot resume
-/// restores it, with its root.
-fn final_graph(name: &str, input: &Cad) -> (CadGraph, Id) {
+/// The final graph of a default-config cold run of one model.
+struct FinalGraph {
+    name: String,
+    input: Cad,
+    /// The run's snapshot after a text round trip.
+    snapshot: SynthSnapshot,
+    /// The graph restoring that snapshot builds.
+    egraph: CadGraph,
+    root: Id,
+}
+
+/// Runs `input` cold with snapshot capture and keeps its final graph.
+fn final_graph(name: &str, input: &Cad) -> FinalGraph {
     let session = Synthesizer::new(SynthConfig::new());
     let result = session
         .run(input, RunOptions::new().capture_snapshot(true))
@@ -161,12 +183,16 @@ fn final_graph(name: &str, input: &Cad) -> (CadGraph, Id) {
     let snapshot = result
         .snapshot
         .unwrap_or_else(|| panic!("{name}: no snapshot captured"));
-    let snapshot = snapshot.egraph_snapshot();
-    (snapshot.restore(CadAnalysis), snapshot.roots()[0])
+    let snapshot: SynthSnapshot = snapshot.to_string().parse().unwrap();
+    let graph = snapshot.egraph_snapshot();
+    FinalGraph {
+        name: name.to_owned(),
+        input: input.clone(),
+        egraph: graph.restore(CadAnalysis),
+        root: graph.roots()[0],
+        snapshot,
+    }
 }
-
-/// A named final graph with its root.
-type FinalGraph = (String, CadGraph, Id);
 
 /// The final graphs of all 16 suite16 models, built once for both
 /// differentials.
@@ -175,10 +201,7 @@ fn suite16_graphs() -> &'static [FinalGraph] {
     GRAPHS.get_or_init(|| {
         sz_models::all_models()
             .into_iter()
-            .map(|model| {
-                let (egraph, root) = final_graph(model.name, &model.flat);
-                (model.name.to_owned(), egraph, root)
-            })
+            .map(|model| final_graph(model.name, &model.flat))
             .collect()
     })
 }
@@ -192,8 +215,7 @@ fn corpus_graphs() -> &'static [FinalGraph] {
         (0..spec.count)
             .map(|index| {
                 let name = sz_gen::model_name(spec.seed, index);
-                let (egraph, root) = final_graph(&name, &generate_model(&spec, index));
-                (name, egraph, root)
+                final_graph(&name, &generate_model(&spec, index))
             })
             .collect()
     })
@@ -201,29 +223,231 @@ fn corpus_graphs() -> &'static [FinalGraph] {
 
 #[test]
 fn suite16_top_k_matches_the_eager_oracle() {
-    for (name, egraph, root) in suite16_graphs() {
-        assert_models_agree(egraph, *root, name);
+    for g in suite16_graphs() {
+        assert_models_agree(&g.egraph, g.root, &g.name);
     }
 }
 
 #[test]
 fn generated_corpus_top_k_matches_the_eager_oracle() {
-    for (name, egraph, root) in corpus_graphs() {
-        assert_models_agree(egraph, *root, name);
+    for g in corpus_graphs() {
+        assert_models_agree(&g.egraph, g.root, &g.name);
     }
 }
 
 #[test]
 fn suite16_pareto_fronts_match_the_jacobi_oracle() {
-    for (name, egraph, root) in suite16_graphs() {
-        assert_fronts_agree(egraph, *root, name);
+    for g in suite16_graphs() {
+        assert_fronts_agree(&g.egraph, g.root, &g.name);
     }
 }
 
 #[test]
 fn generated_corpus_pareto_fronts_match_the_jacobi_oracle() {
-    for (name, egraph, root) in corpus_graphs() {
-        assert_fronts_agree(egraph, *root, name);
+    for g in corpus_graphs() {
+        assert_fronts_agree(&g.egraph, g.root, &g.name);
+    }
+}
+
+/// The k-best terms an extraction pulls at the default k = 5.
+const PULL: usize = 10;
+
+/// The 1-best of `root` under `cost`, then its first [`PULL`] k-best
+/// terms, each as a `cost term` line.
+fn ranked<G: GraphView, CF: CostFunction<G::Lang> + Clone>(
+    graph: &G,
+    root: Id,
+    cost: CF,
+) -> Vec<String> {
+    let (best_cost, best) = Extractor::new(graph, cost.clone()).find_best(root);
+    let kbest = KBestExtractor::new(graph, cost, PULL);
+    let terms = kbest.iter_best(root).take(PULL);
+    std::iter::once(format!("{best_cost:?} {best}"))
+        .chain(terms.map(|(c, e)| format!("{c:?} {e}")))
+        .collect()
+}
+
+/// The fronts of `root` under `(cost_a, cost_b)` at every cap in
+/// [`CAPS`], each point as a `cap: a b term` line.
+fn fronts<G, CA, CB>(graph: &G, root: Id, cost_a: &CA, cost_b: &CB) -> Vec<String>
+where
+    G: GraphView,
+    CA: CostFunction<G::Lang> + Clone,
+    CB: CostFunction<G::Lang> + Clone,
+{
+    let mut lines = Vec::new();
+    for cap in CAPS {
+        let pareto = ParetoExtractor::with_cap(graph, cost_a.clone(), cost_b.clone(), cap);
+        for (a, b, e) in pareto.find_front(root) {
+            lines.push(format!("{cap}: {a:?} {b:?} {e}"));
+        }
+    }
+    lines
+}
+
+/// What the view differential compares on a CAD graph: the ranked terms
+/// under ast-size and reward-loops, then the fronts under
+/// (ast-size, geom) and (reward-loops, depth).
+fn cad_extraction(graph: &impl GraphView<Lang = CadLang>, root: Id) -> Vec<String> {
+    let model = |spec| ModelCost(parse_cost_model(spec).unwrap());
+    let mut lines = ranked(graph, root, model("ast-size"));
+    lines.extend(ranked(graph, root, model("reward-loops")));
+    lines.extend(fronts(graph, root, &model("ast-size"), &model("geom")));
+    lines.extend(fronts(graph, root, &model("reward-loops"), &model("depth")));
+    lines
+}
+
+/// What the view differential compares on an arithmetic graph: the
+/// ranked terms under ast-size, then the fronts under (ast-size,
+/// ast-depth) and (ast-depth, ast-size).
+fn arith_extraction(graph: &impl GraphView<Lang = Arith>, root: Id) -> Vec<String> {
+    let mut lines = ranked(graph, root, AstSize);
+    lines.extend(fronts(graph, root, &AstSize, &AstDepth));
+    lines.extend(fronts(graph, root, &AstDepth, &AstSize));
+    lines
+}
+
+/// Asserts that extraction over a final graph's snapshot view equals
+/// extraction over the graph restoring the snapshot builds.
+fn assert_view_extracts_as_restored(g: &FinalGraph) {
+    let view = cad_extraction(&g.snapshot.egraph_snapshot().view(), g.root);
+    assert_eq!(view, cad_extraction(&g.egraph, g.root), "{}", g.name);
+}
+
+#[test]
+fn suite16_snapshot_views_extract_what_restored_graphs_extract() {
+    for g in suite16_graphs() {
+        assert_view_extracts_as_restored(g);
+    }
+}
+
+#[test]
+fn generated_corpus_snapshot_views_extract_what_restored_graphs_extract() {
+    for g in corpus_graphs() {
+        assert_view_extracts_as_restored(g);
+    }
+}
+
+/// Snapshot texts the parser accepts in shapes a capture writes rarely
+/// or never: class blocks out of id order, union-find chains of two and
+/// three steps behind a root, classes whose nodes are not in value order,
+/// a node listed twice, self-referencing classes, and classes that read
+/// classes with higher ids, so their rows wait for later passes. In the
+/// last text every class reads only the next one, so each pass settles
+/// one more class and only parent links carry the rows to the root.
+const NON_CANONICAL_SNAPSHOTS: [&str; 3] = [
+    "szsnap v1\nuf 7\n1 2 2 3 4 5 6\n\
+     class 6 3\n* 3 5\n+ 5 3\n+ 5 3\n\
+     class 4 2\nx\n* 4 5\n\
+     class 2 2\n* 6 6\n+ 6 4\n\
+     class 5 1\ny\n\
+     class 3 1\n0\n\
+     roots 0\niterations 2\nscheduler simple\nend\n",
+    "szsnap v1\nuf 5\n0 0 1 2 4\n\
+     class 4 3\n+ 4 0\nx\n+ 0 4\n\
+     class 0 2\n0\n* 4 0\n\
+     roots 3 4\niterations 0\nscheduler simple\nend\n",
+    "szsnap v1\nuf 5\n0 1 2 3 4\n\
+     class 0 1\n* 1 1\n\
+     class 1 1\n+ 2 2\n\
+     class 2 2\n* 3 3\n+ 3 2\n\
+     class 3 1\n+ 4 4\n\
+     class 4 1\nx\n\
+     roots 0\niterations 0\nscheduler simple\nend\n",
+];
+
+#[test]
+fn non_canonical_snapshot_views_extract_what_restored_graphs_extract() {
+    for text in NON_CANONICAL_SNAPSHOTS {
+        let snapshot: Snapshot<Arith> = text.parse().unwrap();
+        let restored: EGraph<Arith, ()> = snapshot.restore(());
+        for &root in snapshot.roots() {
+            let view = arith_extraction(&snapshot.view(), root);
+            assert_eq!(view, arith_extraction(&restored, root), "{text}");
+        }
+    }
+}
+
+/// The first class block of `text` with its first node listed twice,
+/// which the parser accepts and a restored graph counts twice.
+fn with_a_node_listed_twice(text: &str) -> String {
+    let mut lines: Vec<&str> = text.lines().collect();
+    let at = lines.iter().position(|l| l.starts_with("class ")).unwrap();
+    let (id, count) = lines[at]["class ".len()..].split_once(' ').unwrap();
+    let header = format!("class {id} {}", count.parse::<usize>().unwrap() + 1);
+    lines[at] = &header;
+    lines.insert(at + 1, lines[at + 1]);
+    lines.join("\n") + "\n"
+}
+
+/// Programs converted from extracted terms, skipping terms that are not
+/// CAD and repeats, until `limit` are kept (as the pipeline keeps them).
+fn distinct_programs<C>(
+    terms: impl Iterator<Item = (C, sz_egraph::RecExpr<CadLang>)>,
+    limit: usize,
+) -> Vec<(C, String)> {
+    let mut programs: Vec<(C, Cad)> = Vec::new();
+    for (cost, e) in terms {
+        let Ok(cad) = lang_to_cad(&e) else { continue };
+        if programs.iter().all(|(_, p)| *p != cad) {
+            programs.push((cost, cad));
+        }
+        if programs.len() >= limit {
+            break;
+        }
+    }
+    programs
+        .into_iter()
+        .map(|(cost, cad)| (cost, cad.to_string()))
+        .collect()
+}
+
+/// A resume's top-k, Pareto front, node count and class count.
+type Resumed = (Vec<(usize, String)>, Vec<([u64; 2], String)>, usize, usize);
+
+/// What an extraction-only resume returned before it extracted from a
+/// view: restore the snapshot's graph and extract from it.
+fn restore_then_extract(snapshot: &Snapshot<CadLang>, config: &SynthConfig) -> Resumed {
+    let egraph = snapshot.restore(CadAnalysis);
+    let root = snapshot.roots()[0];
+    let cost = ModelCost(Arc::clone(&config.cost_model));
+    let kbest = KBestExtractor::new(&egraph, cost, 2 * config.k);
+    let terms = kbest.iter_best(root).take(2 * config.k);
+    let mut top_k = distinct_programs(terms.map(|(c, e)| (c.primary() as usize, e)), config.k);
+    top_k.sort_by_key(|p| p.0);
+    let [a, b] = config.pareto.clone().expect("a Pareto config");
+    let front = ParetoExtractor::new(&egraph, ModelCost(a), ModelCost(b)).find_front(root);
+    let front = front
+        .into_iter()
+        .map(|(a, b, e)| ([a.primary(), b.primary()], e));
+    let front = distinct_programs(front, usize::MAX);
+    let counts = (egraph.total_number_of_nodes(), egraph.number_of_classes());
+    (top_k, front, counts.0, counts.1)
+}
+
+#[test]
+fn extraction_resumes_return_what_restore_then_extract_returns() {
+    let model = |spec| parse_cost_model(spec).unwrap();
+    let config = SynthConfig::new().with_pareto(model("ast-size"), model("geom"));
+    let session = Synthesizer::new(config.clone());
+    for g in suite16_graphs().iter().chain(corpus_graphs()) {
+        let text = with_a_node_listed_twice(&g.snapshot.egraph_snapshot().to_string());
+        let twice = SynthSnapshot::new(&g.input, &config, text.parse().unwrap());
+        for snapshot in [g.snapshot.clone(), twice] {
+            let oracle = restore_then_extract(snapshot.egraph_snapshot(), &config);
+            let opts = RunOptions::new().with_snapshot(snapshot);
+            let resumed = session.run(&g.input, opts).unwrap();
+            assert_eq!(resumed.mode, RunMode::ResumedExtraction, "{}", g.name);
+            let top_k = resumed.top_k.iter();
+            let front = resumed.pareto.iter().flatten();
+            let got: Resumed = (
+                top_k.map(|p| (p.cost, p.cad.to_string())).collect(),
+                front.map(|p| (p.costs, p.cad.to_string())).collect(),
+                resumed.egraph_nodes,
+                resumed.egraph_classes,
+            );
+            assert_eq!(got, oracle, "{}", g.name);
+        }
     }
 }
 
@@ -353,6 +577,20 @@ proptest! {
     ) {
         let runner = saturated_cad(&input, iters, cycle);
         assert_fronts_agree(&runner.egraph, runner.roots[0], &input.to_string());
+    }
+
+    #[test]
+    fn arith_snapshot_views_extract_what_restored_graphs_extract(
+        expr in arb_arith(),
+        iters in 1usize..4,
+    ) {
+        let runner = saturated_arith(&expr, iters);
+        let text = Snapshot::of_egraph(&runner.egraph, &runner.roots).unwrap().to_string();
+        let snapshot: Snapshot<Arith> = text.parse().unwrap();
+        let root = snapshot.roots()[0];
+        let restored: EGraph<Arith, ()> = snapshot.restore(());
+        let view = arith_extraction(&snapshot.view(), root);
+        prop_assert_eq!(view, arith_extraction(&restored, root), "{}", expr);
     }
 
     #[test]

@@ -675,7 +675,8 @@ fn main() -> ExitCode {
             Ok(n) => {
                 if !opts.quiet {
                     println!(
-                        "snapshots: saved {n} to {} ({} bytes)",
+                        "snapshots: wrote {n} of {} to {} ({} bytes held)",
+                        cache.snapshot_count(),
                         dir.display(),
                         cache.snapshot_bytes()
                     );

@@ -213,6 +213,10 @@ pub struct ResultCache {
     /// never keys it merely doesn't hold, which may belong to another
     /// process sharing the directory.
     evicted: HashSet<u64>,
+    /// Held snapshot keys [`ResultCache::insert_snapshot`] stored, as
+    /// opposed to [`load_snapshot_dir`], whose texts are already on
+    /// disk. [`save_snapshot_dir`] writes exactly these files.
+    inserted: HashSet<u64>,
     /// Lifetime count of snapshot evictions (monotonic; re-inserting an
     /// evicted key does not decrement it). Per-instance observability,
     /// never persisted.
@@ -331,12 +335,14 @@ impl ResultCache {
             return;
         }
         self.insert_snapshot_raw(key.0, text);
+        self.inserted.insert(key.0);
         self.evict_snapshots();
     }
 
     /// The budget-bypassing insert shared by [`load_snapshot_dir`] and
     /// [`ResultCache::insert_snapshot`]: stores the text and keeps the
-    /// core-key index and the evicted set in sync.
+    /// core-key index and the evicted set in sync. The key counts as
+    /// loaded until the caller marks it inserted.
     fn insert_snapshot_raw(&mut self, key: u64, text: String) {
         self.remove_snapshot(key);
         if let Some(header) = SynthSnapshot::probe_header(&text) {
@@ -353,13 +359,14 @@ impl ResultCache {
         self.evicted.remove(&key);
     }
 
-    /// Drops `key`'s snapshot, if any, with its core-index entry and its
-    /// share of the byte total.
+    /// Drops `key`'s snapshot, if any, with its core-index entry, its
+    /// share of the byte total and its inserted mark.
     fn remove_snapshot(&mut self, key: u64) {
         self.unindex_snapshot(key);
         if let Some(text) = self.snaps.remove(&key) {
             self.snap_bytes -= text.len();
         }
+        self.inserted.remove(&key);
     }
 
     /// Drops `key`'s core-index entry, if any (probes the stored text
@@ -449,7 +456,7 @@ impl ResultCache {
     /// evicted key does not take the count back — so a caller can
     /// decide whether snapshot-tier misses are *explained* (corpus
     /// outgrew the budget) or a regression (misses with zero
-    /// evictions); the `corpus` soak bin gates on exactly that.
+    /// evictions); perfbench reports it as `cache.evictions`.
     pub fn evictions(&self) -> usize {
         self.evictions
     }
@@ -633,9 +640,11 @@ pub fn load_snapshot_dir(cache: &mut ResultCache, dir: &Path) -> io::Result<usiz
     Ok(loaded)
 }
 
-/// Writes `cache`'s snapshot tier to `dir` as one `<key16>.snap` file
-/// per snapshot (creating `dir` if needed). Returns the number of
-/// snapshots saved.
+/// Writes the snapshots `cache` inserted to `dir` as one `<key16>.snap`
+/// file each (creating `dir` if needed). Returns the number of files
+/// written. Snapshots [`load_snapshot_dir`] read are already on disk and
+/// are not written again, unless an insert replaced one since (a corrupt
+/// `.snap` re-captured by a cold run, say).
 ///
 /// **Ownership rule for shared dirs:** the only `.snap` files removed
 /// are those for keys this cache instance itself evicted (budget
@@ -650,7 +659,10 @@ pub fn save_snapshot_dir(cache: &ResultCache, dir: &Path) -> io::Result<usize> {
     std::fs::create_dir_all(dir)?;
     let pid = std::process::id();
     let mut saved = 0;
-    for (key, text) in cache.snapshots() {
+    for (key, text) in cache
+        .snapshots()
+        .filter(|(key, _)| cache.inserted.contains(&key.0))
+    {
         let tmp = dir.join(format!("{key}.tmp.{pid}"));
         std::fs::write(&tmp, text)?;
         std::fs::rename(&tmp, dir.join(format!("{key}.snap")))?;
@@ -863,14 +875,64 @@ mod tests {
             Some("snapshot a")
         );
 
-        // ...but a key the cache itself EVICTED is its own to prune.
+        // ...but a key the cache itself EVICTED is its own to prune. The
+        // kept snapshot was loaded, not inserted, so nothing is written.
         back.set_snapshot_budget(12); // keeps "snapshot b" (10 B), evicts a
         assert!(back.get_snapshot(SnapshotKey(0xabcd)).is_none());
-        assert_eq!(save_snapshot_dir(&back, &dir).unwrap(), 1);
+        assert_eq!(save_snapshot_dir(&back, &dir).unwrap(), 0);
         let mut pruned = ResultCache::new();
         assert_eq!(load_snapshot_dir(&mut pruned, &dir).unwrap(), 1);
         assert!(pruned.get_snapshot(SnapshotKey(0xabcd)).is_none());
         assert!(pruned.get_snapshot(SnapshotKey(0x1234)).is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn saving_a_loaded_dir_writes_only_what_the_run_inserted() {
+        let dir =
+            std::env::temp_dir().join(format!("sz_batch_snapdir_inserted_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = |key: u64| dir.join(format!("{key:016x}.snap"));
+        let read = |key: u64| std::fs::read_to_string(path(key)).unwrap();
+        let mut first = ResultCache::new().with_snapshot_budget(1 << 20);
+        for key in 1..=3 {
+            first.insert_snapshot(SnapshotKey(key), format!("snapshot {key}"));
+        }
+        assert_eq!(save_snapshot_dir(&first, &dir).unwrap(), 3);
+
+        // Loading and saving rewrites no file. Each file changes on disk
+        // after the load, so a save that wrote a loaded snapshot back
+        // would show as the loaded text returning.
+        let mut resumed = ResultCache::new();
+        assert_eq!(attach_snapshot_dir(&mut resumed, &dir).unwrap(), 3);
+        for key in 1..=3 {
+            std::fs::write(path(key), format!("on disk {key}")).unwrap();
+        }
+        assert_eq!(save_snapshot_dir(&resumed, &dir).unwrap(), 0);
+        for key in 1..=3 {
+            assert_eq!(read(key), format!("on disk {key}"));
+        }
+
+        // An insert over a loaded key (a corrupt file re-captured by a
+        // cold run) writes that one file, and a new key its own.
+        let mut recaptured = ResultCache::new();
+        attach_snapshot_dir(&mut recaptured, &dir).unwrap();
+        recaptured.insert_snapshot(SnapshotKey(2), "snapshot 2".to_owned());
+        recaptured.insert_snapshot(SnapshotKey(4), "snapshot 4".to_owned());
+        for key in [1, 3] {
+            std::fs::write(path(key), "written elsewhere").unwrap();
+        }
+        assert_eq!(save_snapshot_dir(&recaptured, &dir).unwrap(), 2);
+        assert_eq!([read(2), read(4)], ["snapshot 2", "snapshot 4"]);
+        assert_eq!(
+            [read(1), read(3)],
+            ["written elsewhere", "written elsewhere"]
+        );
+
+        // Loading over an inserted key takes the disk's text back, so
+        // nothing is left to write.
+        load_snapshot_dir(&mut recaptured, &dir).unwrap();
+        assert_eq!(save_snapshot_dir(&recaptured, &dir).unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -76,8 +76,9 @@ fn main() {
         let cache = cache.lock().unwrap();
         let saved = save_snapshot_dir(&cache, dir).expect("snapshot dir must be writable");
         println!(
-            "snapshots: {} resumed this run; saved {saved} to {} ({} bytes)",
+            "snapshots: {} resumed this run; wrote {saved} of {} to {} ({} bytes held)",
             report.snapshot_hits(),
+            cache.snapshot_count(),
             dir.display(),
             cache.snapshot_bytes(),
         );

@@ -12,22 +12,11 @@
 //!   [`RuleStat`](sz_egraph::RuleStat)s), emitting `BENCH_ematch.json`;
 //!   its `--baseline` mode fails if any rule listed in
 //!   `crates/bench/ematch_baseline.txt` reports zero matches (CI's
-//!   e-matching regression gate);
-//! * `corpus` — the standing soak workload: a generated corpus
-//!   (`sz-gen`, 10⁴–10⁵ models) through the sharded engine — cold
-//!   per-shard passes over a shared cache, then a warm full pass —
-//!   emitting `BENCH_corpus.json` (cold/warm throughput, cache and
-//!   snapshot hit rates, p50/p99 job latency); its `--baseline` mode
-//!   is CI's corpus-soak regression gate
-//!   (`crates/bench/corpus_baseline.txt`);
-//! * `trace_overhead` — telemetry overhead guard: suite16 wall time
-//!   with [`szalinski::Telemetry`] disabled vs null-sink vs fully
-//!   recording, emitting `BENCH_trace.json`; `--gate` fails the run
-//!   when recording costs more than the 5 % budget.
+//!   e-matching regression gate).
 //!
-//! Criterion benches cover saturation throughput, solver fits,
-//! extraction, end-to-end synthesis time per model, the ε-sweep, and the
-//! structural-rules ablation.
+//! Timing lives in one harness, `perfbench/` (see `BENCHMARK.json`):
+//! end-to-end throughput and latency on a generated corpus, and a
+//! per-layer split with `--trace 1`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -79,8 +68,9 @@ pub fn run_table1_with(engine: &BatchEngine) -> Vec<TableRow> {
         .collect()
 }
 
-/// [`run_table1_with`], returning the full [`BatchReport`] (cache and
-/// snapshot-tier hit counts included). Note the `wardrobe@` job shares
+/// [`run_table1_with`], returning the full
+/// [`BatchReport`](sz_batch::BatchReport) (cache and snapshot-tier hit
+/// counts included). Note the `wardrobe@` job shares
 /// `wardrobe`'s saturation config and differs only in the cost
 /// function, so with a snapshot-tier cache attached it can resume from
 /// `wardrobe`'s saturated e-graph instead of re-saturating (guaranteed
@@ -132,8 +122,8 @@ pub fn aggregate(rows: &[TableRow]) -> Aggregate {
     }
 }
 
-/// A faster configuration for timing benches (same pipeline, tighter
-/// fuel), so Criterion iterations stay tractable.
+/// A faster configuration (same pipeline, tighter fuel): the default
+/// of the `ematch` profile.
 pub fn quick_config() -> SynthConfig {
     SynthConfig::new()
         .with_k(3)

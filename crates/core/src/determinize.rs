@@ -131,7 +131,7 @@ pub struct DetList {
 }
 
 /// Maximum number of alternative determinizations handed to the solvers.
-const MAX_DETERMINIZATIONS: usize = 8;
+pub(crate) const MAX_DETERMINIZATIONS: usize = 8;
 
 /// One class's [`chains_of`] with each chain's signature and canonical
 /// leaf, as the matching loops compare them.
@@ -213,31 +213,21 @@ impl ChainMemo {
     }
 }
 
-/// Determinizes a list of element classes under **every** consistent
-/// signature (longest first, up to a cap): for each signature admitted by
-/// all elements, selects one matching chain per element (paper §4.2:
-/// "pick an element and respect the same order for all others").
+/// Determinizes a list of element classes under every consistent
+/// signature, longest first, up to `cap` of them: for each signature
+/// admitted by all elements, selects one matching chain per element
+/// (paper §4.2: "pick an element and respect the same order for all
+/// others"). Element chains are read through `memo`, the calling pass's.
 ///
-/// Returning all candidates rather than one is what lets the solvers
-/// populate the e-graph with *diverse* parameterizations — e.g. both the
-/// nested-loop and the trigonometric hex-cell programs of Figs. 18/19.
-pub fn determinize_all(egraph: &CadGraph, elements: &[Id]) -> Vec<DetList> {
-    determinize_all_with(egraph, elements, &mut ChainMemo::default())
-}
-
-/// [`determinize_all`] reading element chains through a pass's memo.
-pub(crate) fn determinize_all_with(
+/// List manipulation sorts by the first determinization (`cap` 1).
+/// Inference takes up to [`MAX_DETERMINIZATIONS`]: handing the solvers
+/// several lets them populate the e-graph with *diverse*
+/// parameterizations — e.g. both the nested-loop and the trigonometric
+/// hex-cell programs of Figs. 18/19.
+pub(crate) fn determinize(
     egraph: &CadGraph,
     elements: &[Id],
-    memo: &mut ChainMemo,
-) -> Vec<DetList> {
-    determinize_up_to(egraph, elements, MAX_DETERMINIZATIONS, memo)
-}
-
-fn determinize_up_to(
-    egraph: &CadGraph,
-    elements: &[Id],
-    max: usize,
+    cap: usize,
     memo: &mut ChainMemo,
 ) -> Vec<DetList> {
     if elements.is_empty() {
@@ -300,7 +290,7 @@ fn determinize_up_to(
                     .map(|(elem, &j)| elem.chains[j].clone())
                     .collect(),
             });
-            if out.len() >= max {
+            if out.len() >= cap {
                 break;
             }
         }
@@ -308,29 +298,15 @@ fn determinize_up_to(
     out
 }
 
-/// The single preferred determinization (the longest consistent
-/// signature); see [`determinize_all`]. Stops at the first hit rather
-/// than materializing all candidates.
-pub fn determinize(egraph: &CadGraph, elements: &[Id]) -> Option<DetList> {
-    determinize_with(egraph, elements, &mut ChainMemo::default())
-}
-
-/// [`determinize`] reading element chains through a pass's memo.
-pub(crate) fn determinize_with(
-    egraph: &CadGraph,
-    elements: &[Id],
-    memo: &mut ChainMemo,
-) -> Option<DetList> {
-    determinize_up_to(egraph, elements, 1, memo)
-        .into_iter()
-        .next()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CadAnalysis;
     use sz_egraph::{RecExpr, Runner};
+
+    fn first(eg: &CadGraph, elements: &[Id]) -> Option<DetList> {
+        determinize(eg, elements, 1, &mut ChainMemo::default()).pop()
+    }
 
     fn graph(s: &str) -> (CadGraph, Id) {
         let mut eg = CadGraph::default();
@@ -371,7 +347,7 @@ mod tests {
         let e1 = eg.add_expr(&"(Translate (Vec3 2 0 0) Unit)".parse().unwrap());
         let e2 = eg.add_expr(&"(Translate (Vec3 4 0 0) Unit)".parse().unwrap());
         eg.rebuild();
-        let det = determinize(&eg, &[e1, e2]).unwrap();
+        let det = first(&eg, &[e1, e2]).unwrap();
         assert_eq!(det.signature, vec![AffineKind::Translate]);
         assert_eq!(det.chains[0].layers[0].vec, [2.0, 0.0, 0.0]);
         assert_eq!(det.chains[1].layers[0].vec, [4.0, 0.0, 0.0]);
@@ -399,7 +375,12 @@ mod tests {
             .with_iter_limit(3)
             .run(&crate::rules::reordering_rules());
         let eg = runner.egraph;
-        let dets = determinize_all(&eg, &[e1, e2]);
+        let dets = determinize(
+            &eg,
+            &[e1, e2],
+            MAX_DETERMINIZATIONS,
+            &mut ChainMemo::default(),
+        );
         let det = dets
             .iter()
             .find(|d| d.signature == vec![AffineKind::Rotate, AffineKind::Scale])
@@ -418,7 +399,7 @@ mod tests {
         let e1 = eg.add_expr(&"(Translate (Vec3 2 0 0) Unit)".parse().unwrap());
         let e2 = eg.add_expr(&"Unit".parse().unwrap());
         eg.rebuild();
-        let det = determinize(&eg, &[e1, e2]).unwrap();
+        let det = first(&eg, &[e1, e2]).unwrap();
         // Only the empty signature is common.
         assert!(det.signature.is_empty());
     }
@@ -441,7 +422,7 @@ mod tests {
         let e1 = eg.add_expr(&"(Translate (Vec3 4 0 0) Unit)".parse().unwrap());
         let e2 = eg.add_expr(&"(Translate (Vec3 2 0 0) Unit)".parse().unwrap());
         eg.rebuild();
-        let det = determinize(&eg, &[e1, e2]).unwrap();
+        let det = first(&eg, &[e1, e2]).unwrap();
         assert!(det.chains[0].sort_key() > det.chains[1].sort_key());
     }
 }

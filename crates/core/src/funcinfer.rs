@@ -9,7 +9,7 @@ use sz_cad::{AffineKind, Expr};
 use sz_egraph::{CancelToken, Id};
 
 use crate::analysis::CadGraph;
-use crate::determinize::{determinize_all_with, ChainMemo, DetList};
+use crate::determinize::{determinize, ChainMemo, DetList, MAX_DETERMINIZATIONS};
 use crate::lists::{add_cons_list, add_expr_tree, add_num, fold_sites, read_list};
 use crate::CadLang;
 
@@ -326,7 +326,7 @@ pub fn infer_functions_with(
         if elements.len() < 2 {
             continue;
         }
-        for det in determinize_all_with(egraph, &elements, &mut chains) {
+        for det in determinize(egraph, &elements, MAX_DETERMINIZATIONS, &mut chains) {
             if let Some(rec) = infer_for_list(egraph, list, &elements, &det, eps, &mut fits) {
                 records.push(rec);
             }

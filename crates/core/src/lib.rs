@@ -12,8 +12,9 @@
 //! 2. [`rules()`] — ~40 semantics-preserving rewrites (affine lifting /
 //!    reordering / collapsing, fold introduction, boolean laws) saturate
 //!    the graph under fuel limits;
-//! 3. [`determinize`](determinize::determinize) picks one consistent
-//!    affine decomposition per list element;
+//! 3. [determinization](mod@determinize) picks consistent affine
+//!    decompositions of each list's elements (the longest for list
+//!    manipulation, up to eight for inference);
 //! 4. [`list_manipulation`] adds lexicographically sorted list variants
 //!    inside commutative folds;
 //! 5. [`infer_functions_with`] fits closed forms (degree-1/2 polynomials
@@ -93,7 +94,7 @@ pub use cost::{
     CostSpecError, CostVec, DepthCost, DepthPenalty, GeomCount, Lexicographic, ModelCost, OpClass,
     RewardLoopsCost, WeightedCost, WeightedSum, COST_SPEC_GRAMMAR,
 };
-pub use determinize::{chains_of, determinize, determinize_all, AffineChain, ChainLayer, DetList};
+pub use determinize::{chains_of, AffineChain, ChainLayer, DetList};
 pub use funcinfer::{infer_functions_with, InferenceRecord, LoopShape, PassControl};
 pub use lang::{cad_to_lang, lang_to_cad, lang_to_cad_at, CadLang, FromLangError};
 pub use listmanip::list_manipulation;

@@ -6,7 +6,7 @@ use sz_cad::BoolOp;
 use sz_egraph::Id;
 
 use crate::analysis::CadGraph;
-use crate::determinize::{determinize_with, ChainMemo};
+use crate::determinize::{determinize, ChainMemo};
 use crate::lists::{add_cons_list, fold_sites, read_list};
 use crate::CadLang;
 
@@ -32,7 +32,7 @@ pub fn list_manipulation(egraph: &mut CadGraph) -> usize {
         if elements.len() < 2 {
             continue;
         }
-        let Some(det) = determinize_with(egraph, &elements, &mut chains) else {
+        let Some(det) = determinize(egraph, &elements, 1, &mut chains).pop() else {
             continue;
         };
         if det.signature.is_empty() {
@@ -136,7 +136,8 @@ mod tests {
             if elements.len() < 2 {
                 continue;
             }
-            let Some(det) = crate::determinize::determinize(egraph, &elements) else {
+            let Some(det) = determinize(egraph, &elements, 1, &mut ChainMemo::default()).pop()
+            else {
                 continue;
             };
             if det.signature.is_empty() {

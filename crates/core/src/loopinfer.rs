@@ -8,7 +8,7 @@ use sz_egraph::Id;
 use sz_solver::{fit_sequence, FittedFn};
 
 use crate::analysis::CadGraph;
-use crate::determinize::{determinize_all_with, ChainMemo};
+use crate::determinize::{determinize, ChainMemo, MAX_DETERMINIZATIONS};
 use crate::funcinfer::{add_affine_exprs, InferenceRecord, LoopShape, PassControl};
 use crate::lists::{add_num, fold_sites, read_list};
 use crate::CadLang;
@@ -312,7 +312,7 @@ pub fn infer_loops_with(
         if elements.len() < 4 {
             continue; // smallest nontrivial grid is 2×2
         }
-        for det in determinize_all_with(egraph, &elements, &mut chains) {
+        for det in determinize(egraph, &elements, MAX_DETERMINIZATIONS, &mut chains) {
             if det.signature.is_empty() {
                 continue;
             }

@@ -33,12 +33,12 @@ pub struct SynthConfig {
     /// E-node limit for saturation.
     pub node_limit: usize,
     /// Include the explosive structural boolean rules
-    /// (commutativity/associativity); off by default, measured in the
-    /// ablation bench.
+    /// (commutativity/associativity); off by default.
     pub structural_rules: bool,
     /// Throttle explosive rules with the e-graph's backoff scheduler
-    /// ([`Scheduler::backoff`]); off by default so results match the
-    /// paper's unthrottled saturation exactly.
+    /// ([`Scheduler::backoff`](sz_egraph::Scheduler::backoff)); off by
+    /// default so results match the paper's unthrottled saturation
+    /// exactly.
     pub backoff: bool,
     /// Extraction cost model (an **extraction-only** field: it feeds
     /// [`SynthConfig::fingerprint`] via [`CostModel::fingerprint`] but

@@ -270,9 +270,9 @@ pub fn boolean_rules() -> Vec<CadRewrite> {
 
 /// Structural boolean laws (commutativity / associativity / idempotence
 /// interactions). These grow the e-graph aggressively on long chains, so
-/// the default pipeline omits them (an ablation in the bench suite
-/// measures the difference); enable with
-/// [`SynthConfig::structural_rules`](crate::SynthConfig).
+/// the default pipeline omits them; enable with
+/// [`SynthConfig::structural_rules`](crate::SynthConfig) (`szb
+/// --structural-rules`).
 pub fn structural_rules() -> Vec<CadRewrite> {
     vec![
         syntactic("union-comm", "(Union ?a ?b)", "(Union ?b ?a)"),

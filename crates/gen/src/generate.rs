@@ -220,8 +220,8 @@ pub fn models(spec: &GenSpec) -> impl Iterator<Item = GenModel> + '_ {
 }
 
 /// Like [`models`], but each generation runs under a `gen/model` span
-/// and feeds the `gen.models` counter and `gen.nodes` histogram — the
-/// signals the corpus soak driver reports.
+/// and feeds the `gen.models` counter and `gen.nodes` histogram
+/// (`szgen --trace` runs through it).
 pub fn models_traced<'a>(
     spec: &'a GenSpec,
     telemetry: &'a Telemetry,

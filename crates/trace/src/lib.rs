@@ -20,8 +20,9 @@
 //! A disabled handle is an internal `None`: no clock reads, no
 //! allocation, no locking — a single branch per instrumentation point.
 //! Every instrumented hot path in the workspace is gated this way, so
-//! `Telemetry::disabled()` (the default everywhere) costs nothing
-//! measurable (see `crates/bench/src/bin/trace_overhead.rs`).
+//! `Telemetry::disabled()` (the default everywhere) pays one branch per
+//! point. What recording costs on top is perfbench's
+//! `trace.overhead_ratio` (`perfbench/README.md`).
 //!
 //! ## Determinism
 //!

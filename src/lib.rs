@@ -60,8 +60,7 @@
 //! the mid-layer crates (arrows still point strictly downward):
 //!
 //! ```text
-//!   sz-bench (`corpus` soak bin) ──┐
-//!   sz-batch (`szb --gen <spec>`) ─┴─► sz-gen (szgen CLI)
+//!   sz-batch (`szb --gen <spec>`) ───► sz-gen (szgen CLI)
 //!                                        │  spec → (seed, index)-keyed
 //!                                        │  RNG → flat CSG + manifest
 //!                                        ├──► sz-models (primitives, noise)
@@ -184,10 +183,12 @@
 //!   (`szgen verify`, drift detection); `szb --gen <spec>` streams a
 //!   generated corpus straight into the batch engine with no files on
 //!   disk (jobs named `gen:<seed>:<index>`, so `--shard` and
-//!   `szb merge` work unchanged); and the `corpus` soak bin in
-//!   `sz-bench` runs 10⁴–10⁵-model soaks (`BENCH_corpus.json`) whose
-//!   counts CI pins. Performance changes are measured by the separate
-//!   `perfbench` harness over the workloads `BENCHMARK.json` declares.
+//!   `szb merge` work unchanged). CI's `corpus-soak` job pins a
+//!   500-model corpus's counts with `szb` itself: sharded cold runs,
+//!   a warm rerun served wholly by the shared cache file, and a k + 1
+//!   rerun resumed wholly from the shared snapshot dir. Performance
+//!   changes are measured by the separate `perfbench` harness over the
+//!   workloads `BENCHMARK.json` declares.
 //! * **`sz-batch`** is the corpus engine added on top: a work-stealing
 //!   thread pool with per-job panic isolation and one run path
 //!   (`BatchEngine::run`; one worker is the in-order run), a
@@ -203,21 +204,20 @@
 //!   cancels one job, `--deadline` bounds the whole batch, and a shared
 //!   `CancelToken` aborts everything in flight — all cooperatively,
 //!   all still emitting partial programs.
-//! * **`sz-bench`** regenerates the paper's Table 1 and figures, now
-//!   through the batch engine (`run_table1_with`), plus Criterion-style
-//!   micro-benches. Saturation runs record per-rule
-//!   [`sz_egraph::RuleStat`] search/apply profiles, surfaced in `szb`'s
-//!   JSONL job records (`search_time_s`, `apply_time_s`, `rules[]`) and
-//!   aggregated corpus-wide by the `ematch` binary into
-//!   `BENCH_ematch.json` (whose `--baseline` mode is CI's
-//!   zero-matches regression gate).
+//! * **`sz-bench`** regenerates the paper's Table 1 and figures
+//!   through the batch engine (`run_table1_with`). Saturation runs
+//!   record per-rule [`sz_egraph::RuleStat`] search/apply profiles,
+//!   surfaced in `szb`'s JSONL job records (`search_time_s`,
+//!   `apply_time_s`, `rules[]`) and aggregated corpus-wide by the
+//!   `ematch` binary into `BENCH_ematch.json` (whose `--baseline` mode
+//!   is CI's zero-matches regression gate).
 //! * **`sz-trace`** is the observability base layer (zero external
 //!   dependencies), threaded through every crate above via one
 //!   [`sz_trace::Telemetry`] bundle — a clone-shared pair of a span
 //!   [`sz_trace::Tracer`] and a [`sz_trace::Metrics`] registry, both
 //!   **disabled by default** as a `None` behind an `Option<Arc<…>>` so
-//!   the untraced hot path pays a null check and nothing else (the
-//!   `trace_overhead` bin gates recording at ≤ 5 % over suite16):
+//!   the untraced hot path pays a null check and nothing else
+//!   (perfbench reports what recording costs as `trace.overhead_ratio`):
 //!
 //!   ```text
 //!   Telemetry ─┬─ Tracer   spans:   batch/job · pipeline/{saturation,
@@ -242,8 +242,8 @@
 //!   (`tests/telemetry_determinism.rs`); recording never changes
 //!   synthesis output (byte-identical OpenSCAD, checked in CI).
 //!
-//! Offline stand-ins for `rand`/`proptest`/`criterion` live in
-//! `third_party/` (the build environment has no crates.io access); see
+//! Offline stand-ins for `rand` and `proptest` live in `third_party/`
+//! (the build environment has no crates.io access); see
 //! `third_party/README.md`.
 
 pub use sz_batch;

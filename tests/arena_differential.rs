@@ -18,14 +18,19 @@
 //!    byte-identical with **zero format-version bump**: `NodeId`s are
 //!    per-instance derived state and never leak into the text format.
 //!
-//! CI runs this suite in the `egraph-core` job alongside the bench
-//! regression gate; the VM-vs-naive e-matching differentials run in
-//! tier-1 and the `ematch-differential` job.
+//! A fourth test pins the arena's exact counts (adds, probes, unions,
+//! nodes, classes, arena and memo sizes) on a fixed Arith workload.
+//!
+//! The suite runs in tier-1 and in CI's `egraph-core` job; the
+//! VM-vs-naive e-matching differentials run in tier-1 and the
+//! `ematch-differential` job.
 
 use proptest::prelude::*;
 use sz_cad::{AffineKind, Cad};
+use sz_egraph::tests_lang::Arith;
 use sz_egraph::{
-    AstSize, Extractor, KBestExtractor, Language, Runner, Snapshot, SNAPSHOT_FORMAT_VERSION,
+    AstSize, EGraph, Extractor, Id, KBestExtractor, Language, Runner, Snapshot,
+    SNAPSHOT_FORMAT_VERSION,
 };
 use szalinski::{all_rules, cad_to_lang, CadAnalysis, CadGraph, CadLang};
 
@@ -182,4 +187,72 @@ proptest! {
             prop_assert!(w[0].0 <= w[1].0, "k-best front not sorted");
         }
     }
+}
+
+/// The arena's exact counts on a fixed Arith workload: a balanced
+/// `+`-tree over 8 192 distinct leaves, memo probes of every leaf, a
+/// union wave that makes every `+` over mirrored leaves congruent (a
+/// cascade up the tree), the rebuild that repairs it, and one sparse
+/// leaf union. The workload is deterministic, so any drift in these
+/// numbers is an interning, memo or rebuild bug.
+#[test]
+fn arith_tree_workload_counts_are_exact() {
+    const N_LEAVES: usize = 1 << 13;
+    const PROBE_SWEEPS: usize = 8;
+    let mut eg: EGraph<Arith, ()> = EGraph::default();
+
+    // Hash-consed adds: every leaf and every inner `+` is a new node.
+    let leaves: Vec<Id> = (0..N_LEAVES)
+        .map(|i| eg.add(Arith::Num(i as i64)))
+        .collect();
+    let mut adds = leaves.len();
+    let mut layer = leaves.clone();
+    while layer.len() > 1 {
+        layer = layer
+            .chunks(2)
+            .map(|pair| match *pair {
+                [a, b] => {
+                    adds += 1;
+                    eg.add(Arith::Add([a, b]))
+                }
+                [a] => a,
+                _ => unreachable!(),
+            })
+            .collect();
+    }
+    eg.rebuild();
+    assert_eq!(adds, 16_383);
+    assert_eq!(eg.total_number_of_nodes(), 16_383, "peak nodes");
+
+    // Memo probes: every leaf is found.
+    let mut probes = 0usize;
+    let mut found = 0usize;
+    for _ in 0..PROBE_SWEEPS {
+        for i in 0..N_LEAVES {
+            probes += 1;
+            found += usize::from(eg.lookup(Arith::Num(i as i64)).is_some());
+        }
+    }
+    assert_eq!((probes, found), (65_536, 65_536));
+
+    // The union wave: leaf i with leaf i + n/2.
+    let half = N_LEAVES / 2;
+    let unions = (0..half)
+        .filter(|&i| eg.union(leaves[i], leaves[i + half]).1)
+        .count();
+    assert_eq!(unions, 4_096);
+    eg.rebuild();
+    assert_eq!(eg.number_of_classes(), 8_192);
+    assert_eq!(eg.arena_size(), 16_384);
+    assert_eq!(eg.memo_size(), 16_384);
+
+    // One fresh leaf unioned into leaf 0 leaves the class count as is.
+    let fresh = eg.add(Arith::Num(N_LEAVES as i64));
+    eg.union(leaves[0], fresh);
+    eg.rebuild();
+    assert_eq!(
+        eg.number_of_classes(),
+        8_192,
+        "classes after the sparse union"
+    );
 }

@@ -2,6 +2,8 @@
 //! trips, rewrite soundness under the geometric semantics, solver
 //! recovery of planted closed forms, and evaluator/validator agreement.
 
+use std::sync::OnceLock;
+
 use proptest::prelude::*;
 use sz_cad::{AffineKind, Cad};
 use sz_mesh::validate_flat;
@@ -275,5 +277,157 @@ proptest! {
         let scad = sz_scad::cad_to_scad(&flat).unwrap();
         let back = sz_scad::scad_to_flat_csg(&scad).unwrap();
         prop_assert_eq!(back.num_prims(), n);
+    }
+}
+
+/// A text reader under the no-panic property: its name, a call that
+/// says whether it accepted a text, and valid texts to mutate.
+struct FuzzReader {
+    name: &'static str,
+    read: fn(&str) -> bool,
+    bases: Vec<String>,
+}
+
+/// Mutated texts stay this short, so their nesting stays far below the
+/// depth bound the batch readers enforce before parsing.
+const MAX_FUZZ_LEN: usize = 300;
+
+/// Every text reader with its valid texts, each at most
+/// [`MAX_FUZZ_LEN`] bytes.
+fn fuzz_readers() -> &'static [FuzzReader] {
+    static READERS: OnceLock<Vec<FuzzReader>> = OnceLock::new();
+    READERS.get_or_init(|| {
+        let lambda = "(Fold Union Empty (Mapi (Fun (Translate (* 2 (+ i 1)) 0 0 c)) (Repeat Unit 3)))";
+        let mut cache = sz_batch::ResultCache::new();
+        let programs = [sz_models::row_of_cubes(2, 2.0), lambda.parse().unwrap()];
+        for (key, program) in (0x2a..).zip(programs) {
+            let run = sz_batch::CachedRun {
+                programs: vec![(9, program)],
+                time_s: 0.25,
+            };
+            cache.insert(sz_batch::JobKey(key), run);
+        }
+        let owned = |texts: &[&str]| texts.iter().map(|&t| t.to_owned()).collect::<Vec<_>>();
+        let models = owned(&[
+            "ast-size",
+            "weights(loop=1,geom=10)",
+            "depth-penalty(reward-loops,2)",
+            "lex(depth,size)",
+            "sum(size,depth,3,1)",
+        ]);
+        let mut specs = models.clone();
+        specs.push("pareto(size,geom)".to_owned());
+        vec![
+            FuzzReader {
+                name: "Cad::from_str",
+                read: |t| t.parse::<Cad>().is_ok(),
+                bases: vec![
+                    sz_models::row_of_cubes(3, 2.0).to_string(),
+                    sz_models::grid_2x2().to_string(),
+                    "(Diff (Scale 2 2 2 Cylinder) (Rotate 0 0 45.5 (Translate -1 0.25 1e-3 Sphere)))"
+                        .to_owned(),
+                    lambda.to_owned(),
+                ],
+            },
+            FuzzReader {
+                name: "parse_scad",
+                read: |t| sz_scad::parse_scad(t).is_ok(),
+                bases: vec![
+                    sz_scad::cad_to_scad(&sz_models::row_of_cubes(2, 2.0)).unwrap(),
+                    "for (i = [0:3]) translate([2 * i, 0, 0]) cube([1, 1, 1], center = true);"
+                        .to_owned(),
+                    "difference() { sphere(r = 5); rotate([0, 0, 30]) cylinder(h = 2, r = 1); }"
+                        .to_owned(),
+                ],
+            },
+            FuzzReader {
+                name: "parse_cost_spec",
+                read: |t| szalinski::parse_cost_spec(t).is_ok(),
+                bases: specs,
+            },
+            FuzzReader {
+                name: "parse_cost_model",
+                read: |t| szalinski::parse_cost_model(t).is_ok(),
+                bases: models,
+            },
+            FuzzReader {
+                name: "GenSpec::from_str",
+                read: |t| t.parse::<sz_gen::GenSpec>().is_ok(),
+                bases: owned(&[
+                    "count=500,seed=42,noise=0.0005",
+                    "count=50,seed=7,arity=3..6,structure=row:2+ring:1+grid:1",
+                    "secs=1..3,prims=cube:4+cylinder:2+sphere:1+hexagon:1",
+                ]),
+            },
+            FuzzReader {
+                name: "ResultCache::from_lines",
+                read: |t| sz_batch::ResultCache::from_lines(t).is_ok(),
+                bases: vec![cache.to_lines()],
+            },
+        ]
+    })
+}
+
+/// Bytes a mutation inserts or writes: the readers' delimiters, digits,
+/// letters and whitespace, a NUL, and bytes that are not UTF-8 on their
+/// own.
+const FUZZ_BYTES: &[u8] = b"()[]{};,=.:+-*/<>\"\\ \t\n0123456789eEainxz_\x00\xc3\xa9\xff";
+
+/// Applies one edit to `bytes`: `kind` picks a byte delete, insert or
+/// replacement, a truncation, or a duplicated span; `a` and `b` place it.
+fn mutate_bytes(bytes: &mut Vec<u8>, kind: u8, a: usize, b: usize) {
+    let n = bytes.len();
+    let at = a % (n + 1);
+    let byte = FUZZ_BYTES[b % FUZZ_BYTES.len()];
+    match kind {
+        0 if n > 0 => {
+            bytes.remove(at % n);
+        }
+        1 => bytes.insert(at, byte),
+        2 if n > 0 => bytes[at % n] = byte,
+        3 => bytes.truncate(at),
+        4 => {
+            let span = bytes[at..at + b % (n - at + 1)].to_vec();
+            let to = (a / 3 + b) % (n + 1);
+            bytes.splice(to..to, span);
+        }
+        _ => {}
+    }
+}
+
+#[test]
+fn fuzz_bases_are_short_and_read_cleanly() {
+    for reader in fuzz_readers() {
+        for text in &reader.bases {
+            let name = reader.name;
+            assert!(text.len() <= MAX_FUZZ_LEN, "{name} base too long: {text}");
+            assert!((reader.read)(text), "{name} rejects its base: {text}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    #[test]
+    fn mutated_texts_never_panic_a_reader(
+        pick in 0usize..1_000,
+        edits in prop::collection::vec((0u8..5, 0usize..1 << 20, 0usize..1 << 20), 1..5),
+    ) {
+        // Each case feeds every reader one mutated text; a reader that
+        // panics fails the test.
+        for reader in fuzz_readers() {
+            let mut bytes = reader.bases[pick % reader.bases.len()].as_bytes().to_vec();
+            for &(kind, a, b) in &edits {
+                mutate_bytes(&mut bytes, kind, a, b);
+            }
+            let mut text = String::from_utf8_lossy(&bytes).into_owned();
+            let mut cut = text.len().min(MAX_FUZZ_LEN);
+            while !text.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            text.truncate(cut);
+            (reader.read)(&text);
+        }
     }
 }

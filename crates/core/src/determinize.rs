@@ -3,7 +3,6 @@
 //! many) variants the rewrites created, so the function solvers get a
 //! well-defined concrete query.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use sz_cad::AffineKind;
@@ -14,20 +13,18 @@ use crate::CadLang;
 
 /// One affine layer of a decomposed element.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChainLayer {
+pub(crate) struct ChainLayer {
     /// The transformation kind.
     pub kind: AffineKind,
     /// Its concrete vector.
     pub vec: [f64; 3],
-    /// The e-class of the vector (reusable when rebuilding terms).
-    pub vec_id: Id,
     /// The e-class of the subterm under this layer.
     pub child: Id,
 }
 
 /// An element viewed as a chain of affine layers over a leaf class.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AffineChain {
+pub(crate) struct AffineChain {
     /// Outermost-first affine layers.
     pub layers: Vec<ChainLayer>,
     /// The class of the innermost (non-decomposed) subterm.
@@ -56,7 +53,7 @@ const MAX_DEPTH: usize = 8;
 /// Enumerates affine decompositions of the class `id`, up to bounded
 /// depth and count. Every class at least offers the trivial chain
 /// (no layers, leaf = itself).
-pub fn chains_of(egraph: &CadGraph, id: Id) -> Vec<AffineChain> {
+pub(crate) fn chains_of(egraph: &CadGraph, id: Id) -> Vec<AffineChain> {
     fn go(
         egraph: &CadGraph,
         id: Id,
@@ -91,7 +88,6 @@ pub fn chains_of(egraph: &CadGraph, id: Id) -> Vec<AffineChain> {
             let layer = ChainLayer {
                 kind,
                 vec,
-                vec_id: egraph.find(vec_id),
                 child: egraph.find(child),
             };
             // Every node is guaranteed a minimal emission quota even when
@@ -122,7 +118,7 @@ pub fn chains_of(egraph: &CadGraph, id: Id) -> Vec<AffineChain> {
 
 /// A determinized list: one chain per element, all sharing a signature.
 #[derive(Debug, Clone)]
-pub struct DetList {
+pub(crate) struct DetList {
     /// The common kind sequence (outermost first). May be empty when the
     /// elements have no common affine structure.
     pub signature: Vec<AffineKind>,
@@ -131,113 +127,50 @@ pub struct DetList {
 }
 
 /// Maximum number of alternative determinizations handed to the solvers.
-pub(crate) const MAX_DETERMINIZATIONS: usize = 8;
+const MAX_DETERMINIZATIONS: usize = 8;
 
-/// One class's [`chains_of`] with each chain's signature and canonical
-/// leaf, as the matching loops compare them.
+/// One class's [`chains_of`] with each chain's signature, as the matching
+/// loops compare them.
 #[derive(Debug)]
-struct ClassChains {
+pub(crate) struct ClassChains {
     chains: Vec<AffineChain>,
     sigs: Vec<Vec<AffineKind>>,
-    leaves: Vec<Id>,
 }
 
-impl ClassChains {
-    fn of(egraph: &CadGraph, id: Id) -> ClassChains {
-        let chains = chains_of(egraph, id);
-        let sigs = chains.iter().map(AffineChain::signature).collect();
-        let leaves = chains.iter().map(|c| egraph.find(c.leaf)).collect();
-        ClassChains {
-            chains,
-            sigs,
-            leaves,
-        }
-    }
-
-    /// Equal chains, vectors compared by bits.
-    fn same_as(&self, other: &ClassChains) -> bool {
-        let layers_eq = |a: &ChainLayer, b: &ChainLayer| {
-            a.kind == b.kind
-                && a.vec.map(f64::to_bits) == b.vec.map(f64::to_bits)
-                && (a.vec_id, a.child) == (b.vec_id, b.child)
-        };
-        self.sigs == other.sigs
-            && self.leaves == other.leaves
-            && self.chains.len() == other.chains.len()
-            && self.chains.iter().zip(&other.chains).all(|(a, b)| {
-                a.leaf == b.leaf
-                    && a.layers.len() == b.layers.len()
-                    && a.layers.iter().zip(&b.layers).all(|(x, y)| layers_eq(x, y))
-            })
-    }
-}
-
-/// Element chains shared by the determinizations of one inference pass,
-/// keyed by canonical class.
-///
-/// [`chains_of`] reads only CAD classes: their affine nodes, the vectors'
-/// analysis data and the children's canonical ids. Adding nodes never
-/// changes an existing class of those, so an entry stays exact until a
-/// union merges a CAD class. Function and loop inference union only list
-/// classes and keep one memo for the whole pass; list manipulation merges
-/// a fold with its sorted variant, which keeps every entry when the
-/// variant's class is the one just added (the fold's class stays root and
-/// gains no affine node), and calls [`ChainMemo::clear`] after merging a
-/// class that already existed. Debug builds recompute every hit and
-/// compare.
-#[derive(Debug, Default)]
-pub(crate) struct ChainMemo {
-    classes: HashMap<Id, ClassChains, FxBuildHasher>,
-}
-
-impl ChainMemo {
-    /// Forgets every class; call after a union that may have changed a
-    /// CAD class's chains.
-    pub(crate) fn clear(&mut self) {
-        self.classes.clear();
-    }
-
-    /// Makes sure the canonical class of `id` is cached; returns it.
-    fn fill(&mut self, egraph: &CadGraph, id: Id) -> Id {
-        let id = egraph.find(id);
-        match self.classes.entry(id) {
-            Entry::Occupied(hit) => debug_assert!(
-                hit.get().same_as(&ClassChains::of(egraph, id)),
-                "stale chains for class {id}"
-            ),
-            Entry::Vacant(slot) => {
-                slot.insert(ClassChains::of(egraph, id));
-            }
-        }
-        id
-    }
-}
+/// Element chains by canonical class: the determinizations that share one
+/// read each class's chains once.
+pub(crate) type ChainCache = HashMap<Id, ClassChains, FxBuildHasher>;
 
 /// Determinizes a list of element classes under every consistent
-/// signature, longest first, up to `cap` of them: for each signature
-/// admitted by all elements, selects one matching chain per element
-/// (paper §4.2: "pick an element and respect the same order for all
-/// others"). Element chains are read through `memo`, the calling pass's.
+/// signature, longest first, up to [`MAX_DETERMINIZATIONS`] of them: for
+/// each signature admitted by all elements, selects one matching chain per
+/// element (paper §4.2: "pick an element and respect the same order for
+/// all others"). Element chains are read through `cache`, filling it.
 ///
-/// List manipulation sorts by the first determinization (`cap` 1).
-/// Inference takes up to [`MAX_DETERMINIZATIONS`]: handing the solvers
-/// several lets them populate the e-graph with *diverse*
-/// parameterizations — e.g. both the nested-loop and the trigonometric
-/// hex-cell programs of Figs. 18/19.
+/// List manipulation sorts by the first determinization. Inference takes
+/// them all: handing the solvers several lets them populate the e-graph
+/// with *diverse* parameterizations — e.g. both the nested-loop and the
+/// trigonometric hex-cell programs of Figs. 18/19.
 pub(crate) fn determinize(
     egraph: &CadGraph,
     elements: &[Id],
-    cap: usize,
-    memo: &mut ChainMemo,
+    cache: &mut ChainCache,
 ) -> Vec<DetList> {
     if elements.is_empty() {
         return Vec::new();
     }
     // Each distinct class is enumerated once (a `Repeat` list holds one
     // class n times); the matching loops below are quadratic in chains,
-    // so they compare the cached signatures and canonical leaves.
-    let keys: Vec<Id> = elements.iter().map(|&e| memo.fill(egraph, e)).collect();
-    let all: Vec<&ClassChains> = keys.iter().map(|k| &memo.classes[k]).collect();
+    // so they compare the cached signatures and the chains' canonical
+    // leaves.
+    for id in elements.iter().map(|&e| egraph.find(e)) {
+        cache.entry(id).or_insert_with(|| {
+            let chains = chains_of(egraph, id);
+            let sigs = chains.iter().map(AffineChain::signature).collect();
+            ClassChains { chains, sigs }
+        });
+    }
+    let all: Vec<&ClassChains> = elements.iter().map(|&e| &cache[&egraph.find(e)]).collect();
 
     // Candidate signatures from element 0, longest first.
     let mut candidates: Vec<&[AffineKind]> = all[0].sigs.iter().map(Vec::as_slice).collect();
@@ -256,12 +189,12 @@ pub(crate) fn determinize(
         // reordered variants).
         let mut found = false;
         'leaf: for i0 in (0..all[0].chains.len()).filter(|&i0| all[0].sigs[i0] == sig) {
-            let leaf0 = all[0].leaves[i0];
+            let leaf0 = all[0].chains[i0].leaf;
             picks.clear();
             picks.push(i0);
             for elem in &all[1..] {
                 match (0..elem.chains.len())
-                    .find(|&j| elem.sigs[j] == sig && elem.leaves[j] == leaf0)
+                    .find(|&j| elem.sigs[j] == sig && elem.chains[j].leaf == leaf0)
                 {
                     Some(j) => picks.push(j),
                     None => continue 'leaf,
@@ -290,7 +223,7 @@ pub(crate) fn determinize(
                     .map(|(elem, &j)| elem.chains[j].clone())
                     .collect(),
             });
-            if out.len() >= cap {
+            if out.len() >= MAX_DETERMINIZATIONS {
                 break;
             }
         }
@@ -305,7 +238,9 @@ mod tests {
     use sz_egraph::{RecExpr, Runner};
 
     fn first(eg: &CadGraph, elements: &[Id]) -> Option<DetList> {
-        determinize(eg, elements, 1, &mut ChainMemo::default()).pop()
+        determinize(eg, elements, &mut ChainCache::default())
+            .into_iter()
+            .next()
     }
 
     fn graph(s: &str) -> (CadGraph, Id) {
@@ -375,12 +310,7 @@ mod tests {
             .with_iter_limit(3)
             .run(&crate::rules::reordering_rules());
         let eg = runner.egraph;
-        let dets = determinize(
-            &eg,
-            &[e1, e2],
-            MAX_DETERMINIZATIONS,
-            &mut ChainMemo::default(),
-        );
+        let dets = determinize(&eg, &[e1, e2], &mut ChainCache::default());
         let det = dets
             .iter()
             .find(|d| d.signature == vec![AffineKind::Rotate, AffineKind::Scale])

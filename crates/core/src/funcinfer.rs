@@ -2,15 +2,16 @@
 //! transformed CADs into `Mapi`/`Repeat` structure with solver-inferred
 //! closed forms — the "inverse transformation" at the heart of Szalinski.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 
 use sz_cad::{AffineKind, Expr};
-use sz_egraph::{CancelToken, Id};
+use sz_egraph::{CancelToken, Id, RecExpr};
 
 use crate::analysis::CadGraph;
-use crate::determinize::{determinize, ChainMemo, DetList, MAX_DETERMINIZATIONS};
-use crate::lists::{add_cons_list, add_expr_tree, add_num, fold_sites, read_list};
+use crate::determinize::DetList;
+use crate::lang::expr_to_lang;
+use crate::lists::{add_cons_list, add_num, SiteTable};
 use crate::CadLang;
 
 /// The loop structure created by an inference pass (Table 1's `n-l`
@@ -56,6 +57,15 @@ pub struct InferenceRecord {
     pub shape: LoopShape,
 }
 
+impl InferenceRecord {
+    /// A record of `fit_tags`, sorted and deduplicated.
+    pub(crate) fn new(n: usize, mut fit_tags: Vec<String>, shape: LoopShape) -> Self {
+        fit_tags.sort();
+        fit_tags.dedup();
+        InferenceRecord { n, fit_tags, shape }
+    }
+}
+
 /// One fitted variant of an affine layer: component expressions plus
 /// the non-constant fit tags.
 pub(crate) struct LayerFit {
@@ -63,7 +73,9 @@ pub(crate) struct LayerFit {
     pub tags: Vec<String>,
 }
 
-fn to_expr(f: &sz_solver::FittedFn, kind: AffineKind, depth: u8) -> Expr {
+/// A fitted component of a `kind` layer over the index bound at `depth`:
+/// a `Rotate` component takes its rotation form when it has one.
+pub(crate) fn fitted_expr(f: &sz_solver::FittedFn, kind: AffineKind, depth: u8) -> Expr {
     if kind == AffineKind::Rotate {
         f.to_rotation_expr(depth)
             .unwrap_or_else(|| f.to_expr(depth))
@@ -122,7 +134,7 @@ pub(crate) fn fit_layer(
         if !first.is_constant() {
             tags.push(first.kind_tag().to_owned());
         }
-        primary.push(to_expr(first, kind, depth));
+        primary.push(fitted_expr(first, kind, depth));
         // Trig-preferring variant: take the sinusoid when available.
         let trig = fits
             .iter()
@@ -131,13 +143,13 @@ pub(crate) fn fit_layer(
             Some(t) => {
                 any_trig_alt |= !matches!(first, sz_solver::FittedFn::Trig(_));
                 trig_tags.push(t.kind_tag().to_owned());
-                trigged.push(to_expr(t, kind, depth));
+                trigged.push(fitted_expr(t, kind, depth));
             }
             None => {
                 if !first.is_constant() {
                     trig_tags.push(first.kind_tag().to_owned());
                 }
-                trigged.push(to_expr(first, kind, depth));
+                trigged.push(fitted_expr(first, kind, depth));
             }
         }
     }
@@ -161,22 +173,22 @@ pub(crate) fn add_affine_exprs(
     exprs: &[Expr; 3],
     child: Id,
 ) -> Id {
-    let x = add_expr_tree(egraph, &exprs[0]);
-    let y = add_expr_tree(egraph, &exprs[1]);
-    let z = add_expr_tree(egraph, &exprs[2]);
-    let vec = egraph.add(CadLang::Vec3([x, y, z]));
+    let mut vec = RecExpr::default();
+    let [x, y, z] = exprs.each_ref().map(|e| expr_to_lang(e, &mut vec));
+    vec.add(CadLang::Vec3([x, y, z]));
+    let vec = egraph.add_expr(&vec);
     egraph.add(CadLang::affine(kind, vec, child))
 }
 
 fn infer_for_list(
     egraph: &mut CadGraph,
+    table: &mut SiteTable,
     list: Id,
-    elements: &[Id],
     det: &DetList,
     eps: f64,
     memo: &mut FitMemo,
 ) -> Option<InferenceRecord> {
-    let n = elements.len();
+    let n = det.chains.len();
     let leaves: Vec<Id> = det.chains.iter().map(|c| egraph.find(c.leaf)).collect();
     let same_leaf = leaves.windows(2).all(|w| w[0] == w[1]);
 
@@ -184,13 +196,8 @@ fn infer_for_list(
         // No common affine structure; identical elements still repeat.
         if same_leaf && n >= 2 {
             let n_id = add_num(egraph, n as f64);
-            let rep = egraph.add(CadLang::Repeat([leaves[0], n_id]));
-            egraph.union(list, rep);
-            return Some(InferenceRecord {
-                n,
-                fit_tags: vec![],
-                shape: LoopShape::Repeat(n),
-            });
+            table.union_new(egraph, list, CadLang::Repeat([leaves[0], n_id]));
+            return Some(InferenceRecord::new(n, Vec::new(), LoopShape::Repeat(n)));
         }
         return None;
     }
@@ -220,26 +227,24 @@ fn infer_for_list(
         } else {
             add_cons_list(egraph, &leaves)
         };
-        // Wrap one Mapi per layer, innermost layer first (Fig. 10).
+        // Wrap one Mapi per layer, innermost layer first (Fig. 10); the
+        // outermost one is the node equal to `list`.
         let mut all_tags: Vec<String> = Vec::new();
+        let mut mapi = None;
         for (kind, fits) in layer_fits.iter().rev() {
+            if let Some(inner) = mapi.take() {
+                lst = egraph.add(inner);
+            }
             let fit = fits.get(variant).unwrap_or(&fits[0]);
             all_tags.extend(fit.tags.iter().cloned());
             let param = egraph.add(CadLang::Param);
             let body = add_affine_exprs(egraph, *kind, &fit.exprs, param);
             let fun = egraph.add(CadLang::Fun([body]));
-            lst = egraph.add(CadLang::Mapi([fun, lst]));
+            mapi = Some(CadLang::Mapi([fun, lst]));
         }
-        egraph.union(list, lst);
+        table.union_new(egraph, list, mapi.expect("the signature is not empty"));
         if record.is_none() {
-            let mut tags = all_tags;
-            tags.sort();
-            tags.dedup();
-            record = Some(InferenceRecord {
-                n,
-                fit_tags: tags,
-                shape: LoopShape::Single(n),
-            });
+            record = Some(InferenceRecord::new(n, all_tags, LoopShape::Single(n)));
         }
     }
     record
@@ -305,29 +310,27 @@ pub fn infer_functions_with(
     eps: f64,
     ctl: &PassControl,
 ) -> (Vec<InferenceRecord>, bool) {
-    let sites = fold_sites(egraph);
-    let mut seen: HashSet<Id> = HashSet::new();
+    infer_functions_in(egraph, &mut SiteTable::default(), eps, ctl)
+}
+
+/// [`infer_functions_with`] over `table`'s sites and lists.
+pub(crate) fn infer_functions_in(
+    egraph: &mut CadGraph,
+    table: &mut SiteTable,
+    eps: f64,
+    ctl: &PassControl,
+) -> (Vec<InferenceRecord>, bool) {
     let mut records = Vec::new();
-    // The pass only adds nodes and unions list classes, so neither memo
-    // ever goes stale within it (see `ChainMemo`).
-    let mut chains = ChainMemo::default();
     let mut fits = FitMemo::default();
-    for site in sites {
+    for site in table.start_pass(egraph) {
         if ctl.should_stop() {
             return (records, true);
         }
-        let list = egraph.find(site.list);
-        if !seen.insert(list) {
-            continue;
-        }
-        let Some(elements) = read_list(egraph, list) else {
+        let Some((list, dets)) = table.visit(egraph, site.list, 2) else {
             continue;
         };
-        if elements.len() < 2 {
-            continue;
-        }
-        for det in determinize(egraph, &elements, MAX_DETERMINIZATIONS, &mut chains) {
-            if let Some(rec) = infer_for_list(egraph, list, &elements, &det, eps, &mut fits) {
+        for det in dets.iter() {
+            if let Some(rec) = infer_for_list(egraph, table, list, det, eps, &mut fits) {
                 records.push(rec);
             }
         }
@@ -340,6 +343,24 @@ mod tests {
     use super::*;
     use crate::{lang_to_cad, CadAnalysis};
     use sz_egraph::{AstSize, Extractor, RecExpr, Runner};
+
+    #[test]
+    fn affine_exprs_constant_fold_via_analysis() {
+        let mut eg = CadGraph::default();
+        let unit = eg.add(CadLang::Unit);
+        let x: Expr = "(+ 1 (* 2 3))".parse().unwrap();
+        let id = add_affine_exprs(
+            &mut eg,
+            AffineKind::Translate,
+            &[x, Expr::num(0.0), Expr::num(0.0)],
+            unit,
+        );
+        eg.rebuild();
+        let CadLang::Translate([vec, _]) = eg.class_nodes(id).next().unwrap() else {
+            panic!("an affine node");
+        };
+        assert_eq!(crate::vec_of(&eg, *vec), Some([7.0, 0.0, 0.0]));
+    }
 
     #[test]
     fn cancelled_token_interrupts_inference_mid_pass() {

@@ -321,7 +321,7 @@ impl Language for CadLang {
     }
 }
 
-fn expr_to_lang(expr: &Expr, out: &mut RecExpr<CadLang>) -> Id {
+pub(crate) fn expr_to_lang(expr: &Expr, out: &mut RecExpr<CadLang>) -> Id {
     match expr {
         Expr::Num(x) => out.add(CadLang::Num(*x)),
         Expr::Idx(d) => out.add(CadLang::Idx(*d)),

@@ -12,15 +12,18 @@
 //! 2. [`rules()`] — ~40 semantics-preserving rewrites (affine lifting /
 //!    reordering / collapsing, fold introduction, boolean laws) saturate
 //!    the graph under fuel limits;
-//! 3. [determinization](mod@determinize) picks consistent affine
-//!    decompositions of each list's elements (the longest for list
-//!    manipulation, up to eight for inference);
+//! 3. determinization picks up to eight consistent affine decompositions
+//!    of each `Fold` list's elements, longest first; the three passes
+//!    below share one table of the `Fold` sites, which scans the sites
+//!    once and reads and determinizes each list once;
 //! 4. [`list_manipulation`] adds lexicographically sorted list variants
-//!    inside commutative folds;
+//!    inside commutative folds, sorting by each list's first
+//!    determinization;
 //! 5. [`infer_functions_with`] fits closed forms (degree-1/2 polynomials
-//!    with ε tolerance, sinusoids) per affine layer and inserts
-//!    `Mapi`/`Repeat` structure; [`infer_loops_with`] finds nested loops
-//!    via m-factorization and the irregular-grid grouping fallback;
+//!    with ε tolerance, sinusoids) per affine layer of every
+//!    determinization and inserts `Mapi`/`Repeat` structure;
+//!    [`infer_loops_with`] finds nested loops via m-factorization and the
+//!    irregular-grid grouping fallback;
 //! 6. extraction returns the **top-k** programs under any pluggable
 //!    [`CostModel`] (the paper's AST size is the default, the
 //!    `wardrobe@` loop-rewarding scheme a built-in; see [`cost`] for
@@ -77,11 +80,11 @@
 
 pub mod analysis;
 pub mod cost;
-pub mod determinize;
+mod determinize;
 pub mod funcinfer;
 pub mod lang;
 pub mod listmanip;
-pub mod lists;
+mod lists;
 pub mod loopinfer;
 pub mod pipeline;
 pub mod report;
@@ -94,11 +97,9 @@ pub use cost::{
     CostSpecError, CostVec, DepthCost, DepthPenalty, GeomCount, Lexicographic, ModelCost, OpClass,
     RewardLoopsCost, WeightedCost, WeightedSum, COST_SPEC_GRAMMAR,
 };
-pub use determinize::{chains_of, AffineChain, ChainLayer, DetList};
 pub use funcinfer::{infer_functions_with, InferenceRecord, LoopShape, PassControl};
 pub use lang::{cad_to_lang, lang_to_cad, lang_to_cad_at, CadLang, FromLangError};
 pub use listmanip::list_manipulation;
-pub use lists::{add_cons_list, add_expr_tree, fold_sites, read_list, FoldSite};
 pub use loopinfer::{factorizations, index_sets, infer_loops_with};
 pub use pipeline::{
     ParetoProgram, SatPhase, SatPhaseHeader, SnapshotHeader, SynthConfig, SynthError, SynthProgram,

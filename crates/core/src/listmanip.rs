@@ -6,8 +6,7 @@ use sz_cad::BoolOp;
 use sz_egraph::Id;
 
 use crate::analysis::CadGraph;
-use crate::determinize::{determinize, ChainMemo};
-use crate::lists::{add_cons_list, fold_sites, read_list};
+use crate::lists::{add_cons_list, FoldSite, SiteTable};
 use crate::CadLang;
 
 /// For every `Fold(op, init, l)` with commutative `op`: determinize `l`,
@@ -19,25 +18,23 @@ use crate::CadLang;
 /// Returns the number of sorted variants added. Call
 /// [`CadGraph::rebuild`] afterwards.
 pub fn list_manipulation(egraph: &mut CadGraph) -> usize {
-    let sites = fold_sites(egraph);
-    let mut chains = ChainMemo::default();
+    list_manipulation_in(egraph, &mut SiteTable::default())
+}
+
+/// [`list_manipulation`] over `table`'s sites and lists, sorting by each
+/// list's first determinization; appends the sorted folds to `table`.
+pub(crate) fn list_manipulation_in(egraph: &mut CadGraph, table: &mut SiteTable) -> usize {
     let mut added = 0;
-    for site in sites {
+    for site in table.start_pass(egraph) {
         if site.op == BoolOp::Diff {
             continue; // difference does not commute; sorting is unsound
         }
-        let Some(elements) = read_list(egraph, site.list) else {
+        let Some((elements, dets)) = table.read(egraph, site.list, 2) else {
             continue;
         };
-        if elements.len() < 2 {
-            continue;
-        }
-        let Some(det) = determinize(egraph, &elements, 1, &mut chains).pop() else {
+        let Some(det) = dets.first().filter(|d| !d.signature.is_empty()) else {
             continue;
         };
-        if det.signature.is_empty() {
-            continue;
-        }
         // Each key is built once; the sort is stable, as `sort_by_key`'s.
         let mut order: Vec<usize> = (0..elements.len()).collect();
         order.sort_by_cached_key(|&i| det.chains[i].sort_key());
@@ -45,20 +42,10 @@ pub fn list_manipulation(egraph: &mut CadGraph) -> usize {
             continue; // already sorted
         }
         let sorted: Vec<Id> = order.iter().map(|&i| elements[i]).collect();
-        let new_list = add_cons_list(egraph, &sorted);
+        let list = add_cons_list(egraph, &sorted);
         let op = egraph.add(CadLang::fold_op(site.op));
-        let classes_before = egraph.universe();
-        let new_fold = egraph.add(CadLang::Fold([op, site.init, new_list]));
-        let (_, did) = egraph.union(site.class, new_fold);
-        if did {
-            // Merging the class `add` just made changes no chain: the
-            // site's class stays the root (the new class has no parents)
-            // and gains a `Fold`, not an affine node. Merging a class
-            // that existed may change a CAD class that later sites hold
-            // as an element.
-            if usize::from(new_fold) < classes_before {
-                chains.clear();
-            }
+        if table.union_new(egraph, site.class, CadLang::Fold([op, site.init, list])) {
+            table.push_site(FoldSite { list, ..site });
             added += 1;
         }
     }
@@ -68,8 +55,10 @@ pub fn list_manipulation(egraph: &mut CadGraph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::determinize::{determinize, ChainCache};
     use crate::funcinfer::{infer_functions_with, PassControl};
     use crate::lang_to_cad;
+    use crate::lists::{fold_sites, read_list};
     use sz_egraph::{AstSize, Extractor, RecExpr};
 
     fn graph(s: &str) -> (CadGraph, Id) {
@@ -122,8 +111,8 @@ mod tests {
         assert_eq!(list_manipulation(&mut eg), 0);
     }
 
-    /// `list_manipulation` as it was before the chain memo: every site
-    /// determinizes its elements from scratch.
+    /// `list_manipulation` without the site table: every site reads and
+    /// determinizes its list from scratch.
     fn list_manipulation_fresh(egraph: &mut CadGraph) -> usize {
         let mut added = 0;
         for site in fold_sites(egraph) {
@@ -136,8 +125,8 @@ mod tests {
             if elements.len() < 2 {
                 continue;
             }
-            let Some(det) = determinize(egraph, &elements, 1, &mut ChainMemo::default()).pop()
-            else {
+            let dets = determinize(egraph, &elements, &mut ChainCache::default());
+            let Some(det) = dets.first() else {
                 continue;
             };
             if det.signature.is_empty() {

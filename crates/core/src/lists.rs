@@ -1,16 +1,20 @@
 //! Reading concrete lists out of the e-graph and writing new list
 //! structure back in — the interface between the e-graph and the solver
-//! passes.
+//! passes, which share one [`SiteTable`].
 
-use sz_cad::{BoolOp, Cad, Expr, OrderedF64};
-use sz_egraph::Id;
+use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
+
+use sz_cad::{BoolOp, OrderedF64};
+use sz_egraph::{FxBuildHasher, Id};
 
 use crate::analysis::{num_of, CadGraph};
-use crate::{cad_to_lang, CadLang};
+use crate::determinize::{determinize, ChainCache, DetList};
+use crate::CadLang;
 
 /// A `Fold` occurrence: the class holding it and its three children.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FoldSite {
+pub(crate) struct FoldSite {
     /// The e-class containing the `Fold` node.
     pub class: Id,
     /// The folded boolean operator.
@@ -23,7 +27,7 @@ pub struct FoldSite {
 
 /// Finds every `Fold` node in the e-graph (paper Fig. 12's
 /// `match_eg (eg, Fold (Var f) (Var acc) (Var l))`).
-pub fn fold_sites(egraph: &CadGraph) -> Vec<FoldSite> {
+pub(crate) fn fold_sites(egraph: &CadGraph) -> Vec<FoldSite> {
     let mut sites = Vec::new();
     for class in egraph.classes() {
         for node in egraph.nodes_of(class) {
@@ -34,23 +38,33 @@ pub fn fold_sites(egraph: &CadGraph) -> Vec<FoldSite> {
                 continue;
             };
             sites.push(FoldSite {
-                class: egraph.find(class.id),
+                class: class.id,
                 op,
-                init: egraph.find(*init),
-                list: egraph.find(*list),
+                init: *init,
+                list: *list,
             });
         }
     }
+    canonicalize(egraph, &mut sites);
+    sites
+}
+
+/// Canonicalizes, sorts and dedups `sites`, as [`fold_sites`] returns them.
+fn canonicalize(egraph: &CadGraph, sites: &mut Vec<FoldSite>) {
+    for site in sites.iter_mut() {
+        site.class = egraph.find(site.class);
+        site.init = egraph.find(site.init);
+        site.list = egraph.find(site.list);
+    }
     sites.sort_by_key(|s| (s.class, s.list));
     sites.dedup();
-    sites
 }
 
 /// Reads the concrete element list of a list class by following
 /// `Cons`/`Nil` (and constant-count `Repeat`) structure. Returns the
 /// element class ids in order, or `None` if the class has no concrete
 /// spine.
-pub fn read_list(egraph: &CadGraph, id: Id) -> Option<Vec<Id>> {
+pub(crate) fn read_list(egraph: &CadGraph, id: Id) -> Option<Vec<Id>> {
     let mut out = Vec::new();
     let mut cur = egraph.find(id);
     for _ in 0..1_000_000 {
@@ -83,7 +97,7 @@ pub fn read_list(egraph: &CadGraph, id: Id) -> Option<Vec<Id>> {
 
 /// Adds an explicit `Cons` list of the given element classes, returning
 /// the class of its head.
-pub fn add_cons_list(egraph: &mut CadGraph, elements: &[Id]) -> Id {
+pub(crate) fn add_cons_list(egraph: &mut CadGraph, elements: &[Id]) -> Id {
     let mut tail = egraph.add(CadLang::Nil);
     for &e in elements.iter().rev() {
         tail = egraph.add(CadLang::Cons([e, tail]));
@@ -92,51 +106,129 @@ pub fn add_cons_list(egraph: &mut CadGraph, elements: &[Id]) -> Id {
 }
 
 /// Adds a numeric literal.
-pub fn add_num(egraph: &mut CadGraph, x: f64) -> Id {
+pub(crate) fn add_num(egraph: &mut CadGraph, x: f64) -> Id {
     egraph.add(CadLang::Num(OrderedF64::new(x)))
 }
 
-/// Adds a surface-AST arithmetic expression to the e-graph.
-pub fn add_expr_tree(egraph: &mut CadGraph, e: &Expr) -> Id {
-    match e {
-        Expr::Num(x) => egraph.add(CadLang::Num(*x)),
-        Expr::Idx(d) => egraph.add(CadLang::Idx(*d)),
-        Expr::Add(a, b) => {
-            let (a, b) = (add_expr_tree(egraph, a), add_expr_tree(egraph, b));
-            egraph.add(CadLang::Add([a, b]))
-        }
-        Expr::Sub(a, b) => {
-            let (a, b) = (add_expr_tree(egraph, a), add_expr_tree(egraph, b));
-            egraph.add(CadLang::Sub([a, b]))
-        }
-        Expr::Mul(a, b) => {
-            let (a, b) = (add_expr_tree(egraph, a), add_expr_tree(egraph, b));
-            egraph.add(CadLang::Mul([a, b]))
-        }
-        Expr::Div(a, b) => {
-            let (a, b) = (add_expr_tree(egraph, a), add_expr_tree(egraph, b));
-            egraph.add(CadLang::Div([a, b]))
-        }
-        Expr::Sin(a) => {
-            let a = add_expr_tree(egraph, a);
-            egraph.add(CadLang::Sin([a]))
-        }
-        Expr::Cos(a) => {
-            let a = add_expr_tree(egraph, a);
-            egraph.add(CadLang::Cos([a]))
-        }
-    }
+/// The `Fold` sites and lists the three inference passes read in turn
+/// (paper Fig. 5): one site scan, and one read and one determinization per
+/// list, through one chain cache. Every inference union goes through
+/// [`SiteTable::union_new`]: merging the class `add` just made keeps each
+/// cached read exact, as the target stays the root and gains a node
+/// (`Fold`, `Repeat`, `Mapi`, `MapIdx*` or `Concat`) that no read looks
+/// at. A union that merges a class that existed before, or a rebuild that
+/// performs unions ([`SiteTable::rebuilt`]), drops every cached read and
+/// has the next pass rescan the sites. Debug builds recheck every read.
+#[derive(Default)]
+pub(crate) struct SiteTable {
+    /// The `Fold` sites, as [`fold_sites`] returns them.
+    sites: Vec<FoldSite>,
+    /// Whether `sites` holds a scan that re-canonicalizing keeps current.
+    scanned: bool,
+    /// The lists read so far, by canonical class.
+    lists: HashMap<Id, ListEntry, FxBuildHasher>,
+    /// Element chains, shared by every determinization.
+    chains: ChainCache,
+    /// The lists this pass visited.
+    visited: HashSet<Id, FxBuildHasher>,
 }
 
-/// Adds a whole surface-AST term to the e-graph, returning its class.
-pub fn add_cad_tree(egraph: &mut CadGraph, cad: &Cad) -> Id {
-    let expr = cad_to_lang(cad);
-    egraph.add_expr(&expr)
+/// A list's elements and their determinizations.
+pub(crate) type ListRead = (Rc<[Id]>, Rc<[DetList]>);
+/// A visited list's canonical class and its determinizations.
+pub(crate) type Visit = (Id, Rc<[DetList]>);
+
+#[derive(Default)]
+struct ListEntry {
+    /// Its elements, none when it has no concrete spine.
+    elements: Option<Rc<[Id]>>,
+    /// Their determinizations.
+    dets: Option<Rc<[DetList]>>,
+}
+
+impl SiteTable {
+    /// Starts a pass over the rebuilt `egraph`: returns its sites in order.
+    pub(crate) fn start_pass(&mut self, egraph: &CadGraph) -> Vec<FoldSite> {
+        if !std::mem::replace(&mut self.scanned, true) {
+            self.sites = fold_sites(egraph);
+        }
+        canonicalize(egraph, &mut self.sites);
+        debug_assert!(self.sites == fold_sites(egraph), "stale fold sites");
+        self.visited.clear();
+        self.sites.clone()
+    }
+
+    /// The canonical class of `list` and its determinizations, unless this
+    /// pass visited that class already (a mid-pass union can make two
+    /// lists one) or it has fewer than `min_len` elements.
+    pub(crate) fn visit(&mut self, egraph: &CadGraph, list: Id, min_len: usize) -> Option<Visit> {
+        let list = egraph.find(list);
+        if !self.visited.insert(list) {
+            return None;
+        }
+        Some((list, self.read(egraph, list, min_len)?.1))
+    }
+
+    /// The elements of `list` and their determinizations, unless it has
+    /// fewer than `min_len` elements.
+    pub(crate) fn read(&mut self, egraph: &CadGraph, list: Id, min_len: usize) -> Option<ListRead> {
+        let entry = self.lists.entry(egraph.find(list)).or_default();
+        let fresh = || Rc::from(read_list(egraph, list).unwrap_or_default());
+        let elements = Rc::clone(entry.elements.get_or_insert_with(fresh));
+        debug_assert!(elements == fresh(), "stale elements of list {list}");
+        if elements.len() < min_len {
+            return None;
+        }
+        let chains = &mut self.chains;
+        let dets = entry
+            .dets
+            .get_or_insert_with(|| determinize(egraph, &elements, chains).into());
+        // Compared as printed, so a NaN vector equals itself.
+        let printed = |dets: &[DetList]| format!("{dets:?}");
+        debug_assert!(
+            printed(dets) == printed(&determinize(egraph, &elements, &mut ChainCache::default())),
+            "stale determinizations of list {list}"
+        );
+        Some((elements, Rc::clone(dets)))
+    }
+
+    /// Adds `node`, the outermost node of new structure equal to `target`,
+    /// and unions its class with `target`; returns whether that merged.
+    pub(crate) fn union_new(&mut self, egraph: &mut CadGraph, target: Id, node: CadLang) -> bool {
+        let before = egraph.universe();
+        let id = egraph.add(node);
+        let merged = egraph.union(target, id).1;
+        if merged && usize::from(id) < before {
+            self.forget();
+        }
+        merged
+    }
+
+    /// Appends a site list manipulation added.
+    pub(crate) fn push_site(&mut self, site: FoldSite) {
+        self.sites.push(site);
+    }
+
+    /// Takes note of an inference rebuild that performed `unions` unions.
+    pub(crate) fn rebuilt(&mut self, unions: usize) {
+        if unions > 0 {
+            self.forget();
+        }
+    }
+
+    /// Drops every cached read.
+    fn forget(&mut self) {
+        self.lists.clear();
+        self.chains.clear();
+        self.scanned = false;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cad_to_lang;
+    use sz_cad::Cad;
     use sz_egraph::RecExpr;
 
     fn graph(s: &str) -> (CadGraph, Id) {
@@ -179,21 +271,12 @@ mod tests {
     fn cons_list_roundtrip() {
         let (mut eg, _) = graph("(Cons Unit Nil)");
         let unit = eg.lookup_expr(&"Unit".parse().unwrap()).unwrap();
-        let sphere = add_cad_tree(&mut eg, &Cad::Sphere);
+        let sphere = eg.add_expr(&cad_to_lang(&Cad::Sphere));
         let list = add_cons_list(&mut eg, &[unit, sphere, unit]);
         eg.rebuild();
         let items = read_list(&eg, list).unwrap();
         assert_eq!(items.len(), 3);
         assert_eq!(eg.find(items[1]), eg.find(sphere));
-    }
-
-    #[test]
-    fn expr_tree_constant_folds_via_analysis() {
-        let mut eg = CadGraph::default();
-        let e: Expr = "(+ 1 (* 2 3))".parse().unwrap();
-        let id = add_expr_tree(&mut eg, &e);
-        eg.rebuild();
-        assert_eq!(num_of(&eg, id), Some(7.0));
     }
 
     #[test]

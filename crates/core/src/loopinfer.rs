@@ -8,9 +8,8 @@ use sz_egraph::Id;
 use sz_solver::{fit_sequence, FittedFn};
 
 use crate::analysis::CadGraph;
-use crate::determinize::{determinize, ChainMemo, MAX_DETERMINIZATIONS};
-use crate::funcinfer::{add_affine_exprs, InferenceRecord, LoopShape, PassControl};
-use crate::lists::{add_num, fold_sites, read_list};
+use crate::funcinfer::{add_affine_exprs, fitted_expr, InferenceRecord, LoopShape, PassControl};
+use crate::lists::{add_num, SiteTable};
 use crate::CadLang;
 
 /// Returns every ordered `m`-tuple of factors of `n`, all factors ≥ 2
@@ -116,14 +115,7 @@ fn component_form(
 fn comp_expr(form: &CompForm, kind: AffineKind) -> Expr {
     match form {
         CompForm::Const(v) => Expr::num(*v),
-        CompForm::DependsOn(d, f) => {
-            if kind == AffineKind::Rotate {
-                f.to_rotation_expr(*d as u8)
-                    .unwrap_or_else(|| f.to_expr(*d as u8))
-            } else {
-                f.to_expr(*d as u8)
-            }
-        }
+        CompForm::DependsOn(d, f) => fitted_expr(f, kind, *d as u8),
     }
 }
 
@@ -134,16 +126,16 @@ fn form_tag(form: &CompForm) -> Option<String> {
     }
 }
 
-/// Attempts regular nested-loop inference for one list; on success adds a
-/// `MapIdx` variant and returns its record.
+/// Attempts regular nested-loop inference for one list; on success
+/// returns a `MapIdx` node equal to the list, not yet added, and its
+/// record.
 fn infer_regular(
     egraph: &mut CadGraph,
-    list: Id,
     kind: AffineKind,
     vecs: &[[f64; 3]],
     child: Id,
     eps: f64,
-) -> Option<InferenceRecord> {
+) -> Option<(CadLang, InferenceRecord)> {
     let n = vecs.len();
     for m in [2usize, 3] {
         for factors in factorizations(n, m) {
@@ -182,16 +174,9 @@ fn infer_regular(
                 2 => CadLang::MapIdx2([bounds[0], bounds[1], body]),
                 _ => CadLang::MapIdx3([bounds[0], bounds[1], bounds[2], body]),
             };
-            let mapidx = egraph.add(node);
-            egraph.union(list, mapidx);
-            let mut tags: Vec<String> = forms.iter().filter_map(form_tag).collect();
-            tags.sort();
-            tags.dedup();
-            return Some(InferenceRecord {
-                n,
-                fit_tags: tags,
-                shape: LoopShape::Nested(factors),
-            });
+            let tags = forms.iter().filter_map(form_tag).collect();
+            let record = InferenceRecord::new(n, tags, LoopShape::Nested(factors));
+            return Some((node, record));
         }
     }
     None
@@ -199,15 +184,15 @@ fn infer_regular(
 
 /// Attempts irregular-loop inference (paper §5, "Irregular loops"):
 /// groups elements by a shared component value and finds a closed form
-/// per group, concatenating the per-group loops.
+/// per group, concatenating the per-group loops. Returns, like
+/// [`infer_regular`], the outermost `Concat` and the record.
 fn infer_irregular(
     egraph: &mut CadGraph,
-    list: Id,
     kind: AffineKind,
     vecs: &[[f64; 3]],
     child: Id,
     eps: f64,
-) -> Option<InferenceRecord> {
+) -> Option<(CadLang, InferenceRecord)> {
     let n = vecs.len();
     'group_comp: for g in 0..3 {
         // Group indices by (snapped) component-g value, preserving first
@@ -245,11 +230,7 @@ fn infer_irregular(
                 if !f.is_constant() {
                     tags.push(f.kind_tag().to_owned());
                 }
-                exprs.push(if kind == AffineKind::Rotate {
-                    f.to_rotation_expr(0).unwrap_or_else(|| f.to_expr(0))
-                } else {
-                    f.to_expr(0)
-                });
+                exprs.push(fitted_expr(&f, kind, 0));
             }
             let exprs = <[Expr; 3]>::try_from(exprs).expect("three components");
             let body = add_affine_exprs(egraph, kind, &exprs, child);
@@ -258,17 +239,12 @@ fn infer_irregular(
         }
         // Concat the groups, right-nested.
         let mut acc = *group_lists.last().expect("at least two groups");
-        for &gl in group_lists[..group_lists.len() - 1].iter().rev() {
+        for &gl in group_lists[1..group_lists.len() - 1].iter().rev() {
             acc = egraph.add(CadLang::Concat([gl, acc]));
         }
-        egraph.union(list, acc);
-        tags.sort();
-        tags.dedup();
-        return Some(InferenceRecord {
-            n,
-            fit_tags: tags,
-            shape: LoopShape::Irregular(groups.iter().map(|(_, g)| g.len()).collect()),
-        });
+        let shape = LoopShape::Irregular(groups.iter().map(|(_, g)| g.len()).collect());
+        let record = InferenceRecord::new(n, tags, shape);
+        return Some((CadLang::Concat([group_lists[0], acc]), record));
     }
     None
 }
@@ -289,30 +265,29 @@ pub fn infer_loops_with(
     eps: f64,
     ctl: &PassControl,
 ) -> (Vec<InferenceRecord>, bool) {
-    let sites = fold_sites(egraph);
-    let mut seen: HashSet<Id> = HashSet::new();
+    infer_loops_in(egraph, &mut SiteTable::default(), eps, ctl)
+}
+
+/// [`infer_loops_with`] over `table`'s sites and lists.
+pub(crate) fn infer_loops_in(
+    egraph: &mut CadGraph,
+    table: &mut SiteTable,
+    eps: f64,
+    ctl: &PassControl,
+) -> (Vec<InferenceRecord>, bool) {
     let mut records = Vec::new();
-    // The pass only adds nodes and unions list classes, so the chains
-    // never go stale within it (see `ChainMemo`).
-    let mut chains = ChainMemo::default();
-    for site in sites {
+    for site in table.start_pass(egraph) {
         if ctl.should_stop() {
             return (records, true);
         }
         if site.op == BoolOp::Diff {
             continue;
         }
-        let list = egraph.find(site.list);
-        if !seen.insert(list) {
-            continue;
-        }
-        let Some(elements) = read_list(egraph, list) else {
+        // The smallest nontrivial grid is 2×2.
+        let Some((list, dets)) = table.visit(egraph, site.list, 4) else {
             continue;
         };
-        if elements.len() < 4 {
-            continue; // smallest nontrivial grid is 2×2
-        }
-        for det in determinize(egraph, &elements, MAX_DETERMINIZATIONS, &mut chains) {
+        for det in dets.iter() {
             if det.signature.is_empty() {
                 continue;
             }
@@ -330,10 +305,11 @@ pub fn infer_loops_with(
             let child = children[0];
             let vecs: Vec<[f64; 3]> = det.chains.iter().map(|c| c.layers[0].vec).collect();
 
-            if let Some(rec) = infer_regular(egraph, list, kind, &vecs, child, eps) {
-                records.push(rec);
-            } else if let Some(rec) = infer_irregular(egraph, list, kind, &vecs, child, eps) {
-                records.push(rec);
+            let found = infer_regular(egraph, kind, &vecs, child, eps)
+                .or_else(|| infer_irregular(egraph, kind, &vecs, child, eps));
+            if let Some((node, record)) = found {
+                table.union_new(egraph, list, node);
+                records.push(record);
             }
         }
     }

@@ -50,10 +50,11 @@ use sz_lint::Report;
 use sz_trace::Telemetry;
 
 use crate::analysis::{CadAnalysis, CadGraph};
-use crate::funcinfer::{infer_functions_with, PassControl};
+use crate::funcinfer::{infer_functions_in, PassControl};
 use crate::lang::cad_to_lang;
-use crate::listmanip::list_manipulation;
-use crate::loopinfer::infer_loops_with;
+use crate::listmanip::list_manipulation_in;
+use crate::lists::SiteTable;
+use crate::loopinfer::infer_loops_in;
 use crate::pipeline::{extract, SatPhase, SynthConfig, SynthError, SynthSnapshot, Synthesis};
 use crate::rules::{all_rules, rules as base_rules, CadRewrite};
 
@@ -627,7 +628,7 @@ fn pass_control(opts: &RunOptions, deadline: Option<Instant>) -> PassControl {
     ctl
 }
 
-/// The non-saturation pipeline passes (determ + list_manip sorted-list
+/// The non-saturation pipeline passes (list manipulation's sorted-list
 /// variants, then solver-driven function and loop inference), returning
 /// what the solvers did plus whether the stage was **truncated** —
 /// stopped with inference work left undone. `ctl` is polled between
@@ -635,40 +636,46 @@ fn pass_control(opts: &RunOptions, deadline: Option<Instant>) -> PassControl {
 /// interrupts inference mid-pass instead of waiting for the next
 /// saturation boundary; a stage whose passes all ran to completion
 /// reports `false` even if the stop condition became true afterwards.
-/// Records one `infer/list_manip`, `infer/functions` and `infer/loops`
-/// span per pass on `telemetry`, and one `infer/rebuild` span around the
-/// rebuild after each pass.
+///
+/// The passes share one [`SiteTable`]: the `Fold` sites are scanned once
+/// and each list is read and determinized once, unless a union merges a
+/// class that already existed or a rebuild performs unions (each
+/// rebuild's union count goes to the table). Records one
+/// `infer/list_manip`, `infer/functions` and `infer/loops` span per pass
+/// on `telemetry`, the first including the site scan, and one
+/// `infer/rebuild` span around the rebuild after each pass.
 fn run_inference_passes(
     egraph: &mut CadGraph,
     eps: f64,
     ctl: &PassControl,
     telemetry: &Telemetry,
 ) -> (Vec<crate::InferenceRecord>, bool) {
-    let rebuild = |egraph: &mut CadGraph| {
+    let rebuild = |egraph: &mut CadGraph, table: &mut SiteTable| {
         let _span = telemetry.span("infer", "rebuild");
-        egraph.rebuild();
+        table.rebuilt(egraph.rebuild());
     };
     let mut records = Vec::new();
+    let mut table = SiteTable::default();
     let span = telemetry.span("infer", "list_manip");
-    list_manipulation(egraph);
+    list_manipulation_in(egraph, &mut table);
     drop(span);
-    rebuild(egraph);
+    rebuild(egraph, &mut table);
     // The passes themselves report truncation (they know whether any
     // site was actually skipped — a stop with no sites left is still a
     // deterministic product, not a truncation).
     let span = telemetry.span("infer", "functions");
-    let (recs, truncated) = infer_functions_with(egraph, eps, ctl);
+    let (recs, truncated) = infer_functions_in(egraph, &mut table, eps, ctl);
     drop(span);
     records.extend(recs);
-    rebuild(egraph);
+    rebuild(egraph, &mut table);
     if truncated {
         return (records, true);
     }
     let span = telemetry.span("infer", "loops");
-    let (recs, truncated) = infer_loops_with(egraph, eps, ctl);
+    let (recs, truncated) = infer_loops_in(egraph, &mut table, eps, ctl);
     drop(span);
     records.extend(recs);
-    rebuild(egraph);
+    rebuild(egraph, &mut table);
     (records, truncated)
 }
 

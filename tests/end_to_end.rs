@@ -2,9 +2,13 @@
 //! every synthesized program must denote the same solid as its input.
 
 use sz_cad::Cad;
+use sz_egraph::{Runner, Snapshot};
 use sz_mesh::validate_program;
 use sz_models::{gear, row_of_cubes};
-use szalinski::{RunOptions, SynthConfig, Synthesis, Synthesizer};
+use szalinski::{
+    cad_to_lang, infer_functions_with, infer_loops_with, list_manipulation, rules, CadAnalysis,
+    CadGraph, PassControl, RunMode, RunOptions, SynthConfig, SynthSnapshot, Synthesis, Synthesizer,
+};
 
 fn config() -> SynthConfig {
     SynthConfig::new()
@@ -104,4 +108,75 @@ fn stl_pipeline_from_synthesized_program() {
     let back = sz_mesh::read_ascii_stl(stl.as_bytes()).unwrap();
     assert_eq!(back.triangles.len(), mesh.triangles.len());
     assert!((back.signed_volume() - 3.0).abs() < 1e-6);
+}
+
+#[test]
+fn inference_reads_lists_again_after_a_rebuild_merges_classes() {
+    // Four rows of four cubes at x = 2, 4, 6, 8; in row r the r-th cube
+    // is off by 2e-4, below ε. Function inference fits each row to
+    // 2(i + 1) and merges list classes that already exist, so the rebuild
+    // after it performs unions and changes a determinization that loop
+    // inference reads: the session's shared site table must redo it.
+    let input: Cad = "(Union (Translate 0 0 0 (Union (Translate 2.0002 0 0 Unit) \
+         (Union (Translate 4 0 0 Unit) (Union (Translate 6 0 0 Unit) (Translate 8 0 0 Unit))))) \
+         (Union (Translate 0 20 0 (Union (Translate 2 0 0 Unit) (Union (Translate 4.0002 0 0 Unit) \
+         (Union (Translate 6 0 0 Unit) (Translate 8 0 0 Unit))))) \
+         (Union (Translate 20 0 0 (Union (Translate 2 0 0 Unit) (Union (Translate 4 0 0 Unit) \
+         (Union (Translate 6.0002 0 0 Unit) (Translate 8 0 0 Unit))))) \
+         (Translate 20 20 0 (Union (Translate 2 0 0 Unit) (Union (Translate 4 0 0 Unit) \
+         (Union (Translate 6 0 0 Unit) (Translate 8.0002 0 0 Unit))))))))"
+        .parse()
+        .unwrap();
+    let config = SynthConfig::new();
+
+    // The cold path's saturation, then the three public passes, each
+    // building its own table, with a rebuild after each.
+    let mut egraph = CadGraph::new(CadAnalysis);
+    let root = egraph.add_expr(&cad_to_lang(&input));
+    egraph.rebuild();
+    let runner = Runner::new(CadAnalysis)
+        .with_egraph(egraph)
+        .with_iter_limit(config.iter_limit)
+        .with_node_limit(config.node_limit)
+        .run(&rules());
+    let iterations = runner.iterations.len();
+    let mut egraph = runner.egraph;
+    let ctl = PassControl::new();
+    list_manipulation(&mut egraph);
+    egraph.rebuild();
+    let (mut records, _) = infer_functions_with(&mut egraph, config.eps, &ctl);
+    assert!(egraph.rebuild() > 0, "the rebuild merges classes");
+    records.extend(infer_loops_with(&mut egraph, config.eps, &ctl).0);
+    egraph.rebuild();
+    let snapshot = Snapshot::of_egraph(&egraph, &[root])
+        .unwrap()
+        .with_iterations(iterations);
+
+    let session = Synthesizer::new(config.clone());
+    let cold = session
+        .run(&input, RunOptions::new().capture_snapshot(true))
+        .unwrap();
+    assert_eq!(cold.records, records);
+    assert_eq!(cold.egraph_nodes, egraph.total_number_of_nodes());
+    let captured = cold.snapshot.as_ref().unwrap().egraph_snapshot();
+    assert_eq!(captured.to_string(), snapshot.to_string());
+    // The top-k extracted from the passes' graph, through an
+    // extraction-only resume.
+    let offer = SynthSnapshot::new(&input, &config, snapshot);
+    let resumed = session
+        .run(&input, RunOptions::new().with_snapshot(offer))
+        .unwrap();
+    assert_eq!(resumed.mode, RunMode::ResumedExtraction);
+    let programs = |s: &Synthesis| -> Vec<String> {
+        s.top_k
+            .iter()
+            .map(|p| format!("{} {}", p.cost, p.cad))
+            .collect()
+    };
+    assert_eq!(programs(&resumed), programs(&cold));
+    assert_eq!(
+        cold.best().cad.to_string(),
+        "(Fold Union Empty (MapIdx2 2 2 (Translate (* 20 i) (* 20 j) 0 (Fold Union Empty \
+         (Mapi (Fun (Translate (* 2 (+ i 1)) 0 0 c)) (Repeat Unit 4))))))"
+    );
 }
